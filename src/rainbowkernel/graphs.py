@@ -284,9 +284,6 @@ class ColoredMultigraph:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    def edges_of_color(self, color: int) -> list[ColoredEdge]:
-        return [e for e in self.edges if e.color == color]
-
 
 def make_colored_multigraph(vertices: Iterable[int], edges: Iterable[ColoredEdge], p: int) -> ColoredMultigraph:
     return ColoredMultigraph(tuple(sorted(set(vertices))), tuple(sorted(edges)), p)

@@ -14,7 +14,8 @@ clique vertex) pair and an ordinary edge per induced 2-path with both ends in
 the pool and its third vertex in `colors`.  A rainbow matching pins down the
 few pool vertices worth keeping and the run stops; a color cover moves a
 small slice of the pool (or whole cliques) into the buckets and the round
-potential #live cliques + #colors drops.
+potential #live cliques + #colors drops.  The loop itself lives in
+`rounds.py`; this module supplies the decomposition, its stages and the rule.
 """
 from __future__ import annotations
 
@@ -27,16 +28,9 @@ from .errors import (InvalidSolution, NotNicePair, OracleContractViolation,
 from .graphs import (ColoredEdge, ColoredMultigraph, UndirectedGraph,
                      colored_edge, enumerate_induced_p3, is_induced_p3,
                      make_colored_multigraph)
-from .rainbow import (ColorCover, OracleConfig, RainbowMatching, RainbowOracle,
-                      verify_outcome)
-from .report import Decided, KernelOutput, KernelReport, RoundRecord
-
-
-@dataclass(frozen=True)
-class PackingFound:
-    """Greedy localization reached the requested number of obstructions."""
-
-    packing: tuple[tuple[int, int, int], ...]
+from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
+from .report import Decided, KernelOutput, KernelReport
+from .rounds import PackingFound, RuleNext, RuleStop, decide, run_rounds
 
 
 @dataclass(frozen=True)
@@ -326,19 +320,13 @@ def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> P3Aux:
     return P3Aux(cm, tuple(meanings))
 
 
-@dataclass(frozen=True)
-class RuleStop:
-    kept: frozenset[int]
+@dataclass
+class P3KernelState:
+    """Everything the lifting and repacking constructions need."""
+
+    final: P3Decomp
     matching: RainbowMatching
     aux: P3Aux
-    oracle_stats: dict
-
-
-@dataclass(frozen=True)
-class RuleNext:
-    decomp: P3Decomp
-    case: str
-    oracle_stats: dict
 
 
 def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> RuleStop | RuleNext:
@@ -352,10 +340,11 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
     ok, problems = verify_outcome(aux.cm, outcome)
     if not ok:
         raise OracleContractViolation("; ".join(problems))
-    stats_dict = {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges}
+    notes = {"oracle": {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges},
+             "live_cliques": len(d.live)}
     if isinstance(outcome, RainbowMatching):
         kept = frozenset(outcome.vertices()) | d.bucketed | d.colors
-        return RuleStop(kept, outcome, aux, stats_dict)
+        return RuleStop(kept, P3KernelState(d, outcome, aux), notes)
     cover: ColorCover = outcome
     tc = frozenset(cover.cover)
     xc = frozenset(aux.color_vertex(c) for c in cover.colors
@@ -365,7 +354,7 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
     if len(xb) <= len(xc):
         nxt = make_p3_decomp(d.loc, d.pool - tc, d.bucketed | tc | xc,
                              d.colors - xc, g, d.epsilon)
-        return RuleNext(nxt, "case1", stats_dict)
+        return RuleNext(nxt, "case1", notes)
     hit_cliques = sorted({d.bucket_of(u) for u in xb})
     moved: set[int] = set()
     for i in hit_cliques:
@@ -376,21 +365,11 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
         moved |= part
     nxt = make_p3_decomp(d.loc, d.pool - moved, d.bucketed | moved, d.colors,
                          g, d.epsilon)
-    return RuleNext(nxt, "case2", stats_dict)
-
-
-@dataclass
-class P3KernelState:
-    """Everything the lifting and repacking constructions need."""
-
-    final: P3Decomp
-    matching: RainbowMatching
-    aux: P3Aux
+    return RuleNext(nxt, "case2", notes)
 
 
 def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
-                 problem: str = "I2PP", validate: bool = True,
-                 oracle_config: OracleConfig | None = None) -> Decided | KernelOutput:
+                 problem: str = "I2PP", validate: bool = True) -> Decided | KernelOutput:
     """Shrink (g, k) to an equivalent induced sub-instance.
 
     The same rounds serve both problems; only the greedy threshold differs:
@@ -413,45 +392,17 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
     threshold = k if problem == "I2PP" else k + 1
     loc = greedy_localize_p3(g, threshold)
     if isinstance(loc, PackingFound):
-        report.status = "early-yes" if problem == "I2PP" else "early-no"
-        report.witness = [list(tri) for tri in loc.packing]
-        return Decided(problem == "I2PP", loc.packing, report)
+        return decide(report, loc, problem == "I2PP")
     report.core_size = len(loc.core)
     report.rest_size = g.n - len(loc.core)
-    oracle = RainbowOracle(oracle_config)
+    oracle = RainbowOracle()
     d = make_p3_decomp(loc, frozenset(range(g.n)) - loc.core, frozenset(),
                        loc.core, g, epsilon)
-    d = clean_p3(d, g)
-    max_rounds = d.potential
-    prev_potential = None
-    while True:
-        if validate:
-            problems = check_p3_decomp(d, g)
-            if problems:
-                raise AssertionError("invariants broken: " + "; ".join(problems))
-        if prev_potential is not None and d.potential >= prev_potential:
-            raise AssertionError("round potential did not decrease")
-        prev_potential = d.potential
-        step = apply_rule_p3(d, g, oracle)
-        record = RoundRecord(index=len(report.rounds), case="",
-                             pool_size=len(d.pool), bucketed_size=len(d.bucketed),
-                             colors_size=len(d.colors), potential=d.potential,
-                             live_cliques=len(d.live), oracle=step.oracle_stats)
-        if isinstance(step, RuleStop):
-            record.case = "matching"
-            report.rounds.append(record)
-            kept = tuple(sorted(step.kept))
-            report.kept = list(kept)
-            report.kernel_size = len(kept)
-            if len(kept) > bound + 1e-9:
-                raise AssertionError(f"kernel size {len(kept)} exceeds bound {bound}")
-            state = P3KernelState(final=d, matching=step.matching, aux=step.aux)
-            return KernelOutput(kept, report, state)
-        record.case = step.case
-        report.rounds.append(record)
-        if len(report.rounds) > max_rounds:
-            raise AssertionError("round count exceeded the initial potential")
-        d = clean_p3(step.decomp, g)
+    # stages are looked up at call time, so wrapping the module names traces them
+    return run_rounds(report, d, clean=lambda d: clean_p3(d, g),
+                      check=lambda d: check_p3_decomp(d, g),
+                      apply_rule=lambda d: apply_rule_p3(d, g, oracle),
+                      validate=validate)
 
 
 # ---------------------------------------------------------------------------

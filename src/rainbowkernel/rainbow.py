@@ -359,10 +359,8 @@ def _vertex_cover_within(edges: Sequence[ColoredEdge], budget: int) -> set[int] 
 _DEFAULT_ORACLE = RainbowOracle()
 
 
-def rainbow_or_cover(cm: ColoredMultigraph, epsilon: float,
-                     config: OracleConfig | None = None) -> RainbowMatching | ColorCover:
-    oracle = RainbowOracle(config) if config is not None else _DEFAULT_ORACLE
-    outcome, _ = oracle.solve(cm, epsilon)
+def rainbow_or_cover(cm: ColoredMultigraph, epsilon: float) -> RainbowMatching | ColorCover:
+    outcome, _ = _DEFAULT_ORACLE.solve(cm, epsilon)
     return outcome
 
 

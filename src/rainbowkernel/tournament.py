@@ -18,11 +18,14 @@ plus one pool edge per core color, and the run stops.  A color cover either
 retires core colors (add-1: the cover joins the spine, B^{W1}) or merges the
 buckets of one block interval (add-2: its window joins the bulk, B^{W2});
 the local-size law |bulk_i| <= c(delta) |seeds_i|^delta survives both.
+The loop itself lives in `rounds.py`; this module supplies the decomposition,
+its stages and the rule.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +37,9 @@ from .graphs import (ColoredEdge, Tournament, colored_edge, enumerate_triangles,
                      is_triangle, make_colored_multigraph, topological_order)
 from .intervals import (BucketInterval, block_partition, maximal_elements,
                         span_buckets)
-from .p3 import PackingFound
-from .rainbow import (ColorCover, OracleConfig, RainbowMatching, RainbowOracle,
-                      verify_outcome)
-from .report import Decided, KernelOutput, KernelReport, RoundRecord
+from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
+from .report import Decided, KernelOutput, KernelReport
+from .rounds import PackingFound, RuleNext, RuleStop, decide, run_rounds
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,11 @@ class TriangleLocalization:
     packing: tuple[tuple[int, int, int], ...]
     core: frozenset[int]
     order: tuple[int, ...]
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Topological position 1..t0 of each remainder vertex."""
+        return {v: i + 1 for i, v in enumerate(self.order)}
 
 
 def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
@@ -131,7 +138,7 @@ class TptDecomp:
 
     def window(self, interval: BucketInterval) -> frozenset[int]:
         """Pool vertices whose position lies in [l, r)."""
-        pos = _positions(self.loc)
+        pos = self.loc.position
         return frozenset(v for v in self.pool if interval.l <= pos[v] < interval.r)
 
     def profile(self) -> BucketProfile:
@@ -142,18 +149,14 @@ class TptDecomp:
         )
 
 
-def _positions(loc: TriangleLocalization) -> dict[int, int]:
-    return {v: i + 1 for i, v in enumerate(loc.order)}
-
-
 def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
                          t: Tournament, loc: TriangleLocalization):
     """Unique bucket structure of a nice pair: each bucketed vertex lands at
     the smallest pool position it dominates (the infinity sentinel when it
     dominates none).  A pool vertex past that position dominating it back
     witnesses a triangle with two pool vertices."""
-    pos = _positions(loc)
-    if not pool <= set(pos):
+    pos = loc.position
+    if not pool <= pos.keys():
         raise ValueError("pool must lie inside the localization remainder")
     t0 = len(loc.order)
     pool_by_pos = sorted(pool, key=lambda v: pos[v])
@@ -205,8 +208,8 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
         out.append("pool/bucketed/colors do not partition the vertex set")
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
-    pos = _positions(d.loc)
-    if not d.pool <= set(pos):
+    pos = d.loc.position
+    if not d.pool <= pos.keys():
         out.append("pool leaks outside the localization remainder")
         return out
     viol = _nice_pair_violation_tpt(t, d.pool, d.bucketed)
@@ -429,26 +432,17 @@ def add2(d: TptDecomp, t: Tournament, interval: BucketInterval) -> TptDecomp:
 
 
 # ---------------------------------------------------------------------------
-# The reduction rule and the driver
+# The reduction rule and the kernelizer
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TptRuleStop:
-    kept: frozenset[int]
+@dataclass
+class TptKernelState:
+    final: TptDecomp
     matching: RainbowMatching
     aux: TptAux
+    demand: Demand
     allocation: Allocation
-    oracle_stats: dict
-    demand_summary: dict
-
-
-@dataclass(frozen=True)
-class TptRuleNext:
-    decomp: TptDecomp
-    case: str
-    oracle_stats: dict
-    demand_summary: dict
 
 
 def _demand_summary(d: TptDecomp, demand: Demand) -> dict:
@@ -460,7 +454,7 @@ def _demand_summary(d: TptDecomp, demand: Demand) -> dict:
     }
 
 
-def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> TptRuleStop | TptRuleNext:
+def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleStop | RuleNext:
     """One round at the fixed oracle slack eps = 1, so covers obey
     |cover| <= 5 |colors|."""
     demand = compute_demand(d.profile())
@@ -469,15 +463,15 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> TptRul
     ok, problems = verify_outcome(aux.cm, outcome)
     if not ok:
         raise OracleContractViolation("; ".join(problems))
-    stats_dict = {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges}
-    summary = _demand_summary(d, demand)
+    notes = {"oracle": {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges},
+             "demand": _demand_summary(d, demand)}
     if isinstance(outcome, RainbowMatching):
         allocation = extract_allocation(aux, outcome)
         bad = check_allocation(d, demand, allocation)
         if bad:
             raise OracleContractViolation("; ".join(bad))
         kept = frozenset(outcome.vertices()) | d.bucketed | d.colors
-        return TptRuleStop(kept, outcome, aux, allocation, stats_dict, summary)
+        return RuleStop(kept, TptKernelState(d, outcome, aux, demand, allocation), notes)
     cover: ColorCover = outcome
     covered = frozenset(cover.cover)
     retired = frozenset(aux.meanings[c][1] for c in cover.colors
@@ -485,7 +479,7 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> TptRul
     slot_colors = [c for c in cover.colors if aux.meanings[c][0] == "slot"]
     if len(slot_colors) <= len(retired):
         nxt = add1(d, t, covered, retired)
-        return TptRuleNext(nxt, "case1", stats_dict, summary)
+        return RuleNext(nxt, "case1", notes)
     hit = sorted({aux.slot_interval(c) for c in slot_colors})
     for interval in hit:
         if not d.window(interval) <= covered:
@@ -497,18 +491,9 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> TptRul
         capacity = interval_stats(d.profile(), join_interval).capacity
         if len(window) <= 10 * capacity:
             nxt = add2(d, t, join_interval)
-            return TptRuleNext(nxt, "case2", stats_dict, summary)
+            return RuleNext(nxt, "case2", notes)
     raise Case2SelectionFailed(
         "no block interval satisfies |window| <= 10 * capacity")
-
-
-@dataclass
-class TptKernelState:
-    final: TptDecomp
-    matching: RainbowMatching
-    aux: TptAux
-    demand: Demand
-    allocation: Allocation
 
 
 def choose_delta(k: int) -> float:
@@ -529,8 +514,7 @@ def local_size_constant(delta: float) -> float:
 
 
 def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
-                         problem: str = "TPT", validate: bool = True,
-                         oracle_config: OracleConfig | None = None) -> Decided | KernelOutput:
+                         problem: str = "TPT", validate: bool = True) -> Decided | KernelOutput:
     """Shrink (t, k) to an equivalent induced sub-tournament on at most
     6534 * c(delta) * k^delta vertices.
 
@@ -552,48 +536,17 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
     threshold = k if problem == "TPT" else k + 1
     loc = greedy_localize_triangles(t, threshold)
     if isinstance(loc, PackingFound):
-        report.status = "early-yes" if problem == "TPT" else "early-no"
-        report.witness = [list(tri) for tri in loc.packing]
-        return Decided(problem == "TPT", loc.packing, report)
+        return decide(report, loc, problem == "TPT")
     report.core_size = len(loc.core)
     report.rest_size = len(loc.order)
-    oracle = RainbowOracle(oracle_config)
+    oracle = RainbowOracle()
     d = make_tpt_decomp(loc, frozenset(loc.order), frozenset(), loc.core,
                         frozenset(), frozenset(), t, delta, c_delta)
-    d = clean_tpt(d, t)
-    max_rounds = d.potential
-    prev_potential = None
-    while True:
-        if validate:
-            problems = check_tpt_decomp(d, t)
-            if problems:
-                raise AssertionError("invariants broken: " + "; ".join(problems))
-        if prev_potential is not None and d.potential >= prev_potential:
-            raise AssertionError("round potential did not decrease")
-        prev_potential = d.potential
-        step = apply_rule_tpt(d, t, oracle)
-        record = RoundRecord(index=len(report.rounds), case="",
-                             pool_size=len(d.pool), bucketed_size=len(d.bucketed),
-                             colors_size=len(d.colors), potential=d.potential,
-                             oracle=step.oracle_stats)
-        if isinstance(step, TptRuleStop):
-            record.case = "matching"
-            record.demand = step.demand_summary
-            report.rounds.append(record)
-            kept = tuple(sorted(step.kept))
-            report.kept = list(kept)
-            report.kernel_size = len(kept)
-            if len(kept) > bound + 1e-9:
-                raise AssertionError(f"kernel size {len(kept)} exceeds bound {bound}")
-            state = TptKernelState(final=d, matching=step.matching, aux=step.aux,
-                                   demand=step.aux.demand, allocation=step.allocation)
-            return KernelOutput(kept, report, state)
-        record.case = step.case
-        record.demand = step.demand_summary
-        report.rounds.append(record)
-        if len(report.rounds) > max_rounds:
-            raise AssertionError("round count exceeded the initial potential")
-        d = clean_tpt(step.decomp, t)
+    # stages are looked up at call time, so wrapping the module names traces them
+    return run_rounds(report, d, clean=lambda d: clean_tpt(d, t),
+                      check=lambda d: check_tpt_decomp(d, t),
+                      apply_rule=lambda d: apply_rule_tpt(d, t, oracle),
+                      validate=validate)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +650,6 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
         raise InvalidSolution("input does not hit every triangle of the kernel")
     allocation_vertices = alloc.vertices()
     x_b = x & d.bucketed
-    pos = _positions(d.loc)
     live = sorted(d.bucketed - x_b)
     bucket_idx = {v: d.bucket_of(v) for v in live}
     m = t.matrix

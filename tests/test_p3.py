@@ -11,12 +11,13 @@ from rainbowkernel.exact import (exact_answer, max_induced_p3_packing,
 from rainbowkernel.graphs import UndirectedGraph, enumerate_induced_p3
 from rainbowkernel.instances import InstanceSpec
 from rainbowkernel.p3 import (Decided, KernelOutput, P3Localization,
-                              PackingFound, apply_rule_p3, bucket_decompose_p3,
+                              apply_rule_p3, bucket_decompose_p3,
                               build_p3_aux, check_p3_decomp, clean_p3,
                               greedy_localize_p3, kernelize_p3,
                               lift_hitting_set_p3, make_p3_decomp,
-                              repack_packing_p3, RuleStop)
+                              repack_packing_p3)
 from rainbowkernel.rainbow import RainbowOracle
+from rainbowkernel.rounds import PackingFound, RuleStop
 
 from .strategies import graphs
 

@@ -15,10 +15,10 @@ from rainbowkernel.exact import (exact_answer, max_triangle_packing,
 from rainbowkernel.graphs import Tournament, enumerate_triangles
 from rainbowkernel.instances import InstanceSpec
 from rainbowkernel.intervals import BucketInterval
-from rainbowkernel.p3 import PackingFound
 from rainbowkernel.rainbow import RainbowOracle
 from rainbowkernel.report import Decided, KernelOutput
-from rainbowkernel.tournament import (TriangleLocalization, TptRuleStop, add1,
+from rainbowkernel.rounds import PackingFound, RuleStop
+from rainbowkernel.tournament import (TriangleLocalization, add1,
                                       add2, apply_rule_tpt,
                                       bucket_decompose_tpt, build_tpt_aux,
                                       check_tpt_decomp, choose_delta,
@@ -298,7 +298,7 @@ class TestRuleCases:
                                   frozenset(), frozenset(), d.pool | d.bulk,
                                   t, d.delta, d.c_delta)
         step = apply_rule_tpt(d_empty, t, RainbowOracle())
-        assert isinstance(step, TptRuleStop)
+        assert isinstance(step, RuleStop)
         assert step.kept == d_empty.bucketed
 
 
