@@ -8,7 +8,7 @@ from pathlib import Path
 
 from . import exact
 from .errors import InvalidSolution, ParseError, TooLarge
-from .graphs import (Tournament, enumerate_induced_p3, enumerate_triangles,
+from .graphs import (Tournament, enumerate_induced_p3, is_acyclic,
                      is_induced_p3, is_triangle)
 from .instances import (GRAPH_PROBLEMS, PACKING_PROBLEMS, PROBLEMS,
                         GeneratorConfig, InstanceSpec, generate_instance,
@@ -147,7 +147,7 @@ def _check_solution(spec: InstanceSpec, kind: str, items) -> bool:
         return False
     survivors = [v for v in range(payload.n) if v not in removed]
     if isinstance(payload, Tournament):
-        return not enumerate_triangles(payload, survivors)
+        return is_acyclic(payload, survivors)
     return not enumerate_induced_p3(payload, survivors)
 
 

@@ -187,6 +187,15 @@ def topological_order(t: Tournament, scope: Iterable[int]) -> tuple[int, ...]:
     return tuple(ids[i] for i in perm)
 
 
+def is_acyclic(t: Tournament, scope: Iterable[int]) -> bool:
+    """Whether the scoped sub-tournament has no directed 3-cycle.  A tournament
+    is acyclic exactly when its scores are pairwise distinct, so this is one
+    O(n^2) pass with no witness search."""
+    ids = sorted(set(scope))
+    scores = t.matrix[np.ix_(ids, ids)].sum(axis=1)
+    return len(np.unique(scores)) == len(ids)
+
+
 def enumerate_induced_p3(g: UndirectedGraph, scope: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
     """All induced 2-paths inside `scope`, as (endpoint, center, endpoint) with
     endpoints sorted; the list is sorted.  A triple {u,v,w} qualifies iff
@@ -208,16 +217,6 @@ def is_induced_p3(g: UndirectedGraph, triple: Iterable[int]) -> bool:
     a, b, c = sorted(triple)
     e = int(g.has_edge(a, b)) + int(g.has_edge(a, c)) + int(g.has_edge(b, c))
     return e == 2
-
-
-def p3_center(g: UndirectedGraph, triple: Iterable[int]) -> int:
-    """The middle vertex of an induced 2-path given as a 3-set."""
-    a, b, c = sorted(triple)
-    if not g.has_edge(a, b):
-        return c
-    if not g.has_edge(a, c):
-        return b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ potential #live cliques + #colors drops.  The loop itself lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .graphs import (ColoredEdge, ColoredMultigraph, UndirectedGraph,
                      make_colored_multigraph)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import PackingFound, RuleNext, RuleStop, decide, run_rounds
+from .rounds import (PackingFound, RuleNext, RuleStop, decide,
+                     pattern_with_two_pool, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,23 @@ def _clique_components(g: UndirectedGraph, rest: list[int]) -> tuple[tuple[int, 
                                          "the packing was not maximal")
         comps.append(members)
     return tuple(sorted(comps))
+
+
+def p3_pairs(g: UndirectedGraph, ids: list[int]) -> Callable[[int], np.ndarray]:
+    """The obstruction test against a pool `ids`: the returned function maps a
+    vertex x outside `ids` to the boolean matrix marking (i, j), i < j, when
+    {x, ids[i], ids[j]} is an induced 2-path, i.e. spans exactly two edges.
+    The pool view is built once, here."""
+    m = g.matrix()
+    arr = np.asarray(ids, dtype=np.intp)
+    sub = m[arr[:, None], arr].astype(np.int8)
+    upper = np.triu(np.ones(sub.shape, dtype=bool), 1)
+
+    def pairs(x: int) -> np.ndarray:
+        nb = m[x, arr].astype(np.int8)
+        return (nb[:, None] + sub + nb[None, :] == 2) & upper
+
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -204,7 +223,9 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     rest = {v for cl in d.loc.cliques for v in cl}
     if not d.pool <= rest:
         out.append("pool leaks outside the localization remainder")
-    viol = _nice_pair_violation_p3(g, d.pool, d.bucketed)
+    # pool-only paths cannot exist because the pool is a union of cliques
+    ids = sorted(d.pool)
+    viol = pattern_with_two_pool(p3_pairs(g, ids), ids, d.bucketed)
     if viol is not None:
         out.append(f"induced 2-path {viol} has two pool vertices")
     for i, part in enumerate(d.pool_parts):
@@ -230,59 +251,15 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     return out
 
 
-def _nice_pair_violation_p3(g: UndirectedGraph, pool: frozenset[int],
-                            bucketed: frozenset[int]):
-    """An induced 2-path inside pool+bucketed with >= 2 pool vertices, if any.
-    Vectorized per bucketed vertex; pool-only paths cannot exist because the
-    pool is a union of cliques."""
-    ps = sorted(pool)
-    if len(ps) < 2:
-        return None
-    m = g.matrix()
-    sub = m[np.ix_(ps, ps)]
-    for b in sorted(bucketed):
-        nb = m[b, ps]
-        if not nb.any():
-            continue
-        # center in the pool: b - u - w with w outside N(b)
-        reach = sub[nb].any(axis=0)
-        miss = reach & ~nb
-        if miss.any():
-            w = ps[int(np.argmax(miss))]
-            col = sub[:, ps.index(w)] & nb
-            u = ps[int(np.argmax(col))]
-            return tuple(sorted((b, u, w)))
-        # center b: two non-adjacent pool neighbors
-        idx = [i for i, flag in enumerate(nb) if flag]
-        for ii, i in enumerate(idx):
-            for j in idx[ii + 1:]:
-                if not sub[i, j]:
-                    return tuple(sorted((b, ps[i], ps[j])))
-    return None
-
-
 def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
     """Demote colors that no longer form an induced 2-path with two pool
     vertices; the resulting decomposition is clean and still within budget."""
-    stale = frozenset(c for c in d.colors if not _forms_pool_p3(g, d.pool, c))
+    pairs = p3_pairs(g, sorted(d.pool))
+    stale = frozenset(c for c in d.colors if not pairs(c).any())
     if not stale:
         return d
     return make_p3_decomp(d.loc, d.pool, d.bucketed | stale, d.colors - stale,
                           g, d.epsilon)
-
-
-def _forms_pool_p3(g: UndirectedGraph, pool: frozenset[int], c: int) -> bool:
-    nb = sorted(g.neighbors(c) & pool)
-    nbset = set(nb)
-    for u in nb:
-        for w in g.neighbors(u) & pool:
-            if w != c and w not in nbset:
-                return True  # c - u - w
-    for i, u in enumerate(nb):
-        for w in nb[i + 1:]:
-            if not g.has_edge(u, w):
-                return True  # u - c - w
-    return False
 
 
 @dataclass(frozen=True)
@@ -301,15 +278,12 @@ def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> P3Aux:
     colored u; an ordinary edge per induced 2-path {c, v, w} with c in colors
     and v, w in the pool, colored c."""
     meanings: list[tuple] = [("color", c) for c in sorted(d.colors)]
-    color_index = {c: i for i, c in enumerate(sorted(d.colors))}
     edges: list[ColoredEdge] = []
-    pool_sorted = sorted(d.pool)
-    for c in sorted(d.colors):
-        idx = color_index[c]
-        for ia, v in enumerate(pool_sorted):
-            for w in pool_sorted[ia + 1:]:
-                if is_induced_p3(g, (c, v, w)):
-                    edges.append(colored_edge(v, w, idx))
+    ids = sorted(d.pool)
+    pairs = p3_pairs(g, ids)
+    for idx, c in enumerate(sorted(d.colors)):
+        rows, cols = np.nonzero(pairs(c))
+        edges += [colored_edge(ids[i], ids[j], idx) for i, j in zip(rows.tolist(), cols.tolist())]
     for i, bucket in enumerate(d.buckets):
         for u in sorted(bucket):
             idx = len(meanings)

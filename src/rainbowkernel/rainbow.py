@@ -17,9 +17,9 @@ The search is layered:
            memoized vertex sets, then color subsets in increasing size taking
            the first whose minimum vertex cover is small enough
 
-Layer 3 is exponential and intended for desk scale; it also runs as a last
-resort above its size gate because a valid outcome is required uncondition-
-ally.  The extended line-graph construction and the independent-transversal
+Layer 3 is exponential and intended for desk scale; it still runs whenever
+the fast layers fail, because a valid outcome is required unconditionally.
+The extended line-graph construction and the independent-transversal
 dichotomy it feeds are provided separately; they are the reference route the
 tests use to cross-check the direct layers.
 """
@@ -101,17 +101,11 @@ def verify_outcome(cm: ColoredMultigraph, outcome) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    swap_depth: int = 3
-    layer1_budget: int = 200_000
-    #: the exact fallback is meant for instances with <= exact_vertex_gate
-    #: vertices or <= exact_color_gate colors; above both it still runs when
-    #: exact_overflow is set, because a valid outcome is required always
-    exact_vertex_gate: int = 20
-    exact_color_gate: int = 10
-    exact_overflow: bool = True
-    cover_exact_edge_limit: int = 48
+#: eviction depth of layer 1's swaps, its edge-visit budget, and the edge
+#: count up to which layer 2 covers a color set by exact branching
+SWAP_DEPTH = 3
+LAYER1_BUDGET = 200_000
+COVER_EXACT_EDGE_LIMIT = 48
 
 
 @dataclass
@@ -131,9 +125,6 @@ def _strict_budget(x: float) -> int:
 
 class RainbowOracle:
     """Stateless solver; a fresh instance may be used per call or shared."""
-
-    def __init__(self, config: OracleConfig | None = None):
-        self.config = config or OracleConfig()
 
     def solve(self, cm: ColoredMultigraph, epsilon: float) -> tuple[RainbowMatching | ColorCover, OracleStats]:
         if epsilon <= 0:
@@ -160,12 +151,6 @@ class RainbowOracle:
             stats.layer, stats.outcome = "blocked-cover", "cover"
             return cover, stats
 
-        gate_ok = (len(cm.vertices) <= self.config.exact_vertex_gate
-                   or cm.p <= self.config.exact_color_gate)
-        if not gate_ok and not self.config.exact_overflow:
-            raise RuntimeError(
-                f"fast layers failed on {len(cm.vertices)} vertices / {cm.p} "
-                f"colors and the exact fallback is gated off")
         matching = self._exact_matching(cm)
         if matching is not None:
             stats.layer, stats.outcome = "exact-matching", "matching"
@@ -185,7 +170,7 @@ class RainbowOracle:
         order = sorted(range(cm.p), key=lambda c: (len(by_color[c]), c))
         assign: dict[int, ColoredEdge] = {}
         owner: dict[int, int] = {}
-        budget = [self.config.layer1_budget]
+        budget = [LAYER1_BUDGET]
 
         def place(c: int, e: ColoredEdge) -> None:
             assign[c] = e
@@ -226,7 +211,7 @@ class RainbowOracle:
 
         missing = []
         for c in order:
-            if not try_color(c, self.config.swap_depth, frozenset({c})):
+            if not try_color(c, SWAP_DEPTH, frozenset({c})):
                 missing.append(c)
         return assign, sorted(missing)
 
@@ -246,7 +231,7 @@ class RainbowOracle:
                 cover.add(e.v)
         if len(cover) <= budget:
             return frozenset(cover)
-        if len(edges) <= self.config.cover_exact_edge_limit:
+        if len(edges) <= COVER_EXACT_EDGE_LIMIT:
             exact = _vertex_cover_within(edges, budget)
             if exact is not None:
                 return frozenset(exact)
@@ -356,11 +341,8 @@ def _vertex_cover_within(edges: Sequence[ColoredEdge], budget: int) -> set[int] 
     return rec(set(forced), pairs, budget - len(forced))
 
 
-_DEFAULT_ORACLE = RainbowOracle()
-
-
 def rainbow_or_cover(cm: ColoredMultigraph, epsilon: float) -> RainbowMatching | ColorCover:
-    outcome, _ = _DEFAULT_ORACLE.solve(cm, epsilon)
+    outcome, _ = RainbowOracle().solve(cm, epsilon)
     return outcome
 
 

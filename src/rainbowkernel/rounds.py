@@ -7,12 +7,17 @@ each asks the rainbow-matching-or-cover dichotomy on an auxiliary
 multigraph, and either stops on a matching (`RuleStop`) or demotes a cover
 and drops the round potential (`RuleNext`).  The families supply the
 decomposition and the stages; a decomposition exposes `pool`, `bucketed`,
-`colors` and `potential`.
+`colors` and `potential`.  Both families ask one question of a vertex x
+outside the pool: which pool pairs form an obstruction with x?  Each answers
+it with one `pairs` function (`triangle_pairs`, `p3_pairs`), which the
+validators scan through `pattern_with_two_pool`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .report import Decided, KernelOutput, KernelReport, RoundRecord
 
@@ -50,6 +55,18 @@ def decide(report: KernelReport, found: PackingFound, packing_problem: bool) -> 
     report.status = "early-yes" if packing_problem else "early-no"
     report.witness = [list(tri) for tri in found.packing]
     return Decided(packing_problem, found.packing, report)
+
+
+def pattern_with_two_pool(pairs: Callable[[int], np.ndarray], ids: list[int],
+                          outside: Iterable[int]) -> tuple[int, int, int] | None:
+    """The first obstruction {x, ids[i], ids[j]} with x in `outside`, taking x
+    in increasing order, as a sorted triple; None when there is none."""
+    for x in sorted(outside):
+        found = pairs(x)
+        if found.any():
+            i, j = np.argwhere(found)[0]
+            return tuple(sorted((x, ids[i], ids[j])))
+    return None
 
 
 def run_rounds(report: KernelReport, d, clean: Callable, check: Callable,

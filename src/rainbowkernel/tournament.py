@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -33,13 +34,14 @@ from .demand import BucketProfile, Demand, compute_demand, interval_stats
 from .errors import (Case2SelectionFailed, InvalidSolution, NotNicePair,
                      OracleContractViolation, PreconditionViolated,
                      RepackFailed)
-from .graphs import (ColoredEdge, Tournament, colored_edge, enumerate_triangles,
+from .graphs import (ColoredEdge, Tournament, colored_edge, is_acyclic,
                      is_triangle, make_colored_multigraph, topological_order)
 from .intervals import (BucketInterval, block_partition, maximal_elements,
                         span_buckets)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import PackingFound, RuleNext, RuleStop, decide, run_rounds
+from .rounds import (PackingFound, RuleNext, RuleStop, decide,
+                     pattern_with_two_pool, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,21 @@ def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | T
     core = frozenset(v for tri in packing for v in tri)
     order = topological_order(t, [v for v in range(t.n) if free[v]])
     return TriangleLocalization(tuple(packing), core, order)
+
+
+def triangle_pairs(t: Tournament, ids: list[int]) -> Callable[[int], np.ndarray]:
+    """The obstruction test against a pool `ids`: the returned function maps a
+    vertex x outside `ids` to the boolean matrix marking (i, j) when
+    x -> ids[i] -> ids[j] -> x, so every triangle {x, ids[i], ids[j]} is
+    marked exactly once.  The pool view is built once, here."""
+    m = t.matrix
+    arr = np.asarray(ids, dtype=np.intp)
+    sub = m[arr[:, None], arr]
+
+    def pairs(x: int) -> np.ndarray:
+        return m[x, arr][:, None] & sub & m[arr, x][None, :]
+
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -212,7 +229,8 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     if not d.pool <= pos.keys():
         out.append("pool leaks outside the localization remainder")
         return out
-    viol = _nice_pair_violation_tpt(t, d.pool, d.bucketed)
+    ids = sorted(d.pool)
+    viol = pattern_with_two_pool(triangle_pairs(t, ids), ids, d.bucketed)
     if viol is not None:
         out.append(f"triangle {viol} has two pool vertices")
     union: set[int] = set()
@@ -252,51 +270,16 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     return out
 
 
-def _nice_pair_violation_tpt(t: Tournament, pool: frozenset[int],
-                             bucketed: frozenset[int]):
-    ids = sorted(pool)
-    if len(ids) < 2:
-        return None
-    m = t.matrix
-    arr = np.array(ids)
-    sub = m[np.ix_(ids, ids)]
-    for b in sorted(bucketed):
-        outs = m[b][arr]   # b -> w
-        inns = m[arr, b]   # w -> b
-        if not (outs.any() and inns.any()):
-            continue
-        cand = sub[outs][:, inns]
-        if cand.any():
-            oi = np.flatnonzero(outs)
-            ii = np.flatnonzero(inns)
-            r, c = np.argwhere(cand)[0]
-            return tuple(sorted((b, ids[int(oi[r])], ids[int(ii[c])])))
-    return None
-
-
 def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
     """Demote colors that form no triangle with two pool vertices.  They join
     the core side of the buckets; spine, bulk, and the local sizes do not
     move."""
-    stale = frozenset(c for c in d.colors if not _forms_pool_triangle(t, d.pool, c))
+    pairs = triangle_pairs(t, sorted(d.pool))
+    stale = frozenset(c for c in d.colors if not pairs(c).any())
     if not stale:
         return d
     return make_tpt_decomp(d.loc, d.pool, d.bucketed | stale, d.colors - stale,
                            d.spine, d.bulk, t, d.delta, d.c_delta)
-
-
-def _forms_pool_triangle(t: Tournament, pool: frozenset[int], c: int) -> bool:
-    ids = sorted(pool)
-    if len(ids) < 2:
-        return False
-    m = t.matrix
-    arr = np.array(ids)
-    outs = m[c][arr]
-    inns = m[arr, c]
-    if not (outs.any() and inns.any()):
-        return False
-    sub = m[np.ix_(ids, ids)]
-    return bool(sub[outs][:, inns].any())
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +304,10 @@ def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> TptAux:
     meanings: list[tuple] = [("color", c) for c in sorted(d.colors)]
     edges: list[ColoredEdge] = []
     ids = sorted(d.pool)
-    arr = np.array(ids) if ids else np.zeros(0, dtype=int)
-    m = t.matrix
-    sub = m[np.ix_(ids, ids)] if ids else None
+    pairs = triangle_pairs(t, ids)
     for idx, c in enumerate(sorted(d.colors)):
-        outs = np.flatnonzero(m[c][arr]) if ids else []
-        inns = np.flatnonzero(m[arr, c]) if ids else []
-        for i in outs:
-            row = sub[i]
-            for j in inns:
-                if row[j]:
-                    edges.append(colored_edge(ids[int(i)], ids[int(j)], idx))
+        rows, cols = np.nonzero(pairs(c))
+        edges += [colored_edge(ids[i], ids[j], idx) for i, j in zip(rows.tolist(), cols.tolist())]
     for interval in sorted(demand.positive(), key=lambda iv: (iv.l, iv.r)):
         window = sorted(d.window(interval))
         for j in range(demand.values[interval]):
@@ -399,8 +375,9 @@ def add1(d: TptDecomp, t: Tournament, moved: frozenset[int],
         raise PreconditionViolated(
             f"|moved| = {len(moved)} exceeds 10 * |retired| = {10 * len(retired)}")
     survivors = frozenset(d.pool - moved)
+    pairs = triangle_pairs(t, sorted(survivors))
     for c in sorted(retired):
-        if _forms_pool_triangle(t, survivors, c):
+        if pairs(c).any():
             raise PreconditionViolated(
                 f"retired color {c} still forms a triangle with two surviving pool vertices")
     return make_tpt_decomp(d.loc, survivors, d.bucketed | moved | retired,
@@ -643,10 +620,9 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
     backward bucket arcs, for the cheaper of the two bucket covers (all seeds
     vs everything but the largest bucket); all colors enter as well."""
     d, alloc = state.final, state.allocation
-    kept = sorted(frozenset(state.matching.vertices()) | d.bucketed | d.colors)
+    kept = frozenset(state.matching.vertices()) | d.bucketed | d.colors
     x = set(fvs)
-    survivors = [v for v in kept if v not in x]
-    if enumerate_triangles(t, survivors):
+    if not is_acyclic(t, kept - x):
         raise InvalidSolution("input does not hit every triangle of the kernel")
     allocation_vertices = alloc.vertices()
     x_b = x & d.bucketed
@@ -680,7 +656,6 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
     lifted = set(d.colors) | x_b | chosen
     if len(lifted) > len(fvs):
         raise AssertionError("lifted feedback vertex set grew; exchange argument violated")
-    leftover = [v for v in range(t.n) if v not in lifted]
-    if enumerate_triangles(t, leftover):
+    if not is_acyclic(t, set(range(t.n)) - lifted):
         raise AssertionError("lifted set misses a triangle; exchange argument violated")
     return frozenset(lifted)

@@ -3,8 +3,10 @@
 For every run of a fixed seeded corpus the fixture stores one digest of the
 status, the kept set, the witness, and each round's case and answering oracle
 layer, keyed by run id.  The corpus is the acceptance corpora (500 graphs x
-k=1..5 x I2PP/I2PHS, 500 tournaments x k=1..4 x TPT/FVST) plus 20
-near-transitive tournaments on 60 vertices at k=20 with the automatic delta.
+k=1..5 x I2PP/I2PHS, 500 tournaments x k=1..4 x TPT/FVST), 20
+near-transitive tournaments on 60 vertices at k=20 with the automatic delta,
+and 12 cliques+core graphs of the benchmark (3 core paths, 15 cliques of 6)
+at k=4 as I2PP and I2PHS.
 
 A change that alters behaviour on purpose records the fixture again, and
 says so, with
@@ -22,6 +24,7 @@ from rainbowkernel.tournament import kernelize_tournament
 
 from .test_acceptance import (DELTA, EPSILON, _graph_corpus, _near_transitive,
                               _tournament_corpus)
+from .test_trace_targets import load
 
 FIXTURE = Path(__file__).parent / "data" / "golden_traces.json"
 
@@ -54,6 +57,13 @@ def _runs():
         for problem in ("TPT", "FVST"):
             out = kernelize_tournament(t, 20, problem=problem)
             yield f"near-transitive{i}/k20/{problem}", "tournament", out.report
+    cliques_core = load("inputs").cliques_core
+    rng = random.Random(99)
+    for i in range(12):
+        g = cliques_core(3, 15, 6, rng)
+        for problem in ("I2PP", "I2PHS"):
+            out = kernelize_p3(g, 4, problem=problem)
+            yield f"cliques-core{i}/k4/{problem}", "p3", out.report
 
 
 def test_golden_traces():

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from rainbowkernel.errors import NotAcyclic, ParseError
 from rainbowkernel.graphs import (ColoredMultigraph, Tournament,
                                   UndirectedGraph, colored_edge,
                                   dump_colored_multigraph,
                                   enumerate_induced_p3, enumerate_triangles,
-                                  make_colored_multigraph,
+                                  is_acyclic, make_colored_multigraph,
                                   parse_colored_multigraph, topological_order)
 
 from .strategies import colored_multigraphs, graphs, tournaments
@@ -96,6 +97,11 @@ class TestEnumeration:
                     if arcs in (0, 3):
                         naive.append((a, b, c))
         assert enumerate_triangles(t) == sorted(naive)
+
+    @given(tournaments(max_n=9), st.sets(st.integers(min_value=0, max_value=8)))
+    def test_acyclic_iff_no_triangle(self, t, scope):
+        scope = {v for v in scope if v < t.n}
+        assert is_acyclic(t, scope) == (not enumerate_triangles(t, scope))
 
     def test_clique_has_no_p3(self):
         g = UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)])

@@ -222,24 +222,3 @@ class TestLayer3Direct:
         assert ok, problems
         # the exact layer promises the stronger (4+eps)(|C|-1) form
         assert len(cover.cover) <= (4 + 1.0) * (len(cover.colors) - 1)
-
-    def test_gate_can_be_enforced(self):
-        from rainbowkernel.rainbow import OracleConfig, RainbowOracle
-
-        # make both fast layers useless: tiny budgets, no swaps, and a
-        # star of pair edges that has no rainbow matching
-        edges = [colored_edge(0, i + 1, i) for i in range(4)]
-        cm = make_colored_multigraph(range(5), edges, 4)
-        strict = OracleConfig(swap_depth=0, layer1_budget=0,
-                              exact_vertex_gate=1, exact_color_gate=1,
-                              exact_overflow=False, cover_exact_edge_limit=0)
-        oracle = RainbowOracle(strict)
-        # the blocked-cover layer may still succeed; only assert that when
-        # nothing succeeds the gate raises instead of running layer 3
-        try:
-            outcome, stats = oracle.solve(cm, 0.01)
-        except RuntimeError as err:
-            assert "gated off" in str(err)
-        else:
-            ok, _ = verify_outcome(cm, outcome)
-            assert ok and stats.layer in ("blocked-cover", "dense-cover")
