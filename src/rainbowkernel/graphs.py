@@ -172,6 +172,8 @@ def topological_order(t: Tournament, scope: Iterable[int]) -> tuple[int, ...]:
     Raises NotAcyclic (with a witnessing triangle) if the scoped part contains
     a directed 3-cycle.  An acyclic tournament is transitive, so sorting by
     out-degree inside the scope yields the order; the arcs are then verified.
+    The witness closes the first backward arc j -> i of that order: i scores
+    at least as high as j, which beats i, so some k has i -> k -> j.
     """
     ids = sorted(set(scope))
     if len(ids) <= 1:
@@ -180,10 +182,12 @@ def topological_order(t: Tournament, scope: Iterable[int]) -> tuple[int, ...]:
     scores = sub.sum(axis=1)
     perm = sorted(range(len(ids)), key=lambda i: (-int(scores[i]), ids[i]))
     reordered = sub[np.ix_(perm, perm)]
-    expect = ~np.tri(len(ids), dtype=bool)
-    if not np.array_equal(reordered, expect):
-        tris = enumerate_triangles(t, ids)
-        raise NotAcyclic(tris[0])
+    backward = np.flatnonzero(np.triu(~reordered, 1))
+    if backward.size:
+        p, q = divmod(int(backward[0]), len(ids))
+        i, j = perm[p], perm[q]
+        k = int(np.flatnonzero(sub[i] & sub[:, j])[0])
+        raise NotAcyclic(tuple(sorted((ids[i], ids[j], ids[k]))))
     return tuple(ids[i] for i in perm)
 
 
@@ -247,6 +251,12 @@ def colored_edge(u: int, v: int, color: int) -> ColoredEdge:
     return ColoredEdge(min(u, v), max(u, v), color)
 
 
+def edge_key(e: ColoredEdge) -> tuple[int, int, int]:
+    """The dataclass order of colored edges as a sort key, which sorts
+    without a generated `__lt__` call per comparison."""
+    return (e.u, e.v, e.color)
+
+
 @dataclass(frozen=True)
 class ColoredMultigraph:
     """Multigraph with loops whose edges carry colors 0..p-1.
@@ -285,7 +295,7 @@ class ColoredMultigraph:
 
 
 def make_colored_multigraph(vertices: Iterable[int], edges: Iterable[ColoredEdge], p: int) -> ColoredMultigraph:
-    return ColoredMultigraph(tuple(sorted(set(vertices))), tuple(sorted(edges)), p)
+    return ColoredMultigraph(tuple(sorted(set(vertices))), tuple(sorted(edges, key=edge_key)), p)
 
 
 def dump_colored_multigraph(cm: ColoredMultigraph) -> str:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidConfig, ParseError
 from .graphs import Tournament, UndirectedGraph
 
@@ -195,11 +197,11 @@ def _planted_graph(cfg: GeneratorConfig, rng: random.Random):
 
 
 def serialize_tournament(t: Tournament) -> str:
-    rows = []
-    m = t.matrix
-    for u in range(t.n):
-        rows.append("".join("-" if u == v else ("1" if m[u, v] else "0") for v in range(t.n)))
-    return f"tournament {t.n}\n" + "".join(r + "\n" for r in rows)
+    n = t.n
+    cells = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+    cells[:, :n] = np.where(t.matrix, ord("1"), ord("0"))
+    cells[np.arange(n), np.arange(n)] = ord("-")
+    return f"tournament {n}\n" + cells.tobytes().decode("ascii")
 
 
 def serialize_graph(g: UndirectedGraph) -> str:
@@ -230,22 +232,27 @@ def _parse_tournament_lines(lines: list[str], start: int) -> tuple[Tournament, i
         raise ParseError(start + 1, "vertex count must be non-negative")
     if start + 1 + n > len(lines):
         raise ParseError(len(lines) + 1, f"expected {n} orientation rows")
-    arcs = []
-    for u in range(n):
-        lineno = start + 2 + u
-        row = lines[start + 1 + u]
-        if len(row) != n:
-            raise ParseError(lineno, f"row has {len(row)} characters, expected {n}")
-        for v, ch in enumerate(row):
-            if u == v:
-                if ch != "-":
-                    raise ParseError(lineno, "diagonal entry must be '-'")
-            elif ch == "1":
-                arcs.append((u, v))
-            elif ch != "0":
-                raise ParseError(lineno, f"unexpected character {ch!r}")
+    rows = lines[start + 1:start + 1 + n]
+    # rows before the first one of the wrong length; a bad character in them
+    # is reported first, as a row-by-row scan would
+    whole = next((u for u, row in enumerate(rows) if len(row) != n), n)
+    # non-ASCII characters become '?', one byte each, and so fail the check
+    cells = np.frombuffer("".join(rows[:whole]).encode("ascii", "replace"),
+                          dtype=np.uint8).reshape(whole, n)
+    bad = (cells != ord("0")) & (cells != ord("1"))
+    diag = np.arange(whole)
+    bad[diag, diag] = cells[diag, diag] != ord("-")
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        u, v = divmod(int(hits[0]), n)
+        message = ("diagonal entry must be '-'" if u == v
+                   else f"unexpected character {rows[u][v]!r}")
+        raise ParseError(start + 2 + u, message)
+    if whole < n:
+        raise ParseError(start + 2 + whole,
+                         f"row has {len(rows[whole])} characters, expected {n}")
     try:
-        t = Tournament.from_arcs(n, arcs)
+        t = Tournament(cells == ord("1"))
     except ValueError as exc:
         raise ParseError(start + 1, str(exc)) from exc
     return t, start + 1 + n

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import NotClawFree
-from .graphs import ColoredEdge, ColoredMultigraph
+from .graphs import ColoredEdge, ColoredMultigraph, edge_key
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class RainbowOracle:
             stats.layer, stats.outcome = "empty", "matching"
             return RainbowMatching(()), stats
 
-        incident = sorted({x for e in cm.edges for x in e.endpoints()})
+        incident = sorted({x for e in cm.edges for x in (e.u, e.v)})
         if cm.p > len(incident):
             # pigeonhole: p disjoint edges need p distinct vertices
             stats.layer, stats.outcome = "dense-cover", "cover"
@@ -164,8 +164,9 @@ class RainbowOracle:
     # -- layer 1 ------------------------------------------------------------
 
     def _greedy(self, cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int]]:
+        # endpoints are read as (e.u, e.v); a loop names its vertex twice
         by_color: list[list[ColoredEdge]] = [[] for _ in range(cm.p)]
-        for e in sorted(cm.edges):
+        for e in sorted(cm.edges, key=edge_key):
             by_color[e.color].append(e)
         order = sorted(range(cm.p), key=lambda c: (len(by_color[c]), c))
         assign: dict[int, ColoredEdge] = {}
@@ -174,20 +175,19 @@ class RainbowOracle:
 
         def place(c: int, e: ColoredEdge) -> None:
             assign[c] = e
-            for x in e.endpoints():
-                owner[x] = c
+            owner[e.u] = owner[e.v] = c
 
         def unplace(c: int) -> None:
             e = assign.pop(c)
-            for x in e.endpoints():
-                owner.pop(x, None)
+            owner.pop(e.u, None)
+            owner.pop(e.v, None)
 
         def try_color(c: int, depth: int, banned: frozenset[int]) -> bool:
             for e in by_color[c]:
                 budget[0] -= 1
                 if budget[0] < 0:
                     return False
-                if not any(x in owner for x in e.endpoints()):
+                if e.u not in owner and e.v not in owner:
                     place(c, e)
                     return True
             if depth == 0:
@@ -196,7 +196,7 @@ class RainbowOracle:
                 budget[0] -= 1
                 if budget[0] < 0:
                     return False
-                holders = {owner[x] for x in e.endpoints() if x in owner}
+                holders = {owner[x] for x in (e.u, e.v) if x in owner}
                 if not holders or holders & banned:
                     continue
                 snapshot = (dict(assign), dict(owner))

@@ -60,31 +60,46 @@ class TriangleLocalization:
 
 def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
     """Claim disjoint triangles scanning triples lexicographically; one pass
-    gives a maximal packing.  Stops once `threshold` triangles are claimed."""
+    gives a maximal packing.  Stops once `threshold` triangles are claimed.
+
+    For each free a, the free rows b > a are read in blocks of 1, 2, 4, ...
+    rows; row b marks the free c > a closing a triangle with a and b.  The
+    first row with a mark is the least b of a triangle, so its first mark is
+    c > b, and the first flat hit is the lexicographically first (b, c).
+    When the first block misses, one test over the arcs from a's later free
+    out-neighbours to its later free in-neighbours says whether any triangle
+    is left."""
     if threshold <= 0:
         return PackingFound(())
     m = t.matrix
+    cols = np.arange(t.n)
     free = np.ones(t.n, dtype=bool)
     packing: list[tuple[int, int, int]] = []
     for a in range(t.n):
         if not free[a]:
             continue
-        for b in range(a + 1, t.n):
-            if not free[b]:
-                continue
-            if m[a, b]:
-                cands = m[b] & m[:, a] & free
-            else:
-                cands = m[a] & m[:, b] & free
-            cands[:b + 1] = False
-            idx = np.flatnonzero(cands)
-            if idx.size:
-                c = int(idx[0])
+        later = free & (cols > a)
+        rows = np.flatnonzero(later)
+        # with a -> b the triangle closes by b -> c -> a, else by a -> c -> b
+        head = m[a] & later
+        tail = m[:, a] & later
+        lo, size = 0, 1
+        while lo < rows.size:
+            bs = rows[lo:lo + size]
+            hits = np.where(m[a, bs][:, None], m[bs] & tail, m[:, bs].T & head)
+            first = np.flatnonzero(hits)
+            if first.size:
+                i, c = divmod(int(first[0]), t.n)
+                b = int(bs[i])
                 packing.append((a, b, c))
                 free[a] = free[b] = free[c] = False
                 if len(packing) >= threshold:
                     return PackingFound(tuple(packing))
                 break
+            # every arc x -> y with a -> x and y -> a closes a triangle
+            if lo == 0 and not m[np.ix_(np.flatnonzero(head), np.flatnonzero(tail))].any():
+                break
+            lo, size = lo + size, 2 * size
     core = frozenset(v for tri in packing for v in tri)
     order = topological_order(t, [v for v in range(t.n) if free[v]])
     return TriangleLocalization(tuple(packing), core, order)
@@ -143,11 +158,13 @@ class TptDecomp:
     def bulk_of(self, i: int) -> frozenset[int]:
         return self.buckets[i] & self.bulk
 
+    @cached_property
+    def bucket_index(self) -> dict[int, int]:
+        """The bucket index of every bucketed vertex."""
+        return {v: i for i, b in self.buckets.items() for v in b}
+
     def bucket_of(self, v: int) -> int:
-        for i, b in self.buckets.items():
-            if v in b:
-                return i
-        raise KeyError(v)
+        return self.bucket_index[v]
 
     @property
     def potential(self) -> int:
@@ -234,25 +251,31 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     if viol is not None:
         out.append(f"triangle {viol} has two pool vertices")
     union: set[int] = set()
-    pool_sorted = sorted(d.pool, key=lambda v: pos[v])
-    positions = [pos[v] for v in pool_sorted]
-    m = t.matrix
-    for i in sorted(d.buckets):
-        members = d.buckets[i]
+    by_pos = sorted(d.pool, key=lambda v: pos[v])
+    positions = np.array([pos[v] for v in by_pos], dtype=np.intp)
+    pool_positions = set(positions.tolist())
+    indices = sorted(d.buckets)
+    members_of = [list(d.buckets[i]) for i in indices]
+    rows = [v for members in members_of for v in members]
+    cuts = np.repeat(np.array(indices, dtype=np.intp), [len(ms) for ms in members_of])
+    # a member of bucket i beats exactly the pool vertices at positions >= i
+    wrong = t.matrix[np.ix_(rows, by_pos)] != (positions >= cuts[:, None])
+    start = 0
+    for i, members in zip(indices, members_of):
         if not members:
             out.append(f"bucket {i} is empty")
         if i not in d.s_psi:
             out.append(f"bucket {i} missing from the index set")
-        if i != d.infinity and (i not in positions):
+        if i != d.infinity and i not in pool_positions:
             out.append(f"bucket index {i} is not a pool position")
-        union |= members
-        for v in members:
-            for w, p in zip(pool_sorted, positions):
-                forward = bool(m[v, w])
-                if p < i and forward:
-                    out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}")
-                if p >= i and not forward:
-                    out.append(f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+        union |= d.buckets[i]
+        for r, j in zip(*np.nonzero(wrong[start:start + len(members)])):
+            v, w = members[r], by_pos[j]
+            if positions[j] < i:
+                out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}")
+            else:
+                out.append(f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+        start += len(members)
     if union != set(d.bucketed):
         out.append("buckets do not partition the bucketed set")
     rest = set(d.loc.order)

@@ -1,0 +1,157 @@
+"""Level-scan demand (O(B^4) `is_inside` sums) and the demand-law property
+suite checked against it."""
+from __future__ import annotations
+
+import random
+from itertools import combinations
+from typing import Iterable
+
+from rainbowkernel.demand import (MATCH, SEED, BucketProfile, Demand,
+                                  compute_demand, interval_stats)
+from rainbowkernel.intervals import (BucketInterval, block_partition, crosses,
+                                     is_inside, join, maximal_elements, meet,
+                                     span_buckets)
+
+
+def level_scan_demand(profile: BucketProfile, *, reverse_within_level: bool = False) -> Demand:
+    """Scan intervals level by level (level = bucket count spanned), accepting
+    I with value mu(I) - accepted value inside I whenever that is >= 0.
+
+    Within a level the scan is (l, r)-lexicographic; acceptance at a level
+    only depends on strictly lower levels, so the flag reversing the
+    within-level order must not change the result (asserted by tests).
+    """
+    by_level: dict[int, list[BucketInterval]] = {}
+    for interval in profile.all_intervals():
+        level = len(span_buckets(interval, profile.s_psi))
+        by_level.setdefault(level, []).append(interval)
+    accepted: dict[BucketInterval, int] = {}
+    order: list[BucketInterval] = []
+    for level in range(2, len(profile.s_psi) + 1):
+        batch = sorted(by_level.get(level, ()), key=lambda i: (i.l, i.r),
+                       reverse=reverse_within_level)
+        fresh = []
+        for interval in batch:
+            inside = sum(v for i, v in accepted.items() if is_inside(i, interval))
+            cap = interval_stats(profile, interval).capacity
+            if inside <= cap:
+                fresh.append((interval, cap - inside))
+        for interval, value in sorted(fresh, key=lambda pair: (pair[0].l, pair[0].r)):
+            accepted[interval] = value
+            order.append(interval)
+    return Demand(tuple(order), accepted)
+
+
+# ---------------------------------------------------------------------------
+# Property suite: the structural laws of the demand, checked on profiles
+# ---------------------------------------------------------------------------
+
+
+def _cross_chains(family: list[BucketInterval], cap: int) -> Iterable[tuple[BucketInterval, ...]]:
+    """All sequences of consecutively crossing intervals, up to `cap` many."""
+    family = sorted(family)
+    produced = 0
+
+    def extend(chain: list[BucketInterval]):
+        nonlocal produced
+        if produced >= cap:
+            return
+        produced += 1
+        yield tuple(chain)
+        for nxt in family:
+            if crosses(chain[-1], nxt):
+                yield from extend(chain + [nxt])
+
+    for start in family:
+        yield from extend([start])
+
+
+def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
+                               chain_cap: int = 20_000,
+                               rng: random.Random | None = None) -> list[str]:
+    """Check the demand's structural laws on one profile; returns readable
+    violations (empty list = all hold).
+
+    Covered: monotone value identities and membership criteria of the demand,
+    the crossing-intersection property, closure of crossing chains under join,
+    the small-total-demand bound for sub-families, and agreement with the
+    level scan run in reversed within-level order.
+    """
+    demand = compute_demand(profile)
+    out: list[str] = []
+    intervals = profile.all_intervals()
+    accepted = set(demand.order)
+    positive = set(demand.positive())
+
+    if level_scan_demand(profile, reverse_within_level=True).values != demand.values:
+        out.append("demand differs from the reversed level scan")
+
+    for interval in intervals:
+        stats = interval_stats(profile, interval)
+        inside_all = demand.inside_value(interval)
+        inside_pos = sum(demand.values[i] for i in positive if is_inside(i, interval))
+        strict_inside = inside_all - demand.values.get(interval, 0)
+        if inside_all != inside_pos:
+            out.append(f"{interval}: zero-valued members change the inside value")
+        if inside_all < stats.capacity:
+            out.append(f"{interval}: inside value {inside_all} < capacity {stats.capacity}")
+        member = interval in accepted
+        if member != (inside_all == stats.capacity):
+            out.append(f"{interval}: membership != (inside value == capacity)")
+        if member != (strict_inside <= stats.capacity):
+            out.append(f"{interval}: membership != (strict inside <= capacity)")
+        if (interval in positive) != (strict_inside < stats.capacity):
+            out.append(f"{interval}: positivity != (strict inside < capacity)")
+        idx = span_buckets(interval, profile.s_psi)
+        sizes = {i: profile.bucket_size(i) for i in idx}
+        top = max(sizes.values())
+        argmax = [i for i in idx if sizes[i] == top]
+        if stats.binding == SEED:
+            for i0 in argmax:
+                rest = sum(profile.bulk.get(i, 0) for i in idx if i != i0)
+                if not profile.seeds[i0] < rest:
+                    out.append(f"{interval}: seed-bound binding but |S_{i0}| >= bulk rest")
+        if any(profile.seeds[i0] < sum(profile.bulk.get(i, 0) for i in idx if i != i0)
+               for i0 in argmax):
+            if stats.binding != SEED:
+                out.append(f"{interval}: bulk-heavy argmax but binding is {stats.binding}")
+        if stats.binding == MATCH:
+            for i0 in argmax:
+                rest = sum(profile.bulk.get(i, 0) for i in idx if i != i0)
+                if not profile.seeds[i0] > rest:
+                    out.append(f"{interval}: match-bound binding but |S_{i0}| <= bulk rest")
+
+    pos_sorted = sorted(positive)
+    for a in pos_sorted:
+        for b in pos_sorted:
+            if crosses(a, b):
+                overlap = meet(a, b)
+                if interval_stats(profile, overlap).binding != SEED:
+                    out.append(f"crossing {a}, {b}: overlap {overlap} not seed-bound")
+
+    for chain in _cross_chains(pos_sorted, chain_cap):
+        u = chain[0]
+        for iv in chain[1:]:
+            u = join(u, iv)
+        if u not in accepted:
+            out.append(f"chain {chain}: join {u} missing from the demand")
+            break
+
+    if positive:
+        pool = pos_sorted
+        subsets: Iterable[tuple[BucketInterval, ...]]
+        if 2 ** len(pool) <= subset_cap:
+            subsets = (tuple(s) for size in range(1, len(pool) + 1)
+                       for s in combinations(pool, size))
+        else:
+            rng = rng or random.Random(0)
+            subsets = (tuple(sorted(rng.sample(pool, rng.randint(1, len(pool)))))
+                       for _ in range(subset_cap))
+        for subset in subsets:
+            total = demand.value_of(subset)
+            _, joins = block_partition(maximal_elements(subset))
+            bound = sum(interval_stats(profile, j).capacity for j in joins)
+            if total > bound:
+                out.append(f"family {subset}: value {total} exceeds block bound {bound}")
+                break
+    return out

@@ -1,0 +1,69 @@
+"""Per-(a, b) triangle localization (one numpy call per vertex pair), the
+validator's per-pair bucket-membership loop and the scanning `bucket_of`."""
+from __future__ import annotations
+
+import numpy as np
+
+from rainbowkernel.graphs import Tournament, topological_order
+from rainbowkernel.rounds import PackingFound
+from rainbowkernel.tournament import TptDecomp, TriangleLocalization
+
+
+def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
+    """Claim disjoint triangles scanning triples lexicographically; one pass
+    gives a maximal packing.  Stops once `threshold` triangles are claimed."""
+    if threshold <= 0:
+        return PackingFound(())
+    m = t.matrix
+    free = np.ones(t.n, dtype=bool)
+    packing: list[tuple[int, int, int]] = []
+    for a in range(t.n):
+        if not free[a]:
+            continue
+        for b in range(a + 1, t.n):
+            if not free[b]:
+                continue
+            if m[a, b]:
+                cands = m[b] & m[:, a] & free
+            else:
+                cands = m[a] & m[:, b] & free
+            cands[:b + 1] = False
+            idx = np.flatnonzero(cands)
+            if idx.size:
+                c = int(idx[0])
+                packing.append((a, b, c))
+                free[a] = free[b] = free[c] = False
+                if len(packing) >= threshold:
+                    return PackingFound(tuple(packing))
+                break
+    core = frozenset(v for tri in packing for v in tri)
+    order = topological_order(t, [v for v in range(t.n) if free[v]])
+    return TriangleLocalization(tuple(packing), core, order)
+
+
+def bucket_membership_problems(d: TptDecomp, t: Tournament) -> list[str]:
+    """The bucket-membership lines of `check_tpt_decomp`, from its earlier
+    double loop over (bucket vertex, pool vertex) pairs."""
+    out: list[str] = []
+    pos = d.loc.position
+    pool_sorted = sorted(d.pool, key=lambda v: pos[v])
+    positions = [pos[v] for v in pool_sorted]
+    m = t.matrix
+    for i in sorted(d.buckets):
+        members = d.buckets[i]
+        for v in members:
+            for w, p in zip(pool_sorted, positions):
+                forward = bool(m[v, w])
+                if p < i and forward:
+                    out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}")
+                if p >= i and not forward:
+                    out.append(f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+    return out
+
+
+def bucket_of_scan(d: TptDecomp, v: int) -> int:
+    """`TptDecomp.bucket_of` as a scan over every bucket."""
+    for i, b in d.buckets.items():
+        if v in b:
+            return i
+    raise KeyError(v)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from rainbowkernel.demand import BucketProfile, demand_property_violations
+from rainbowkernel.demand import BucketProfile
 from rainbowkernel.exact import exact_answer
 from rainbowkernel.graphs import (Tournament, UndirectedGraph, colored_edge,
                                   enumerate_induced_p3, enumerate_triangles,
@@ -22,6 +22,8 @@ from rainbowkernel.rainbow import (ColorCover, RainbowOracle, verify_outcome,
 from rainbowkernel.report import Decided, KernelOutput
 from rainbowkernel.tournament import (kernelize_tournament, lift_fvs,
                                       repack_via_allocation)
+
+from .reference.demand import demand_property_violations
 
 EPSILON = 1.0   # P3 problems; 363k vertex bound
 DELTA = 2.0     # tournament problems; 6534 * 10.5 * k^2 vertex bound

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,19 @@ class TestKernelize:
         bad.write_text("problem TPT k x\n")
         code, _, err = run(capsys, "kernelize", "--input", str(bad))
         assert code == 2 and "error" in err
+
+    def test_oversized_tournament_header_allocates_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("problem TPT k 1\ntournament 1000000000\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "kernelize", "--input", str(bad))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "line 3: expected 1000000000 orientation rows" in err
+        assert peak < 1_000_000
 
 
 class TestSolveVerify:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +8,8 @@ from rainbowkernel.graphs import (ColoredMultigraph, Tournament,
                                   UndirectedGraph, colored_edge,
                                   dump_colored_multigraph,
                                   enumerate_induced_p3, enumerate_triangles,
-                                  is_acyclic, make_colored_multigraph,
+                                  is_acyclic, is_triangle,
+                                  make_colored_multigraph,
                                   parse_colored_multigraph, topological_order)
 
 from .strategies import colored_multigraphs, graphs, tournaments
@@ -78,6 +80,28 @@ class TestTopologicalOrder:
         for i, u in enumerate(order):
             for v in order[i + 1:]:
                 assert t.has_arc(u, v)
+
+    @given(tournaments(max_n=12), st.data())
+    def test_witness_is_a_triangle_in_scope(self, t, data):
+        scope = data.draw(st.sets(st.sampled_from(range(t.n)))) if t.n else set()
+        if is_acyclic(t, scope):
+            topological_order(t, scope)
+            return
+        with pytest.raises(NotAcyclic) as err:
+            topological_order(t, scope)
+        witness = err.value.witness
+        assert set(witness) <= scope and is_triangle(t, witness)
+
+    def test_witness_at_scale(self):
+        rng = np.random.default_rng(5)
+        for n in (30, 200, 600):
+            upper = np.triu(rng.random((n, n)) < 0.5, 1)
+            t = Tournament(upper | np.tril(~upper.T, -1))
+            scope = sorted(rng.choice(n, size=n // 2, replace=False).tolist())
+            with pytest.raises(NotAcyclic) as err:
+                topological_order(t, scope)
+            assert set(err.value.witness) <= set(scope)
+            assert is_triangle(t, err.value.witness)
 
 
 class TestEnumeration:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -27,7 +28,9 @@ from rainbowkernel.tournament import (TriangleLocalization, add1,
                                       local_size_constant, make_tpt_decomp,
                                       repack_via_allocation)
 
+from .reference.tournament import bucket_membership_problems, bucket_of_scan
 from .strategies import tournaments
+from .test_acceptance import _tournament_corpus
 
 
 def transitive(n):
@@ -495,3 +498,36 @@ class TestValidator:
                             frozenset(), frozenset(), t, 2.0, cd)
         d = clean_tpt(d, t)
         assert check_tpt_decomp(d, t) == []
+
+    def test_membership_lines_match_pair_loop(self):
+        t, d = decomp_with_extras(10, [4, 4, 7, 2])
+        assert check_tpt_decomp(d, t) == []
+        # move each bucket's vertices into the wrong buckets, both ways
+        wrong = {i: d.buckets[j] for i, j in zip(sorted(d.buckets), sorted(d.buckets)[::-1])}
+        bad = dataclasses.replace(d, buckets=wrong)
+        lines = [x for x in check_tpt_decomp(bad, t) if "pool vertex" in x]
+        assert lines and lines == bucket_membership_problems(bad, t)
+
+    def test_bucket_index_must_be_a_pool_position(self):
+        t, d = decomp_with_extras(10, [4, 4, 7])
+        # vertex 3 keeps its position 4 in the order but leaves the pool
+        bad = dataclasses.replace(d, pool=d.pool - {3})
+        assert "bucket index 4 is not a pool position" in check_tpt_decomp(bad, t)
+        assert "bucket index 7 is not a pool position" not in check_tpt_decomp(bad, t)
+
+
+class TestBucketIndex:
+    def test_index_matches_scan_on_acceptance_corpus(self):
+        checked = 0
+        for t in _tournament_corpus(500, seed=2):
+            for k in range(1, 5):
+                out = kernelize_tournament(t, k, delta=2.0, problem="TPT")
+                if not isinstance(out, KernelOutput):
+                    continue
+                d = out.state.final
+                for v in d.bucketed:
+                    assert d.bucket_of(v) == bucket_of_scan(d, v)
+                    checked += 1
+                with pytest.raises(KeyError):
+                    d.bucket_of(t.n)
+        assert checked > 1000
