@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import exact
@@ -14,7 +15,7 @@ from .instances import (GRAPH_PROBLEMS, PACKING_PROBLEMS, PROBLEMS,
                         GeneratorConfig, InstanceSpec, generate_instance,
                         parse_instance, serialize_instance)
 from .p3 import kernelize_p3
-from .report import BenchRecord, Decided, KernelOutput
+from .report import BENCH_FIELDS, Decided, KernelOutput
 from .tournament import kernelize_tournament
 
 
@@ -30,9 +31,9 @@ def _kernelize(spec: InstanceSpec, epsilon: float, delta, validate_run: bool):
                                 problem=spec.problem, validate=validate_run)
 
 
-def _generator_from_args(args) -> GeneratorConfig:
+def _generator_from_args(args, k: int) -> GeneratorConfig:
     return GeneratorConfig(problem=args.problem, family=args.family, n=args.n,
-                           k=args.k, planted=args.planted, filler=args.filler,
+                           k=k, planted=args.planted, filler=args.filler,
                            edge_prob=args.edge_prob)
 
 
@@ -41,7 +42,18 @@ def _load_or_generate(args) -> InstanceSpec:
         return _read_instance(args.input)
     if not args.family:
         raise SystemExit("either --input or a generator --family is required")
-    return generate_instance(_generator_from_args(args), args.seed)
+    return generate_instance(_generator_from_args(args, args.k), args.seed)
+
+
+def _equivalent(spec: InstanceSpec, kept, limit: int | None) -> bool | None:
+    """Whether the kernel on `kept` answers as `spec` does, by the exact
+    solvers; None when either instance is past their size limit."""
+    try:
+        before = exact.exact_answer(spec, limit)
+        kernel = InstanceSpec(spec.problem, spec.payload.induced(kept), spec.k)
+        return before == exact.exact_answer(kernel, limit)
+    except TooLarge:
+        return None
 
 
 def cmd_kernelize(args) -> int:
@@ -49,14 +61,7 @@ def cmd_kernelize(args) -> int:
     result = _kernelize(spec, args.epsilon, args.delta, not args.no_validate)
     report = result.report
     if isinstance(result, KernelOutput) and args.verify:
-        try:
-            before = exact.exact_answer(spec, args.oracle_limit)
-            kernel_payload = spec.payload.induced(result.kept)
-            after = exact.exact_answer(
-                InstanceSpec(spec.problem, kernel_payload, spec.k), args.oracle_limit)
-            report.equivalent = before == after
-        except TooLarge:
-            report.equivalent = None
+        report.equivalent = _equivalent(spec, result.kept, args.oracle_limit)
     if args.output and isinstance(result, KernelOutput):
         kernel_payload = spec.payload.induced(result.kept)
         Path(args.output).write_text(
@@ -80,14 +85,7 @@ def cmd_kernelize(args) -> int:
 def cmd_solve(args) -> int:
     spec = _read_instance(args.input)
     answer = exact.exact_answer(spec, args.oracle_limit)
-    if spec.problem == "TPT":
-        opt = exact.max_triangle_packing(spec.payload, args.oracle_limit)
-    elif spec.problem == "FVST":
-        opt = exact.min_fvs_tournament(spec.payload, args.oracle_limit)
-    elif spec.problem == "I2PP":
-        opt = exact.max_induced_p3_packing(spec.payload, args.oracle_limit)
-    else:
-        opt = exact.min_p3_hitting_set(spec.payload, args.oracle_limit)
+    opt = exact.optimum(spec.problem, spec.payload, args.oracle_limit)
     print(f"problem: {spec.problem}")
     print(f"optimum: {opt.value}")
     print(f"answer: {'yes' if answer else 'no'}")
@@ -180,7 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = generate_instance(_generator_from_args(args), args.seed)
+    spec = generate_instance(_generator_from_args(args, args.k), args.seed)
     text = serialize_instance(spec)
     if args.output:
         Path(args.output).write_text(text)
@@ -195,52 +193,33 @@ def cmd_bench(args) -> int:
     for k in range(args.k_min, args.k_max + 1):
         for i in range(args.per_k):
             seed = args.seed + 1000 * k + i
-            cfg = GeneratorConfig(problem=args.problem, family=args.family,
-                                  n=args.n, k=k, planted=args.planted,
-                                  filler=args.filler, edge_prob=args.edge_prob)
-            spec = generate_instance(cfg, seed)
+            spec = generate_instance(_generator_from_args(args, k), seed)
             start = time.perf_counter()
             result = _kernelize(spec, args.epsilon, args.delta, not args.no_validate)
             wall = time.perf_counter() - start
             report = result.report
-            cases = {"case1": 0, "case2": 0, "matching": 0}
-            for rec in report.rounds:
-                cases[rec.case] = cases.get(rec.case, 0) + 1
+            cases = Counter(rec.case for rec in report.rounds)
             verified = "skipped"
             if isinstance(result, KernelOutput):
                 if report.kernel_size > report.bound + 1e-9:
                     failures += 1
                 if args.verify:
-                    try:
-                        before = exact.exact_answer(spec, args.oracle_limit)
-                        after = exact.exact_answer(
-                            InstanceSpec(spec.problem,
-                                         spec.payload.induced(result.kept), spec.k),
-                            args.oracle_limit)
-                        verified = "true" if before == after else "false"
-                        if verified == "false":
-                            failures += 1
-                    except TooLarge:
-                        verified = "skipped"
-            rows.append(BenchRecord(
-                instance_id=f"{args.problem}-{args.family}-k{k}-s{seed}",
-                problem=args.problem, n=spec.payload.n, k=k, seed=seed,
-                status=report.status, kernel_size=report.kernel_size,
-                bound=report.bound, rounds=len(report.rounds),
-                case1=cases["case1"], case2=cases["case2"],
-                matching=cases["matching"], wall_time=round(wall, 6),
-                verified=verified))
-    out = BenchRecord.csv_header() + "\n" + "".join(r.to_csv_row() + "\n" for r in rows)
+                    same = _equivalent(spec, result.kept, args.oracle_limit)
+                    if same is not None:
+                        verified = "true" if same else "false"
+                        failures += not same
+            rows.append((f"{args.problem}-{args.family}-k{k}-s{seed}", args.problem,
+                         spec.payload.n, k, seed, report.status, report.kernel_size,
+                         report.bound, len(report.rounds), cases["case1"],
+                         cases["case2"], cases["matching"], round(wall, 6), verified))
+    text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    if not (args.output and Path(args.output).exists()):
+        text = ",".join(BENCH_FIELDS) + "\n" + text
     if args.output:
-        path = Path(args.output)
-        if path.exists():
-            with path.open("a") as fh:
-                for r in rows:
-                    fh.write(r.to_csv_row() + "\n")
-        else:
-            path.write_text(out)
+        with Path(args.output).open("a") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
     return 1 if failures else 0
 
 
@@ -251,16 +230,20 @@ def _add_generator_args(sub, require_family: bool):
     sub.add_argument("--planted", type=int, default=None)
     sub.add_argument("--filler", type=int, default=0)
     sub.add_argument("--edge-prob", dest="edge_prob", type=float, default=0.5)
+    sub.add_argument("--seed", type=int, default=0)
 
 
-def _add_common(sub):
+def _add_oracle_limit(sub):
+    sub.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=None)
+
+
+def _add_kernel_args(sub):
     sub.add_argument("--epsilon", type=float, default=1.0)
     sub.add_argument("--delta", type=float, default=None,
                      help="exponent in (1,2]; omit for the k-dependent choice")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=None)
     sub.add_argument("--no-validate", dest="no_validate", action="store_true",
                      help="skip per-round invariant validation")
+    _add_oracle_limit(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,20 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="confirm equivalence with the exact solvers")
     _add_generator_args(p, require_family=False)
-    _add_common(p)
+    _add_kernel_args(p)
     p.set_defaults(func=cmd_kernelize)
 
     p = subs.add_parser("solve", help="run the exact solver on an instance")
     p.add_argument("--input", required=True)
     p.add_argument("--witness", action="store_true")
-    _add_common(p)
+    _add_oracle_limit(p)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("verify", help="check a solution file or a kernel pair")
     p.add_argument("--input", required=True)
     p.add_argument("--solution")
     p.add_argument("--kernel")
-    _add_common(p)
+    _add_oracle_limit(p)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("gen", help="write a generated instance")
@@ -299,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--output")
     _add_generator_args(p, require_family=True)
-    _add_common(p)
     p.set_defaults(func=cmd_gen)
 
     p = subs.add_parser("bench", help="sweep k over a generator family")
@@ -310,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="CSV path; appends when the file exists")
     p.add_argument("--verify", action="store_true")
     _add_generator_args(p, require_family=True)
-    _add_common(p)
+    _add_kernel_args(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

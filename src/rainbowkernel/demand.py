@@ -16,14 +16,8 @@ and the property tests fuzz profiles directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
 
-from .intervals import BucketInterval, is_inside, span_buckets
-
-SEED = "seed"
-MATCH = "match"
-TIE = "tie"
+from .intervals import BucketInterval, span_buckets
 
 
 @dataclass(frozen=True)
@@ -46,16 +40,12 @@ class BucketProfile:
     def bucket_size(self, i: int) -> int:
         return self.seeds[i] + self.bulk.get(i, 0)
 
-    def all_intervals(self) -> list[BucketInterval]:
-        return [BucketInterval(l, r) for l, r in combinations(self.s_psi, 2)]
-
 
 @dataclass(frozen=True)
 class DemandStats:
     seed_bound: int
     match_bound: int
     capacity: int
-    binding: str
 
 
 def interval_stats(profile: BucketProfile, interval: BucketInterval) -> DemandStats:
@@ -63,14 +53,7 @@ def interval_stats(profile: BucketProfile, interval: BucketInterval) -> DemandSt
     sizes = [profile.bucket_size(i) for i in idx]
     seed_bound = sum(profile.seeds[i] for i in idx)
     match_bound = sum(sizes) - max(sizes)
-    capacity = min(seed_bound, match_bound)
-    if seed_bound < match_bound:
-        binding = SEED
-    elif seed_bound > match_bound:
-        binding = MATCH
-    else:
-        binding = TIE
-    return DemandStats(seed_bound, match_bound, capacity, binding)
+    return DemandStats(seed_bound, match_bound, min(seed_bound, match_bound))
 
 
 @dataclass(frozen=True)
@@ -82,12 +65,6 @@ class Demand:
 
     def positive(self) -> tuple[BucketInterval, ...]:
         return tuple(i for i in self.order if self.values[i] > 0)
-
-    def value_of(self, family: Iterable[BucketInterval]) -> int:
-        return sum(self.values[i] for i in family)
-
-    def inside_value(self, interval: BucketInterval) -> int:
-        return sum(v for i, v in self.values.items() if is_inside(i, interval))
 
 
 def compute_demand(profile: BucketProfile) -> Demand:

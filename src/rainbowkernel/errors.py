@@ -29,18 +29,8 @@ class NotNicePair(ValueError):
         self.witness = tuple(witness)
 
 
-class NotClawFree(ValueError):
-    def __init__(self, witness):
-        super().__init__(f"claw witness {witness}")
-        self.witness = witness
-
-
 class NotProper(ValueError):
     """Interval set handed to the block partition contains nested intervals."""
-
-
-class UndefinedMeet(ValueError):
-    """Meet requested for intervals that do not cross."""
 
 
 class TooLarge(ValueError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import TooLarge
 from .graphs import Tournament, UndirectedGraph, enumerate_induced_p3, enumerate_triangles
-from .instances import PACKING_PROBLEMS, TOURNAMENT_PROBLEMS, InstanceSpec
+from .instances import PACKING_PROBLEMS, InstanceSpec
 
 DEFAULT_TOURNAMENT_LIMIT = 24
 DEFAULT_GRAPH_LIMIT = 30
@@ -139,63 +139,39 @@ def _min_hitting(triples: list[tuple[int, int, int]]) -> set[int]:
     return set()
 
 
-# ---------------------------------------------------------------------------
-# Public solvers
-# ---------------------------------------------------------------------------
+def _obstructions(payload: Tournament | UndirectedGraph, limit: int | None) -> list[tuple[int, int, int]]:
+    """The payload's triangles or induced 2-paths as sorted triples, after
+    checking its size against the exact solvers' vertex limit."""
+    tournament = isinstance(payload, Tournament)
+    lim = _limit_for(DEFAULT_TOURNAMENT_LIMIT if tournament else DEFAULT_GRAPH_LIMIT, limit)
+    if payload.n > lim:
+        raise TooLarge(f"n={payload.n} exceeds limit {lim}")
+    if tournament:
+        return enumerate_triangles(payload)
+    return [tuple(sorted(tri)) for tri in enumerate_induced_p3(payload)]
 
 
-def max_triangle_packing(t: Tournament, limit: int | None = None) -> ExactAnswer:
-    lim = _limit_for(DEFAULT_TOURNAMENT_LIMIT, limit)
-    if t.n > lim:
-        raise TooLarge(f"n={t.n} exceeds limit {lim}")
-    packing = _max_packing(t.n, enumerate_triangles(t))
-    return ExactAnswer("TPT", len(packing), tuple(packing))
-
-
-def min_fvs_tournament(t: Tournament, limit: int | None = None) -> ExactAnswer:
-    lim = _limit_for(DEFAULT_TOURNAMENT_LIMIT, limit)
-    if t.n > lim:
-        raise TooLarge(f"n={t.n} exceeds limit {lim}")
-    hitting = _min_hitting(enumerate_triangles(t))
-    return ExactAnswer("FVST", len(hitting), tuple(sorted(hitting)))
-
-
-def max_induced_p3_packing(g: UndirectedGraph, limit: int | None = None) -> ExactAnswer:
-    lim = _limit_for(DEFAULT_GRAPH_LIMIT, limit)
-    if g.n > lim:
-        raise TooLarge(f"n={g.n} exceeds limit {lim}")
-    triples = [tuple(sorted(tri)) for tri in enumerate_induced_p3(g)]
-    packing = _max_packing(g.n, triples)
-    return ExactAnswer("I2PP", len(packing), tuple(packing))
-
-
-def min_p3_hitting_set(g: UndirectedGraph, limit: int | None = None) -> ExactAnswer:
-    lim = _limit_for(DEFAULT_GRAPH_LIMIT, limit)
-    if g.n > lim:
-        raise TooLarge(f"n={g.n} exceeds limit {lim}")
-    triples = [tuple(sorted(tri)) for tri in enumerate_induced_p3(g)]
+def optimum(problem: str, payload: Tournament | UndirectedGraph,
+            limit: int | None = None) -> ExactAnswer:
+    """A maximum packing (TPT, I2PP) or a minimum hitting set (FVST, I2PHS)
+    of the payload's obstructions."""
+    triples = _obstructions(payload, limit)
+    if problem in PACKING_PROBLEMS:
+        packing = _max_packing(payload.n, triples)
+        return ExactAnswer(problem, len(packing), tuple(packing))
     hitting = _min_hitting(triples)
-    return ExactAnswer("I2PHS", len(hitting), tuple(sorted(hitting)))
+    return ExactAnswer(problem, len(hitting), tuple(sorted(hitting)))
 
 
 def exact_answer(spec: InstanceSpec, limit: int | None = None) -> bool:
     """Decision answer for (payload, k): packing problems ask for a packing of
     size >= k, hitting problems for a hitting set of size <= k.  Uses early
     cutoffs instead of the full optimum, so it stays fast for small k."""
-    problem, payload, k = spec.problem, spec.payload, spec.k
-    if problem in TOURNAMENT_PROBLEMS:
-        lim = _limit_for(DEFAULT_TOURNAMENT_LIMIT, limit)
-        if payload.n > lim:
-            raise TooLarge(f"n={payload.n} exceeds limit {lim}")
-        triples = enumerate_triangles(payload)
-    else:
-        lim = _limit_for(DEFAULT_GRAPH_LIMIT, limit)
-        if payload.n > lim:
-            raise TooLarge(f"n={payload.n} exceeds limit {lim}")
-        triples = [tuple(sorted(tri)) for tri in enumerate_induced_p3(payload)]
-    if problem in PACKING_PROBLEMS:
+    triples = _obstructions(spec.payload, limit)
+    k = spec.k
+    if spec.problem in PACKING_PROBLEMS:
         if k == 0:
             return True
-        packing = _max_packing(payload.n, triples, target=k)
+        packing = _max_packing(spec.payload.n, triples, target=k)
         return len(packing) >= k
     return _hitting_within(triples, k) is not None

@@ -6,7 +6,7 @@ construction (numpy buffers are frozen) and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class UndirectedGraph:
 
     def neighbors(self, u: int) -> frozenset[int]:
         return self._adj[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
@@ -112,12 +109,6 @@ class Tournament:
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self._m[u, v])
-
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in range(self.n):
-                if self._m[u, v]:
-                    yield (u, v)
 
     def induced(self, keep: Iterable[int]) -> "Tournament":
         ids = sorted(set(keep))
@@ -228,9 +219,9 @@ def is_induced_p3(g: UndirectedGraph, triple: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ColoredEdge:
-    """A loop (u == v) or ordinary edge (u < v) carrying one color."""
+class ColoredEdge(NamedTuple):
+    """A loop (u == v) or ordinary edge (u < v) carrying one color.  Edges
+    sort, compare and hash as the tuple (u, v, color)."""
 
     u: int
     v: int
@@ -243,18 +234,9 @@ class ColoredEdge:
     def endpoints(self) -> frozenset[int]:
         return frozenset((self.u, self.v))
 
-    def touches(self, other: "ColoredEdge") -> bool:
-        return bool(self.endpoints() & other.endpoints())
-
 
 def colored_edge(u: int, v: int, color: int) -> ColoredEdge:
     return ColoredEdge(min(u, v), max(u, v), color)
-
-
-def edge_key(e: ColoredEdge) -> tuple[int, int, int]:
-    """The dataclass order of colored edges as a sort key, which sorts
-    without a generated `__lt__` call per comparison."""
-    return (e.u, e.v, e.color)
 
 
 @dataclass(frozen=True)
@@ -280,10 +262,9 @@ class ColoredMultigraph:
                 raise ValueError(f"edge {e} has endpoint outside the vertex set")
             if not (0 <= e.color < self.p):
                 raise ValueError(f"color {e.color} out of range [0, {self.p})")
-            key = (e.u, e.v, e.color)
-            if key in seen:
+            if e in seen:
                 raise ValueError(f"parallel edges on {{{e.u}, {e.v}}} share color {e.color}")
-            seen.add(key)
+            seen.add(e)
             used.add(e.color)
         if used != set(range(self.p)):
             missing = sorted(set(range(self.p)) - used)
@@ -295,7 +276,7 @@ class ColoredMultigraph:
 
 
 def make_colored_multigraph(vertices: Iterable[int], edges: Iterable[ColoredEdge], p: int) -> ColoredMultigraph:
-    return ColoredMultigraph(tuple(sorted(set(vertices))), tuple(sorted(edges, key=edge_key)), p)
+    return ColoredMultigraph(tuple(sorted(set(vertices))), tuple(sorted(edges)), p)
 
 
 def dump_colored_multigraph(cm: ColoredMultigraph) -> str:

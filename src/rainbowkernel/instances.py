@@ -17,6 +17,12 @@ GRAPH_PROBLEMS = frozenset({"I2PP", "I2PHS"})
 #: set of size <= k)
 PACKING_PROBLEMS = frozenset({"TPT", "I2PP"})
 
+#: largest vertex count a graph header may declare.  The 2-path kernel holds
+#: n x n one-byte arrays (`UndirectedGraph.matrix`, and several at once in
+#: `p3.p3_pairs`), 100 MB each at this cap; a header is only a few bytes, so
+#: without the cap a short file could ask for any amount of memory
+MAX_GRAPH_VERTICES = 10_000
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -270,6 +276,8 @@ def _parse_graph_lines(lines: list[str], start: int) -> tuple[UndirectedGraph, i
         raise ParseError(start + 1, "bad graph header counts") from None
     if n < 0 or m < 0:
         raise ParseError(start + 1, "counts must be non-negative")
+    if n > MAX_GRAPH_VERTICES:
+        raise ParseError(start + 1, f"vertex count {n} exceeds the limit {MAX_GRAPH_VERTICES}")
     if start + 1 + m > len(lines):
         raise ParseError(len(lines) + 1, f"expected {m} edge lines")
     edges = []
@@ -294,20 +302,6 @@ def _reject_trailing(lines: list[str], pos: int) -> None:
     for i in range(pos, len(lines)):
         if lines[i].strip():
             raise ParseError(i + 1, f"trailing garbage {lines[i]!r}")
-
-
-def parse_tournament(text: str) -> Tournament:
-    lines = text.splitlines()
-    t, pos = _parse_tournament_lines(lines, 0)
-    _reject_trailing(lines, pos)
-    return t
-
-
-def parse_graph(text: str) -> UndirectedGraph:
-    lines = text.splitlines()
-    g, pos = _parse_graph_lines(lines, 0)
-    _reject_trailing(lines, pos)
-    return g
 
 
 def parse_instance(text: str) -> InstanceSpec:

@@ -1,11 +1,11 @@
-"""Bucket intervals: containment/crossing relations, join/meet, and the greedy
+"""Bucket intervals: containment/crossing relations, join, and the greedy
 block partition of a proper interval family."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotProper, UndefinedMeet
+from .errors import NotProper
 
 
 @dataclass(frozen=True, order=True)
@@ -34,20 +34,9 @@ def join(a: BucketInterval, b: BucketInterval) -> BucketInterval:
     return BucketInterval(min(a.l, b.l), max(a.r, b.r))
 
 
-def meet(a: BucketInterval, b: BucketInterval) -> BucketInterval:
-    if not crosses(a, b):
-        raise UndefinedMeet(f"{a} does not cross {b}")
-    return BucketInterval(b.l, a.r)
-
-
 def span_buckets(interval: BucketInterval, s_psi: Sequence[int]) -> tuple[int, ...]:
     """Bucket indices of s_psi falling inside the closed interval."""
     return tuple(i for i in s_psi if interval.l <= i <= interval.r)
-
-
-def inside_of(interval: BucketInterval, family: Iterable[BucketInterval]) -> list[BucketInterval]:
-    """The members of `family` contained in `interval`."""
-    return [other for other in family if is_inside(other, interval)]
 
 
 def maximal_elements(family: Iterable[BucketInterval]) -> list[BucketInterval]:

@@ -20,6 +20,7 @@ potential #live cliques + #colors drops.  The loop itself lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -162,11 +163,13 @@ class P3Decomp:
     def size(self) -> float:
         return len(self.detached) / (1.0 + 2.0 * self.c1) + len(self.attached)
 
+    @cached_property
+    def bucket_index(self) -> dict[int, int]:
+        """The bucket index of every attached vertex."""
+        return {v: i for i, b in enumerate(self.buckets) for v in b}
+
     def bucket_of(self, v: int) -> int:
-        for i, b in enumerate(self.buckets):
-            if v in b:
-                return i
-        raise KeyError(v)
+        return self.bucket_index[v]
 
 
 def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],

@@ -1,4 +1,4 @@
-"""Run reports: per-round traces of a kernelization and benchmark records."""
+"""Run reports: per-round traces of a kernelization and the bench CSV columns."""
 from __future__ import annotations
 
 import json
@@ -58,33 +58,9 @@ class KernelOutput:
     state: object
 
 
+#: columns of one `bench` CSV row, in order
 BENCH_FIELDS = (
     "instance_id", "problem", "n", "k", "seed", "status", "kernel_size",
     "bound", "rounds", "case1", "case2", "matching", "wall_time", "verified",
 )
 
-
-@dataclass
-class BenchRecord:
-    instance_id: str
-    problem: str
-    n: int
-    k: int
-    seed: int
-    status: str
-    kernel_size: int
-    bound: float
-    rounds: int
-    case1: int
-    case2: int
-    matching: int
-    wall_time: float
-    verified: str  # "true" | "false" | "skipped"
-
-    def to_csv_row(self) -> str:
-        vals = [getattr(self, name) for name in BENCH_FIELDS]
-        return ",".join(str(v) for v in vals)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(BENCH_FIELDS)

@@ -1,16 +1,57 @@
-"""Level-scan demand (O(B^4) `is_inside` sums) and the demand-law property
-suite checked against it."""
+"""Level-scan demand (O(B^4) `is_inside` sums), the demand-law property
+suite checked against it, and the interval and demand queries only that
+suite asks."""
 from __future__ import annotations
 
 import random
 from itertools import combinations
 from typing import Iterable
 
-from rainbowkernel.demand import (MATCH, SEED, BucketProfile, Demand,
+from rainbowkernel.demand import (BucketProfile, Demand, DemandStats,
                                   compute_demand, interval_stats)
 from rainbowkernel.intervals import (BucketInterval, block_partition, crosses,
-                                     is_inside, join, maximal_elements, meet,
+                                     is_inside, join, maximal_elements,
                                      span_buckets)
+
+SEED = "seed"
+MATCH = "match"
+TIE = "tie"
+
+
+class UndefinedMeet(ValueError):
+    """Meet requested for intervals that do not cross."""
+
+
+def meet(a: BucketInterval, b: BucketInterval) -> BucketInterval:
+    if not crosses(a, b):
+        raise UndefinedMeet(f"{a} does not cross {b}")
+    return BucketInterval(b.l, a.r)
+
+
+def inside_of(interval: BucketInterval, family: Iterable[BucketInterval]) -> list[BucketInterval]:
+    """The members of `family` contained in `interval`."""
+    return [other for other in family if is_inside(other, interval)]
+
+
+def all_intervals(profile: BucketProfile) -> list[BucketInterval]:
+    return [BucketInterval(l, r) for l, r in combinations(profile.s_psi, 2)]
+
+
+def binding(stats: DemandStats) -> str:
+    """Which bound sets the capacity: SEED, MATCH, or TIE when they agree."""
+    if stats.seed_bound < stats.match_bound:
+        return SEED
+    if stats.seed_bound > stats.match_bound:
+        return MATCH
+    return TIE
+
+
+def value_of(demand: Demand, family: Iterable[BucketInterval]) -> int:
+    return sum(demand.values[i] for i in family)
+
+
+def inside_value(demand: Demand, interval: BucketInterval) -> int:
+    return sum(v for i, v in demand.values.items() if is_inside(i, interval))
 
 
 def level_scan_demand(profile: BucketProfile, *, reverse_within_level: bool = False) -> Demand:
@@ -22,7 +63,7 @@ def level_scan_demand(profile: BucketProfile, *, reverse_within_level: bool = Fa
     within-level order must not change the result (asserted by tests).
     """
     by_level: dict[int, list[BucketInterval]] = {}
-    for interval in profile.all_intervals():
+    for interval in all_intervals(profile):
         level = len(span_buckets(interval, profile.s_psi))
         by_level.setdefault(level, []).append(interval)
     accepted: dict[BucketInterval, int] = {}
@@ -79,7 +120,7 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
     """
     demand = compute_demand(profile)
     out: list[str] = []
-    intervals = profile.all_intervals()
+    intervals = all_intervals(profile)
     accepted = set(demand.order)
     positive = set(demand.positive())
 
@@ -88,7 +129,7 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
 
     for interval in intervals:
         stats = interval_stats(profile, interval)
-        inside_all = demand.inside_value(interval)
+        inside_all = inside_value(demand, interval)
         inside_pos = sum(demand.values[i] for i in positive if is_inside(i, interval))
         strict_inside = inside_all - demand.values.get(interval, 0)
         if inside_all != inside_pos:
@@ -106,16 +147,16 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
         sizes = {i: profile.bucket_size(i) for i in idx}
         top = max(sizes.values())
         argmax = [i for i in idx if sizes[i] == top]
-        if stats.binding == SEED:
+        if binding(stats) == SEED:
             for i0 in argmax:
                 rest = sum(profile.bulk.get(i, 0) for i in idx if i != i0)
                 if not profile.seeds[i0] < rest:
                     out.append(f"{interval}: seed-bound binding but |S_{i0}| >= bulk rest")
         if any(profile.seeds[i0] < sum(profile.bulk.get(i, 0) for i in idx if i != i0)
                for i0 in argmax):
-            if stats.binding != SEED:
-                out.append(f"{interval}: bulk-heavy argmax but binding is {stats.binding}")
-        if stats.binding == MATCH:
+            if binding(stats) != SEED:
+                out.append(f"{interval}: bulk-heavy argmax but binding is {binding(stats)}")
+        if binding(stats) == MATCH:
             for i0 in argmax:
                 rest = sum(profile.bulk.get(i, 0) for i in idx if i != i0)
                 if not profile.seeds[i0] > rest:
@@ -126,7 +167,7 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
         for b in pos_sorted:
             if crosses(a, b):
                 overlap = meet(a, b)
-                if interval_stats(profile, overlap).binding != SEED:
+                if binding(interval_stats(profile, overlap)) != SEED:
                     out.append(f"crossing {a}, {b}: overlap {overlap} not seed-bound")
 
     for chain in _cross_chains(pos_sorted, chain_cap):
@@ -148,7 +189,7 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
             subsets = (tuple(sorted(rng.sample(pool, rng.randint(1, len(pool)))))
                        for _ in range(subset_cap))
         for subset in subsets:
-            total = demand.value_of(subset)
+            total = value_of(demand, subset)
             _, joins = block_partition(maximal_elements(subset))
             bound = sum(interval_stats(profile, j).capacity for j in joins)
             if total > bound:

@@ -3,8 +3,10 @@ import tracemalloc
 
 import pytest
 
-from rainbowkernel.cli import main
-from rainbowkernel.instances import parse_instance
+from rainbowkernel import exact
+from rainbowkernel.cli import build_parser, main
+from rainbowkernel.errors import ParseError
+from rainbowkernel.instances import MAX_GRAPH_VERTICES, parse_instance
 
 
 def run(capsys, *argv):
@@ -59,6 +61,26 @@ class TestKernelize:
             assert "equivalent: true" in out
         else:
             assert report["status"] in ("early-yes", "early-no")
+
+    def test_verify_past_the_limit_reports_null(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", "FVST", "--family", "uniform", "--n", "12",
+              "--k", "3", "--seed", "3001", "--output", str(inst)])
+        rep = tmp_path / "rep.json"
+        code, out, _ = run(capsys, "kernelize", "--input", str(inst), "--verify",
+                           "--oracle-limit", "8", "--report", str(rep))
+        report = json.loads(rep.read_text())
+        assert code == 0 and report["status"] == "kernel"
+        assert report["equivalent"] is None and "equivalent" not in out
+
+    def test_failed_verification_exits_1(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", "FVST", "--family", "uniform", "--n", "12",
+              "--k", "3", "--seed", "3001", "--output", str(inst)])
+        answers = iter([True, False])
+        monkeypatch.setattr(exact, "exact_answer", lambda spec, limit: next(answers))
+        code, _, err = run(capsys, "kernelize", "--input", str(inst), "--verify")
+        assert code == 1 and "equivalent: false" in err
 
     def test_auto_delta_recorded(self, tmp_path, capsys):
         import math
@@ -115,6 +137,26 @@ class TestKernelize:
         assert "line 3: expected 1000000000 orientation rows" in err
         assert peak < 1_000_000
 
+    def test_oversized_graph_header_allocates_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("problem I2PP k 1\ngraph 1000000000 0\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "kernelize", "--input", str(bad))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert (f"line 2: vertex count 1000000000 exceeds the limit "
+                f"{MAX_GRAPH_VERTICES}") in err
+        assert peak < 1_000_000
+
+    def test_graph_vertex_cap_is_inclusive(self):
+        text = "problem I2PHS k 1\ngraph {} 0\n"
+        assert parse_instance(text.format(MAX_GRAPH_VERTICES)).payload.n == MAX_GRAPH_VERTICES
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_instance(text.format(MAX_GRAPH_VERTICES + 1))
+
 
 class TestSolveVerify:
     def test_solve_prints_answer(self, tmp_path, capsys):
@@ -127,14 +169,14 @@ class TestSolveVerify:
         assert "answer: yes" in out
 
     def test_verify_packing_solution(self, tmp_path, capsys):
-        from rainbowkernel.exact import max_triangle_packing
+        from rainbowkernel.exact import optimum
 
         inst = tmp_path / "inst.txt"
         main(["gen", "--problem", "TPT", "--family", "planted", "--k", "2",
               "--planted", "2", "--filler", "0", "--seed", "1",
               "--output", str(inst)])
         spec = parse_instance(inst.read_text())
-        witness = max_triangle_packing(spec.payload).witness
+        witness = optimum("TPT", spec.payload).witness
         sol = tmp_path / "sol.txt"
         body = "".join(" ".join(map(str, tri)) + "\n" for tri in witness)
         sol.write_text(f"solution packing {len(witness)}\n{body}")
@@ -184,6 +226,19 @@ class TestBench:
             fields = line.split(",")
             assert float(fields[7]) >= int(fields[6])  # bound >= kernel size
 
+    def test_verified_column(self, capsys, monkeypatch):
+        args = ["bench", "--problem", "FVST", "--family", "uniform", "--n", "12",
+                "--k-min", "3", "--k-max", "3", "--per-k", "2", "--seed", "1", "--verify"]
+        code, out, _ = run(capsys, *args, "--oracle-limit", "8")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert code == 0 and [r[5] for r in rows] == ["kernel", "kernel"]
+        assert [r[13] for r in rows] == ["skipped", "skipped"]
+        answers = iter([True, False, True, True])
+        monkeypatch.setattr(exact, "exact_answer", lambda spec, limit: next(answers))
+        code, out, _ = run(capsys, *args)
+        assert code == 1
+        assert [line.split(",")[13] for line in out.strip().splitlines()[1:]] == ["false", "true"]
+
     def test_append_mode(self, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"
         args = ["bench", "--problem", "TPT", "--family", "uniform", "--n", "10",
@@ -194,3 +249,20 @@ class TestBench:
         assert main(args) == 0
         second = out_csv.read_text().splitlines()
         assert len(second) == len(first) + 1  # appended one record, no new header
+
+
+class TestFlags:
+    # each subcommand registers only the flags it reads
+    REQUIRED = {"solve": ["--input", "x"], "verify": ["--input", "x"],
+                "gen": ["--problem", "TPT", "--family", "uniform"]}
+    UNREAD = {"solve": ("--epsilon", "--delta", "--seed", "--no-validate"),
+              "verify": ("--epsilon", "--delta", "--seed", "--no-validate"),
+              "gen": ("--epsilon", "--delta", "--oracle-limit", "--no-validate")}
+
+    def test_unread_flags_are_rejected(self, capsys):
+        for command, flags in self.UNREAD.items():
+            build_parser().parse_args([command, *self.REQUIRED[command]])
+            for flag in flags:
+                value = [] if flag == "--no-validate" else ["1"]
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, *self.REQUIRED[command], flag, *value])

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from rainbowkernel.errors import TooLarge
-from rainbowkernel.exact import (exact_answer, max_induced_p3_packing,
-                                 max_triangle_packing, min_fvs_tournament,
-                                 min_p3_hitting_set)
+from rainbowkernel.exact import exact_answer, optimum
 from rainbowkernel.graphs import (Tournament, UndirectedGraph,
                                   enumerate_induced_p3, enumerate_triangles,
                                   is_induced_p3, is_triangle)
@@ -53,55 +51,63 @@ def brute_min_hitting(triples, n):
 
 class TestTrivial:
     def test_acyclic_packs_zero(self):
-        assert max_triangle_packing(transitive(5)).value == 0
+        assert optimum("TPT", transitive(5)).value == 0
 
     def test_one_cycle_packs_one(self):
         t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        assert max_triangle_packing(t).value == 1
+        assert optimum("TPT", t).value == 1
 
     def test_acyclic_fvs_zero(self):
-        assert min_fvs_tournament(transitive(5)).value == 0
+        assert optimum("FVST", transitive(5)).value == 0
 
     def test_single_cycle_fvs_one(self):
         t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        assert min_fvs_tournament(t).value == 1
+        assert optimum("FVST", t).value == 1
 
     def test_clique_packs_zero(self):
-        assert max_induced_p3_packing(clique(5)).value == 0
+        assert optimum("I2PP", clique(5)).value == 0
 
     def test_path3_packs_one(self):
-        assert max_induced_p3_packing(path(3)).value == 1
+        assert optimum("I2PP", path(3)).value == 1
 
     def test_path6_packs_two(self):
-        assert max_induced_p3_packing(path(6)).value == 2
+        assert optimum("I2PP", path(6)).value == 2
 
     def test_clique_hits_zero(self):
-        assert min_p3_hitting_set(clique(4)).value == 0
+        assert optimum("I2PHS", clique(4)).value == 0
 
     def test_path3_hits_one(self):
-        assert min_p3_hitting_set(path(3)).value == 1
+        assert optimum("I2PHS", path(3)).value == 1
 
     def test_star_hits_one_via_center(self):
         g = UndirectedGraph(4, [(0, 1), (0, 2), (0, 3)])
-        ans = min_p3_hitting_set(g)
+        ans = optimum("I2PHS", g)
         assert ans.value == 1 and ans.witness == (0,)
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
         with pytest.raises(TooLarge):
-            max_triangle_packing(transitive(30), limit=24)
+            optimum("TPT", transitive(30), limit=24)
+        # default caps: 24 vertices for tournaments, 30 for graphs
+        monkeypatch.delenv("RAINBOWKERNEL_ORACLE_LIMIT", raising=False)
+        assert optimum("FVST", transitive(24)).value == 0
+        with pytest.raises(TooLarge):
+            optimum("FVST", transitive(25))
+        assert optimum("I2PP", clique(30)).value == 0
+        with pytest.raises(TooLarge):
+            optimum("I2PHS", clique(31))
 
     def test_limit_env_override(self, monkeypatch):
         monkeypatch.setenv("RAINBOWKERNEL_ORACLE_LIMIT", "32")
-        assert max_triangle_packing(transitive(30)).value == 0
+        assert optimum("TPT", transitive(30)).value == 0
         monkeypatch.setenv("RAINBOWKERNEL_ORACLE_LIMIT", "10")
         with pytest.raises(TooLarge):
-            max_triangle_packing(transitive(12))
+            optimum("TPT", transitive(12))
 
 
 class TestWitnesses:
     @given(tournaments(max_n=8))
     def test_packing_witness_valid(self, t):
-        ans = max_triangle_packing(t)
+        ans = optimum("TPT", t)
         used = set()
         for tri in ans.witness:
             assert is_triangle(t, tri)
@@ -110,19 +116,19 @@ class TestWitnesses:
 
     @given(tournaments(max_n=8))
     def test_fvs_witness_valid(self, t):
-        ans = min_fvs_tournament(t)
+        ans = optimum("FVST", t)
         rest = [v for v in range(t.n) if v not in set(ans.witness)]
         assert not enumerate_triangles(t, rest)
 
     @given(graphs(max_n=9))
     def test_p3_witnesses_valid(self, g):
-        pk = max_induced_p3_packing(g)
+        pk = optimum("I2PP", g)
         used = set()
         for tri in pk.witness:
             assert is_induced_p3(g, tri)
             assert not set(tri) & used
             used |= set(tri)
-        hit = min_p3_hitting_set(g)
+        hit = optimum("I2PHS", g)
         rest = [v for v in range(g.n) if v not in set(hit.witness)]
         assert not enumerate_induced_p3(g, rest)
 
@@ -132,25 +138,25 @@ class TestAgainstBruteForce:
     @settings(max_examples=40)
     def test_triangle_packing_optimal(self, t):
         triples = enumerate_triangles(t)
-        assert max_triangle_packing(t).value == brute_max_packing(triples)
+        assert optimum("TPT", t).value == brute_max_packing(triples)
 
     @given(tournaments(max_n=7))
     @settings(max_examples=30)
     def test_fvs_optimal(self, t):
         triples = enumerate_triangles(t)
-        assert min_fvs_tournament(t).value == brute_min_hitting(triples, t.n)
+        assert optimum("FVST", t).value == brute_min_hitting(triples, t.n)
 
     @given(graphs(max_n=8))
     @settings(max_examples=40)
     def test_p3_packing_optimal(self, g):
         triples = [tuple(sorted(tr)) for tr in enumerate_induced_p3(g)]
-        assert max_induced_p3_packing(g).value == brute_max_packing(triples)
+        assert optimum("I2PP", g).value == brute_max_packing(triples)
 
     @given(graphs(max_n=7))
     @settings(max_examples=30)
     def test_p3_hitting_optimal(self, g):
         triples = [tuple(sorted(tr)) for tr in enumerate_induced_p3(g)]
-        assert min_p3_hitting_set(g).value == brute_min_hitting(triples, g.n)
+        assert optimum("I2PHS", g).value == brute_min_hitting(triples, g.n)
 
 
 class TestAtTenVertices:
@@ -165,32 +171,32 @@ class TestAtTenVertices:
                     arcs.append((u, v) if rng.random() < 0.5 else (v, u))
             t = Tournament.from_arcs(10, arcs)
             tris = enumerate_triangles(t)
-            assert max_triangle_packing(t).value == brute_max_packing(tris)
-            assert min_fvs_tournament(t).value == brute_min_hitting(tris, 10)
+            assert optimum("TPT", t).value == brute_max_packing(tris)
+            assert optimum("FVST", t).value == brute_min_hitting(tris, 10)
             g = UndirectedGraph(10, [(u, v) for u in range(10)
                                      for v in range(u + 1, 10)
                                      if rng.random() < 0.4])
             paths = [tuple(sorted(p)) for p in enumerate_induced_p3(g)]
-            assert max_induced_p3_packing(g).value == brute_max_packing(paths)
-            assert min_p3_hitting_set(g).value == brute_min_hitting(paths, 10)
+            assert optimum("I2PP", g).value == brute_max_packing(paths)
+            assert optimum("I2PHS", g).value == brute_min_hitting(paths, 10)
 
 
 class TestDuality:
     @given(tournaments(max_n=8))
     def test_tournament_duality(self, t):
-        assert min_fvs_tournament(t).value >= max_triangle_packing(t).value
+        assert optimum("FVST", t).value >= optimum("TPT", t).value
 
     @given(graphs(max_n=8))
     def test_graph_duality(self, g):
-        assert min_p3_hitting_set(g).value >= max_induced_p3_packing(g).value
+        assert optimum("I2PHS", g).value >= optimum("I2PP", g).value
 
 
 class TestDecision:
     @given(tournaments(max_n=8))
     @settings(max_examples=30)
     def test_decision_matches_optimum(self, t):
-        pack = max_triangle_packing(t).value
-        fvs = min_fvs_tournament(t).value
+        pack = optimum("TPT", t).value
+        fvs = optimum("FVST", t).value
         for k in range(0, 4):
             assert exact_answer(InstanceSpec("TPT", t, k)) == (pack >= k)
             assert exact_answer(InstanceSpec("FVST", t, k)) == (fvs <= k)
@@ -198,8 +204,8 @@ class TestDecision:
     @given(graphs(max_n=8))
     @settings(max_examples=30)
     def test_graph_decision_matches_optimum(self, g):
-        pack = max_induced_p3_packing(g).value
-        hit = min_p3_hitting_set(g).value
+        pack = optimum("I2PP", g).value
+        hit = optimum("I2PHS", g).value
         for k in range(0, 4):
             assert exact_answer(InstanceSpec("I2PP", g, k)) == (pack >= k)
             assert exact_answer(InstanceSpec("I2PHS", g, k)) == (hit <= k)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowkernel.errors import InvalidSolution, NotNicePair
-from rainbowkernel.exact import (exact_answer, max_induced_p3_packing,
-                                 min_p3_hitting_set)
+from rainbowkernel.exact import exact_answer, optimum
 from rainbowkernel.graphs import UndirectedGraph, enumerate_induced_p3
 from rainbowkernel.instances import InstanceSpec
 from rainbowkernel.p3 import (Decided, KernelOutput, P3Localization,
@@ -19,7 +18,9 @@ from rainbowkernel.p3 import (Decided, KernelOutput, P3Localization,
 from rainbowkernel.rainbow import RainbowOracle
 from rainbowkernel.rounds import PackingFound, RuleStop
 
+from .reference.p3 import bucket_of_scan
 from .strategies import graphs
+from .test_acceptance import _graph_corpus
 
 
 def clique(n, offset=0):
@@ -266,7 +267,7 @@ class TestRestructuring:
 
     def test_optimal_packing_survives(self):
         for g, out in harvest_states("I2PP", 8, seed=33):
-            opt = max_induced_p3_packing(g)
+            opt = optimum("I2PP", g)
             rerouted = repack_packing_p3(g, out.state, list(opt.witness))
             assert len(rerouted) == opt.value
 
@@ -290,13 +291,13 @@ class TestLifting:
             rest = [v for v in range(g.n) if v not in lifted]
             assert enumerate_induced_p3(g, rest) == []
             # the minimum cannot improve under lifting of an optimal solution
-            assert len(lifted) == min_p3_hitting_set(g).value == len(best)
+            assert len(lifted) == optimum("I2PHS", g).value == len(best)
 
     def test_identity_when_kernel_is_whole_graph(self):
         for g, out in harvest_states("I2PHS", 4, max_n=9, seed=9):
             if set(out.kept) != set(range(g.n)):
                 continue
-            x = set(min_p3_hitting_set(g).witness)
+            x = set(optimum("I2PHS", g).witness)
             lifted = lift_hitting_set_p3(g, out.state, x)
             assert len(lifted) <= len(x)
 
@@ -323,3 +324,21 @@ class TestDeterminism:
             assert again.kept == out.kept
             assert [r.case for r in again.report.rounds] == \
                 [r.case for r in out.report.rounds]
+
+
+
+class TestBucketIndex:
+    def test_index_matches_scan_on_acceptance_corpus(self):
+        checked = 0
+        for g in _graph_corpus(500, seed=1):
+            for k in range(1, 6):
+                out = kernelize_p3(g, k, problem="I2PP")
+                if not isinstance(out, KernelOutput):
+                    continue
+                d = out.state.final
+                # detached bucketed vertices sit in no bucket, so in no key
+                assert d.bucket_index == {v: bucket_of_scan(d, v) for v in d.attached}
+                checked += len(d.attached)
+                with pytest.raises(KeyError):
+                    d.bucket_of(g.n)
+        assert checked > 100

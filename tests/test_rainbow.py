@@ -3,16 +3,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from rainbowkernel.errors import NotClawFree
 from rainbowkernel.graphs import colored_edge, make_colored_multigraph
-from rainbowkernel.rainbow import (ColorCover, PartitionedGraph,
-                                   RainbowMatching,
-                                   build_extended_line_graph,
-                                   claw_free_violation, cover_from_dominating,
-                                   independent_transversal_or_dominating,
-                                   rainbow_from_transversal, rainbow_or_cover,
-                                   verify_outcome, _vertex_cover_within)
+from rainbowkernel.rainbow import (ColorCover, RainbowMatching,
+                                   rainbow_or_cover, verify_outcome,
+                                   _vertex_cover_within)
 
+from .reference.linegraph import (NotClawFree, PartitionedGraph,
+                                  build_extended_line_graph,
+                                  claw_free_violation, cover_from_dominating,
+                                  independent_transversal_or_dominating,
+                                  rainbow_from_transversal)
 from .strategies import colored_multigraphs
 
 

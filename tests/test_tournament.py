@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from rainbowkernel.demand import compute_demand, interval_stats
 from rainbowkernel.errors import (InvalidSolution, NotNicePair,
                                   PreconditionViolated)
-from rainbowkernel.exact import (exact_answer, max_triangle_packing,
-                                 min_fvs_tournament)
+from rainbowkernel.exact import exact_answer, optimum
 from rainbowkernel.graphs import Tournament, enumerate_triangles
 from rainbowkernel.instances import InstanceSpec
 from rainbowkernel.intervals import BucketInterval
@@ -76,7 +75,7 @@ class TestLocalize:
             for v in range(3, 6):
                 arcs.append((u, v))
         t = Tournament.from_arcs(6, arcs)
-        assert max_triangle_packing(t).value == 2
+        assert optimum("TPT", t).value == 2
         loc = greedy_localize_triangles(t, threshold=3)
         assert isinstance(loc, TriangleLocalization)
         assert len(loc.core) == 6 and loc.order == ()
@@ -459,7 +458,7 @@ class TestLiftFvs:
             assert len(lifted) <= len(best) if best else len(lifted) == len(best)
             rest = [v for v in range(t.n) if v not in lifted]
             assert enumerate_triangles(t, rest) == []
-            assert len(lifted) == min_fvs_tournament(t).value
+            assert len(lifted) == optimum("FVST", t).value
 
     def test_whole_kernel_is_slack_solution(self):
         for t, out in harvest_states(4, seed=6):
