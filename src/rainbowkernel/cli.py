@@ -8,9 +8,9 @@ from collections import Counter
 from pathlib import Path
 
 from . import exact
-from .errors import InvalidSolution, ParseError, TooLarge
-from .graphs import (Tournament, enumerate_induced_p3, is_acyclic,
-                     is_induced_p3, is_triangle)
+from .errors import InternalError, InvalidSolution, ParseError, TooLarge
+from .graphs import (Tournament, clique_partition, is_acyclic, is_induced_p3,
+                     is_triangle)
 from .instances import (GRAPH_PROBLEMS, PACKING_PROBLEMS, PROBLEMS,
                         GeneratorConfig, InstanceSpec, generate_instance,
                         parse_instance, serialize_instance)
@@ -98,28 +98,30 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _parse_solution(text: str):
-    lines = [ln for ln in text.splitlines()]
+def _parse_solution(text: str, n: int):
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing solution header")
     parts = lines[0].split()
-    if len(parts) != 3 or parts[0] != "solution" or parts[1] not in ("packing", "hitting"):
+    if len(parts) != 3 or parts[0] != "solution" or parts[1] not in ("packing", "hitting") \
+            or not parts[2].isdecimal():
         raise ParseError(1, f"expected 'solution <packing|hitting> <count>', got {lines[0]!r}")
     kind, count = parts[1], int(parts[2])
     items = []
-    for i in range(count):
-        lineno = i + 2
+    for lineno in range(2, count + 2):
         if lineno > len(lines):
             raise ParseError(len(lines) + 1, f"expected {count} solution lines")
         toks = lines[lineno - 1].split()
-        if kind == "packing":
-            if len(toks) != 3:
-                raise ParseError(lineno, "packing lines carry three vertex ids")
-            items.append(tuple(int(x) for x in toks))
-        else:
-            if len(toks) != 1:
-                raise ParseError(lineno, "hitting lines carry one vertex id")
-            items.append(int(toks[0]))
+        if len(toks) != (3 if kind == "packing" else 1):
+            raise ParseError(lineno, "packing lines carry three vertex ids" if kind == "packing"
+                             else "hitting lines carry one vertex id")
+        try:
+            ids = [int(x) for x in toks]
+        except ValueError:
+            raise ParseError(lineno, f"vertex ids must be integers, got {lines[lineno - 1]!r}") from None
+        if not all(0 <= v < n for v in ids):
+            raise ParseError(lineno, f"vertex ids must lie in 0..{n - 1}, got {lines[lineno - 1]!r}")
+        items.append(tuple(ids) if kind == "packing" else ids[0])
     for i in range(count + 2, len(lines) + 1):
         if lines[i - 1].strip():
             raise ParseError(i, f"trailing garbage {lines[i - 1]!r}")
@@ -146,13 +148,13 @@ def _check_solution(spec: InstanceSpec, kind: str, items) -> bool:
     survivors = [v for v in range(payload.n) if v not in removed]
     if isinstance(payload, Tournament):
         return is_acyclic(payload, survivors)
-    return not enumerate_induced_p3(payload, survivors)
+    return clique_partition(payload, survivors) is not None
 
 
 def cmd_verify(args) -> int:
     spec = _read_instance(args.input)
     if args.solution:
-        kind, items = _parse_solution(Path(args.solution).read_text())
+        kind, items = _parse_solution(Path(args.solution).read_text(), spec.payload.n)
         expected = "packing" if spec.problem in PACKING_PROBLEMS else "hitting"
         if kind != expected:
             print(f"valid: false (need a {expected} for {spec.problem})")
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
     except (ParseError, InvalidSolution, TooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InternalError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,11 @@ class NotAcyclic(ValueError):
         self.witness = tuple(witness)
 
 
-class NotNicePair(ValueError):
+class InternalError(RuntimeError):
+    """A broken invariant or contract inside the package: a bug, never bad input."""
+
+
+class NotNicePair(InternalError):
     """A forbidden pattern with two pool vertices exists; carries the witness."""
 
     def __init__(self, witness):
@@ -37,19 +41,19 @@ class TooLarge(ValueError):
     """Instance exceeds the exact solver's vertex limit."""
 
 
-class OracleContractViolation(RuntimeError):
+class OracleContractViolation(InternalError):
     """The rainbow oracle returned an outcome that fails verification."""
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(InternalError):
     """An add operation was invoked outside its hypothesis; signals a rule bug."""
 
 
-class Case2SelectionFailed(RuntimeError):
+class Case2SelectionFailed(InternalError):
     """No block interval satisfied the merge budget; signals an invariant bug."""
 
 
-class RepackFailed(RuntimeError):
+class RepackFailed(InternalError):
     """The repacking matching could not be saturated; signals an invariant bug."""
 
 

@@ -208,6 +208,36 @@ def enumerate_induced_p3(g: UndirectedGraph, scope: Iterable[int] | None = None)
     return out
 
 
+def clique_partition(g: UndirectedGraph, scope: Iterable[int]) -> tuple[tuple[int, ...], ...] | None:
+    """The cliques of a scope with no induced 2-path, ordered by least member;
+    None when the scope has one.  Such a scope is a disjoint union of
+    cliques, so each vertex is named by the least member of its closed
+    neighbourhood.  The names fit exactly when every edge joins two vertices
+    of one name and each vertex sees its whole name class: one O(n^2) pass
+    over the scope's matrix."""
+    ids = np.array(sorted(set(scope)), dtype=np.intp)
+    if not ids.size:
+        return ()
+    closed = g.matrix()[np.ix_(ids, ids)]
+    np.fill_diagonal(closed, True)
+    name = closed.argmax(axis=1)
+    # the largest name a vertex sees; an edge across names shows at one end
+    seen = np.maximum.reduce(np.broadcast_to(name, closed.shape), axis=1,
+                             where=closed, initial=-1)
+    sizes = np.bincount(name, minlength=ids.size)
+    if (seen != name).any() or (closed.sum(axis=1) != sizes[name]).any():
+        return None
+    return tuple(tuple(sorted(c)) for c in group_by(name, ids).values())
+
+
+def group_by(label: np.ndarray, xs: np.ndarray) -> dict[int, frozenset[int]]:
+    """The vertices `xs` grouped by their `label`, in increasing label order."""
+    order = np.argsort(label, kind="stable")
+    keys, starts = np.unique(label[order], return_index=True)
+    groups = np.split(np.asarray(xs)[order], starts[1:])
+    return {k: frozenset(grp.tolist()) for k, grp in zip(keys.tolist(), groups)}
+
+
 def is_induced_p3(g: UndirectedGraph, triple: Iterable[int]) -> bool:
     a, b, c = sorted(triple)
     e = int(g.has_edge(a, b)) + int(g.has_edge(a, c)) + int(g.has_edge(b, c))

@@ -28,12 +28,12 @@ import numpy as np
 from .errors import (InvalidSolution, NotNicePair, OracleContractViolation,
                      RepackFailed)
 from .graphs import (ColoredEdge, ColoredMultigraph, UndirectedGraph,
-                     colored_edge, enumerate_induced_p3, is_induced_p3,
-                     make_colored_multigraph)
+                     clique_partition, colored_edge, enumerate_induced_p3,
+                     group_by, is_induced_p3, make_colored_multigraph)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (PackingFound, RuleNext, RuleStop, decide,
-                     pattern_with_two_pool, run_rounds)
+from .rounds import (PackingFound, PoolRows, RuleNext, RuleStop, decide,
+                     first_true, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,14 @@ class P3Localization:
     packing: tuple[tuple[int, int, int], ...]
     core: frozenset[int]
     cliques: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def clique_of(self) -> np.ndarray:
+        """The clique index of every vertex, -1 on the core."""
+        out = np.full(len(self.core) + sum(map(len, self.cliques)), -1, dtype=np.intp)
+        for i, cl in enumerate(self.cliques):
+            out[list(cl)] = i
+        return out
 
 
 def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
@@ -69,37 +77,10 @@ def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3L
                         return PackingFound(tuple(packing))
                     break
     core = frozenset(v for tri in packing for v in tri)
-    rest = [v for v in range(g.n) if v not in core]
-    cliques = _clique_components(g, rest)
+    cliques = clique_partition(g, [v for v in range(g.n) if v not in core])
+    if cliques is None:
+        raise AssertionError("the remainder has an induced 2-path; the packing was not maximal")
     return P3Localization(tuple(packing), core, cliques)
-
-
-def _clique_components(g: UndirectedGraph, rest: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the remainder; each must induce a clique since
-    the remainder has no induced 2-path."""
-    restset = set(rest)
-    seen: set[int] = set()
-    comps = []
-    for v in rest:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y in restset and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        members = tuple(sorted(comp))
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                if not g.has_edge(x, y):
-                    raise AssertionError("remainder component is not a clique; "
-                                         "the packing was not maximal")
-        comps.append(members)
-    return tuple(sorted(comps))
 
 
 def p3_pairs(g: UndirectedGraph, ids: list[int]) -> Callable[[int], np.ndarray]:
@@ -117,6 +98,29 @@ def p3_pairs(g: UndirectedGraph, ids: list[int]) -> Callable[[int], np.ndarray]:
         return (nb[:, None] + sub + nb[None, :] == 2) & upper
 
     return pairs
+
+
+def p3_rows(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
+    """The nice-pair row test against `pool` as sorted ids, keyed by clique.
+    The pool is a union of clique slices with no edge between them, so x
+    forms an induced 2-path with two pool vertices exactly when its pool
+    neighbourhood is neither empty nor one whole slice.  Row x is labelled
+    with the clique of its least pool neighbour u (-1 when it has none); its
+    witness is u - x - w for the least neighbour w outside that clique, else
+    x - u - w for the least w of the slice that x misses."""
+    ids = np.array(sorted(pool), dtype=np.intp)
+    keys = loc.clique_of[ids]
+    xs = np.array(xs, dtype=np.intp)
+    rows = g.matrix()[np.ix_(xs, ids)]
+    first = first_true(rows)
+    label = np.append(keys, -1)[first]
+    same = keys == label[:, None]
+    extra, lack = first_true(rows & ~same), first_true(~rows & same)
+    crosses, misses = extra < ids.size, lack < ids.size
+    ext = np.append(ids, -1)
+    witnesses = np.where(crosses[:, None], np.column_stack((ext[first], xs, ext[extra])),
+                         np.column_stack((xs, ext[first], ext[lack])))[crosses | misses].tolist()
+    return PoolRows(xs, ids, keys, rows, label, crosses | misses, list(map(tuple, witnesses)))
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,7 @@ class P3Decomp:
 
     @property
     def attached(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.buckets:
-            out |= b
-        return frozenset(out)
+        return frozenset().union(*self.buckets)
 
     @property
     def live(self) -> tuple[int, ...]:
@@ -177,40 +178,20 @@ def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
     """Group `bucketed` by pool neighborhood.  Each vertex must see either
     nothing or exactly one full clique slice; otherwise the pair is not nice
     and a witnessing induced 2-path with two pool vertices is raised."""
-    rest = {v for cl in loc.cliques for v in cl}
-    if not pool <= rest:
+    if (loc.clique_of[list(pool)] < 0).any():
         raise ValueError("pool must lie inside the localization remainder")
-    clique_of = {v: i for i, cl in enumerate(loc.cliques) for v in cl}
-    parts = tuple(frozenset(v for v in cl if v in pool) for cl in loc.cliques)
-    buckets: list[set[int]] = [set() for _ in loc.cliques]
-    detached: set[int] = set()
-    for v in sorted(bucketed):
-        nb = g.neighbors(v) & pool
-        if not nb:
-            detached.add(v)
-            continue
-        witness_u = min(nb)
-        i = clique_of[witness_u]
-        part = parts[i]
-        extra = nb - part
-        if extra:
-            other = min(extra)
-            # v adjacent to two different cliques: u - v - other is induced
-            raise NotNicePair((witness_u, v, other))
-        lacking = part - nb
-        if lacking:
-            w = min(lacking)
-            # v misses w inside the clique: v - u - w is induced
-            raise NotNicePair((v, witness_u, w))
-        buckets[i].add(v)
-    return parts, tuple(frozenset(b) for b in buckets), frozenset(detached)
+    rows = p3_rows(g, loc, pool, sorted(bucketed))
+    if rows.witnesses:
+        raise NotNicePair(rows.witnesses[0])
+    parts, buckets = group_by(rows.keys, rows.ids), group_by(rows.label, rows.xs)
+    slices = range(len(loc.cliques))
+    return (tuple(parts.get(i, frozenset()) for i in slices),
+            tuple(buckets.get(i, frozenset()) for i in slices), buckets.get(-1, frozenset()))
 
 
 def make_p3_decomp(loc: P3Localization, pool, bucketed, colors,
                    g: UndirectedGraph, epsilon: float) -> P3Decomp:
-    pool = frozenset(pool)
-    bucketed = frozenset(bucketed)
-    colors = frozenset(colors)
+    pool, bucketed, colors = map(frozenset, (pool, bucketed, colors))
     parts, buckets, detached = bucket_decompose_p3(pool, bucketed, g, loc)
     return P3Decomp(loc, pool, bucketed, colors, epsilon, parts, buckets, detached)
 
@@ -223,30 +204,30 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
         out.append("pool/bucketed/colors do not partition the vertex set")
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
-    rest = {v for cl in d.loc.cliques for v in cl}
-    if not d.pool <= rest:
+    if (d.loc.clique_of[list(d.pool)] < 0).any():
         out.append("pool leaks outside the localization remainder")
-    # pool-only paths cannot exist because the pool is a union of cliques
-    ids = sorted(d.pool)
-    viol = pattern_with_two_pool(p3_pairs(g, ids), ids, d.bucketed)
-    if viol is not None:
-        out.append(f"induced 2-path {viol} has two pool vertices")
+        return out
+    stored = [(i, v) for i, b in enumerate(d.buckets) for v in b] + [(-1, v) for v in d.detached]
+    rows = p3_rows(g, d.loc, d.pool, [v for _, v in stored])
+    same = rows.keys[:, None] == rows.keys
+    np.fill_diagonal(same, False)
+    if not np.array_equal(g.matrix()[np.ix_(rows.ids, rows.ids)], same):
+        out.append("pool edges disagree with the clique slices")
+    if rows.witnesses:
+        out.append(f"induced 2-path {rows.witnesses[0]} has two pool vertices")
+    parts = group_by(rows.keys, rows.ids)
     for i, part in enumerate(d.pool_parts):
-        expected = frozenset(v for v in d.loc.cliques[i] if v in d.pool)
-        if part != expected:
+        if part != parts.get(i, frozenset()):
             out.append(f"pool part {i} is not pool intersected with its clique")
         if not part and d.buckets[i]:
             out.append(f"bucket {i} non-empty although its clique slice is empty")
-        for v in d.buckets[i]:
-            if g.neighbors(v) & d.pool != part:
-                out.append(f"bucket vertex {v} has the wrong pool neighborhood")
-    for v in d.detached:
-        if g.neighbors(v) & d.pool:
-            out.append(f"detached vertex {v} has pool neighbors")
-    cover = set(d.detached)
-    for b in d.buckets:
-        cover |= b
-    if cover != set(d.bucketed):
+    # a member of bucket i sees exactly slice i; a detached vertex sees nothing
+    cuts = np.array([i for i, _ in stored], dtype=np.intp)
+    for r in np.flatnonzero((rows.rows != (rows.keys == cuts[:, None])).any(axis=1)):
+        i, v = stored[r]
+        out.append(f"detached vertex {v} has pool neighbors" if i < 0 else
+                   f"bucket vertex {v} has the wrong pool neighborhood")
+    if d.attached | d.detached != d.bucketed:
         out.append("buckets plus detached do not partition the bucketed set")
     budget = (1.0 + 2.0 * d.c1) * len(d.treated)
     if d.size() > budget + 1e-9:
@@ -257,8 +238,8 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
 def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
     """Demote colors that no longer form an induced 2-path with two pool
     vertices; the resulting decomposition is clean and still within budget."""
-    pairs = p3_pairs(g, sorted(d.pool))
-    stale = frozenset(c for c in d.colors if not pairs(c).any())
+    rows = p3_rows(g, d.loc, d.pool, sorted(d.colors))
+    stale = frozenset(rows.xs[~rows.bad].tolist())
     if not stale:
         return d
     return make_p3_decomp(d.loc, d.pool, d.bucketed | stale, d.colors - stale,
@@ -464,7 +445,6 @@ def lift_hitting_set_p3(g: UndirectedGraph, state: P3KernelState,
         lifted |= d.buckets[i]
     if len(lifted) > len(hitting):
         raise AssertionError("lifted hitting set grew; exchange argument violated")
-    leftover = [v for v in range(g.n) if v not in lifted]
-    if enumerate_induced_p3(g, leftover):
+    if clique_partition(g, [v for v in range(g.n) if v not in lifted]) is None:
         raise AssertionError("lifted set misses a path; exchange argument violated")
     return frozenset(lifted)

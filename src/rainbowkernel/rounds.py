@@ -7,15 +7,16 @@ each asks the rainbow-matching-or-cover dichotomy on an auxiliary
 multigraph, and either stops on a matching (`RuleStop`) or demotes a cover
 and drops the round potential (`RuleNext`).  The families supply the
 decomposition and the stages; a decomposition exposes `pool`, `bucketed`,
-`colors` and `potential`.  Both families ask one question of a vertex x
-outside the pool: which pool pairs form an obstruction with x?  Each answers
-it with one `pairs` function (`triangle_pairs`, `p3_pairs`), which the
-validators scan through `pattern_with_two_pool`.
+`colors` and `potential`.  Every question about the nice pair (no vertex
+outside the pool forms an obstruction with two pool vertices) is a read of
+one row block `m[xs, pool]`: each family's row test (`tpt_rows`,
+`p3_rows`) returns a `PoolRows`, which the bucket decomposition, the clean,
+add-1 and the validator all consume.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,16 +58,24 @@ def decide(report: KernelReport, found: PackingFound, packing_problem: bool) -> 
     return Decided(packing_problem, found.packing, report)
 
 
-def pattern_with_two_pool(pairs: Callable[[int], np.ndarray], ids: list[int],
-                          outside: Iterable[int]) -> tuple[int, int, int] | None:
-    """The first obstruction {x, ids[i], ids[j]} with x in `outside`, taking x
-    in increasing order, as a sorted triple; None when there is none."""
-    for x in sorted(outside):
-        found = pairs(x)
-        if found.any():
-            i, j = np.argwhere(found)[0]
-            return tuple(sorted((x, ids[i], ids[j])))
-    return None
+class PoolRows(NamedTuple):
+    """A family's row test of the vertices `xs` against a pool `ids` whose
+    columns carry `keys`, read off `rows = m[xs, ids]`: per row its bucket
+    `label` and whether it is `bad`, i.e. forms an obstruction with two pool
+    vertices; `witnesses` holds the first one of each bad row, in row order."""
+
+    xs: np.ndarray
+    ids: np.ndarray
+    keys: np.ndarray
+    rows: np.ndarray
+    label: np.ndarray
+    bad: np.ndarray
+    witnesses: list[tuple[int, int, int]]
+
+
+def first_true(rows: np.ndarray) -> np.ndarray:
+    """Per row, the column of its first True; the column count when none."""
+    return rows.shape[1] - np.logical_or.accumulate(rows, axis=1).sum(axis=1)
 
 
 def run_rounds(report: KernelReport, d, clean: Callable, check: Callable,

@@ -34,14 +34,15 @@ from .demand import BucketProfile, Demand, compute_demand, interval_stats
 from .errors import (Case2SelectionFailed, InvalidSolution, NotNicePair,
                      OracleContractViolation, PreconditionViolated,
                      RepackFailed)
-from .graphs import (ColoredEdge, Tournament, colored_edge, is_acyclic,
-                     is_triangle, make_colored_multigraph, topological_order)
+from .graphs import (ColoredEdge, Tournament, colored_edge, group_by,
+                     is_acyclic, is_triangle, make_colored_multigraph,
+                     topological_order)
 from .intervals import (BucketInterval, block_partition, maximal_elements,
                         span_buckets)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (PackingFound, RuleNext, RuleStop, decide,
-                     pattern_with_two_pool, run_rounds)
+from .rounds import (PackingFound, PoolRows, RuleNext, RuleStop, decide,
+                     first_true, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,25 @@ def triangle_pairs(t: Tournament, ids: list[int]) -> Callable[[int], np.ndarray]
     return pairs
 
 
+def tpt_rows(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
+    """The nice-pair row test against `pool` in position order, keyed by
+    position.  The pool is transitive in that order, so a triangle {x, u, w}
+    with u, w in the pool is u -> w -> x -> u: x's row has a 1 and then a 0.
+    Row x is labelled with the position of its first 1 (t0 + 1 when it has
+    none); its witness is x, the pool vertex of that 1 and the first 0
+    after it."""
+    keys = np.array(sorted(loc.position[v] for v in pool), dtype=np.intp)
+    ids = np.array(loc.order, dtype=np.intp)[keys - 1]
+    xs = np.array(xs, dtype=np.intp)
+    rows = t.matrix[np.ix_(xs, ids)]
+    first = first_true(rows)
+    drop = first_true(~rows & np.logical_or.accumulate(rows, axis=1))
+    ext = np.append(ids, -1)
+    bad = drop < ids.size
+    witnesses = list(map(tuple, np.column_stack((xs, ext[first], ext[drop]))[bad].tolist()))
+    return PoolRows(xs, ids, keys, rows, np.append(keys, len(loc.order) + 1)[first], bad, witnesses)
+
+
 @dataclass(frozen=True)
 class TptDecomp:
     """Partial decomposition for the tournament problems.
@@ -189,44 +209,19 @@ def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
     the smallest pool position it dominates (the infinity sentinel when it
     dominates none).  A pool vertex past that position dominating it back
     witnesses a triangle with two pool vertices."""
-    pos = loc.position
-    if not pool <= pos.keys():
+    if not pool <= loc.position.keys():
         raise ValueError("pool must lie inside the localization remainder")
-    t0 = len(loc.order)
-    pool_by_pos = sorted(pool, key=lambda v: pos[v])
-    positions = [pos[v] for v in pool_by_pos]
-    m = t.matrix
-    buckets: dict[int, set[int]] = {}
-    if pool_by_pos:
-        ids = np.array(pool_by_pos)
-        for v in sorted(bucketed):
-            row = m[v][ids]  # v -> pool vertex, in position order
-            hits = np.flatnonzero(row)
-            if hits.size == 0:
-                idx = t0 + 1
-            else:
-                first = int(hits[0])
-                rest = row[first:]
-                if not rest.all():
-                    bad = first + int(np.flatnonzero(~rest)[0])
-                    raise NotNicePair((v, pool_by_pos[first], pool_by_pos[bad]))
-                idx = positions[first]
-            buckets.setdefault(idx, set()).add(v)
-    elif bucketed:
-        buckets[t0 + 1] = set(bucketed)
-    s_psi = tuple(sorted(buckets))
-    return s_psi, {i: frozenset(b) for i, b in buckets.items()}
+    rows = tpt_rows(t, loc, pool, sorted(bucketed))
+    if rows.witnesses:
+        raise NotNicePair(rows.witnesses[0])
+    buckets = group_by(rows.label, rows.xs)
+    return tuple(buckets), buckets
 
 
 def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
                     bulk, t: Tournament, delta: float, c_delta: float) -> TptDecomp:
-    pool = frozenset(pool)
-    bucketed = frozenset(bucketed)
-    colors = frozenset(colors)
-    spine = frozenset(spine)
-    bulk = frozenset(bulk)
-    rest = set(loc.order)
-    if spine | bulk != bucketed & rest or spine & bulk:
+    pool, bucketed, colors, spine, bulk = map(frozenset, (pool, bucketed, colors, spine, bulk))
+    if spine | bulk != bucketed & set(loc.order) or spine & bulk:
         raise ValueError("spine and bulk must partition the bucketed remainder part")
     s_psi, buckets = bucket_decompose_tpt(pool, bucketed, t, loc)
     return TptDecomp(loc, pool, bucketed, colors, spine, bulk, delta, c_delta,
@@ -242,44 +237,32 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
         out.append("pool/bucketed/colors do not partition the vertex set")
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
-    pos = d.loc.position
-    if not d.pool <= pos.keys():
+    if not d.pool <= d.loc.position.keys():
         out.append("pool leaks outside the localization remainder")
         return out
-    ids = sorted(d.pool)
-    viol = pattern_with_two_pool(triangle_pairs(t, ids), ids, d.bucketed)
-    if viol is not None:
-        out.append(f"triangle {viol} has two pool vertices")
-    union: set[int] = set()
-    by_pos = sorted(d.pool, key=lambda v: pos[v])
-    positions = np.array([pos[v] for v in by_pos], dtype=np.intp)
-    pool_positions = set(positions.tolist())
-    indices = sorted(d.buckets)
-    members_of = [list(d.buckets[i]) for i in indices]
-    rows = [v for members in members_of for v in members]
-    cuts = np.repeat(np.array(indices, dtype=np.intp), [len(ms) for ms in members_of])
-    # a member of bucket i beats exactly the pool vertices at positions >= i
-    wrong = t.matrix[np.ix_(rows, by_pos)] != (positions >= cuts[:, None])
-    start = 0
-    for i, members in zip(indices, members_of):
-        if not members:
+    stored = [(i, v) for i in sorted(d.buckets) for v in d.buckets[i]]
+    rows = tpt_rows(t, d.loc, d.pool, [v for _, v in stored])
+    sub = t.matrix[np.ix_(rows.ids, rows.ids)]
+    if not np.array_equal(sub, np.triu(np.ones_like(sub), 1)):
+        out.append("pool arcs disagree with the localization order")
+    if rows.witnesses:
+        out.append(f"triangle {rows.witnesses[0]} has two pool vertices")
+    for i in sorted(d.buckets):
+        if not d.buckets[i]:
             out.append(f"bucket {i} is empty")
         if i not in d.s_psi:
             out.append(f"bucket {i} missing from the index set")
-        if i != d.infinity and i not in pool_positions:
+        if i != d.infinity and i not in rows.keys:
             out.append(f"bucket index {i} is not a pool position")
-        union |= d.buckets[i]
-        for r, j in zip(*np.nonzero(wrong[start:start + len(members)])):
-            v, w = members[r], by_pos[j]
-            if positions[j] < i:
-                out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}")
-            else:
-                out.append(f"bucket {i} vertex {v} dominated by later pool vertex {w}")
-        start += len(members)
-    if union != set(d.bucketed):
+    # a member of bucket i beats exactly the pool vertices at positions >= i
+    cuts = np.array([i for i, _ in stored], dtype=np.intp)
+    for r, j in zip(*np.nonzero(rows.rows != (rows.keys >= cuts[:, None]))):
+        (i, v), w = stored[r], rows.ids[j]
+        out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}" if rows.keys[j] < i
+                   else f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+    if frozenset().union(*d.buckets.values()) != d.bucketed:
         out.append("buckets do not partition the bucketed set")
-    rest = set(d.loc.order)
-    if d.spine | d.bulk != d.bucketed & rest or d.spine & d.bulk:
+    if d.spine | d.bulk != d.bucketed & set(d.loc.order) or d.spine & d.bulk:
         out.append("spine/bulk do not partition the bucketed remainder part")
     for i in d.s_psi:
         if not d.seeds(i):
@@ -297,8 +280,8 @@ def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
     """Demote colors that form no triangle with two pool vertices.  They join
     the core side of the buckets; spine, bulk, and the local sizes do not
     move."""
-    pairs = triangle_pairs(t, sorted(d.pool))
-    stale = frozenset(c for c in d.colors if not pairs(c).any())
+    rows = tpt_rows(t, d.loc, d.pool, sorted(d.colors))
+    stale = frozenset(rows.xs[~rows.bad].tolist())
     if not stale:
         return d
     return make_tpt_decomp(d.loc, d.pool, d.bucketed | stale, d.colors - stale,
@@ -349,10 +332,7 @@ class Allocation:
     picks: dict[BucketInterval, frozenset[int]]
 
     def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.picks.values():
-            out |= p
-        return frozenset(out)
+        return frozenset().union(*self.picks.values())
 
 
 def extract_allocation(aux: TptAux, matching: RainbowMatching) -> Allocation:
@@ -398,11 +378,10 @@ def add1(d: TptDecomp, t: Tournament, moved: frozenset[int],
         raise PreconditionViolated(
             f"|moved| = {len(moved)} exceeds 10 * |retired| = {10 * len(retired)}")
     survivors = frozenset(d.pool - moved)
-    pairs = triangle_pairs(t, sorted(survivors))
-    for c in sorted(retired):
-        if pairs(c).any():
-            raise PreconditionViolated(
-                f"retired color {c} still forms a triangle with two surviving pool vertices")
+    witnesses = tpt_rows(t, d.loc, survivors, sorted(retired)).witnesses
+    if witnesses:
+        raise PreconditionViolated(f"retired color {witnesses[0][0]} still forms a "
+                                   "triangle with two surviving pool vertices")
     return make_tpt_decomp(d.loc, survivors, d.bucketed | moved | retired,
                            d.colors - retired, d.spine | moved, d.bulk,
                            t, d.delta, d.c_delta)
@@ -642,25 +621,17 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
     on allocation vertices are exchanged, per block interval of the surviving
     backward bucket arcs, for the cheaper of the two bucket covers (all seeds
     vs everything but the largest bucket); all colors enter as well."""
-    d, alloc = state.final, state.allocation
+    d = state.final
     kept = frozenset(state.matching.vertices()) | d.bucketed | d.colors
     x = set(fvs)
     if not is_acyclic(t, kept - x):
         raise InvalidSolution("input does not hit every triangle of the kernel")
-    allocation_vertices = alloc.vertices()
     x_b = x & d.bucketed
-    live = sorted(d.bucketed - x_b)
-    bucket_idx = {v: d.bucket_of(v) for v in live}
-    m = t.matrix
-    intervals: set[BucketInterval] = set()
-    for i, u in enumerate(live):
-        for v in live[i + 1:]:
-            bu, bv = bucket_idx[u], bucket_idx[v]
-            if bu == bv:
-                continue
-            hi, lo = (u, v) if bu > bv else (v, u)
-            if m[hi, lo]:
-                intervals.add(BucketInterval(min(bu, bv), max(bu, bv)))
+    live = np.array(sorted(d.bucketed - x_b), dtype=np.intp)
+    idx = np.array([d.bucket_of(v) for v in live.tolist()], dtype=np.intp)
+    # a backward bucket arc: a vertex of a later bucket beats one of an earlier one
+    later, earlier = np.nonzero(t.matrix[np.ix_(live, live)] & (idx[:, None] > idx))
+    intervals = {BucketInterval(int(idx[b]), int(idx[a])) for a, b in zip(later, earlier)}
     chosen: set[int] = set()
     if intervals:
         _, joins = block_partition(maximal_elements(sorted(intervals)))

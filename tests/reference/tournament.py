@@ -1,9 +1,11 @@
 """Per-(a, b) triangle localization (one numpy call per vertex pair), the
-validator's per-pair bucket-membership loop and the scanning `bucket_of`."""
+per-vertex bucket decomposition, the validator's per-pair bucket-membership
+loop and the scanning `bucket_of`."""
 from __future__ import annotations
 
 import numpy as np
 
+from rainbowkernel.errors import NotNicePair
 from rainbowkernel.graphs import Tournament, topological_order
 from rainbowkernel.rounds import PackingFound
 from rainbowkernel.tournament import TptDecomp, TriangleLocalization
@@ -39,6 +41,41 @@ def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | T
     core = frozenset(v for tri in packing for v in tri)
     order = topological_order(t, [v for v in range(t.n) if free[v]])
     return TriangleLocalization(tuple(packing), core, order)
+
+
+def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
+                         t: Tournament, loc: TriangleLocalization):
+    """Unique bucket structure of a nice pair: each bucketed vertex lands at
+    the smallest pool position it dominates (the infinity sentinel when it
+    dominates none).  A pool vertex past that position dominating it back
+    witnesses a triangle with two pool vertices."""
+    pos = loc.position
+    if not pool <= pos.keys():
+        raise ValueError("pool must lie inside the localization remainder")
+    t0 = len(loc.order)
+    pool_by_pos = sorted(pool, key=lambda v: pos[v])
+    positions = [pos[v] for v in pool_by_pos]
+    m = t.matrix
+    buckets: dict[int, set[int]] = {}
+    if pool_by_pos:
+        ids = np.array(pool_by_pos)
+        for v in sorted(bucketed):
+            row = m[v][ids]  # v -> pool vertex, in position order
+            hits = np.flatnonzero(row)
+            if hits.size == 0:
+                idx = t0 + 1
+            else:
+                first = int(hits[0])
+                rest = row[first:]
+                if not rest.all():
+                    bad = first + int(np.flatnonzero(~rest)[0])
+                    raise NotNicePair((v, pool_by_pos[first], pool_by_pos[bad]))
+                idx = positions[first]
+            buckets.setdefault(idx, set()).add(v)
+    elif bucketed:
+        buckets[t0 + 1] = set(bucketed)
+    s_psi = tuple(sorted(buckets))
+    return s_psi, {i: frozenset(b) for i, b in buckets.items()}
 
 
 def bucket_membership_problems(d: TptDecomp, t: Tournament) -> list[str]:

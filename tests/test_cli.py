@@ -3,10 +3,12 @@ import tracemalloc
 
 import pytest
 
-from rainbowkernel import exact
+from rainbowkernel import exact, tournament
 from rainbowkernel.cli import build_parser, main
-from rainbowkernel.errors import ParseError
-from rainbowkernel.instances import MAX_GRAPH_VERTICES, parse_instance
+from rainbowkernel.errors import NotNicePair, ParseError
+from rainbowkernel.graphs import Tournament
+from rainbowkernel.instances import (MAX_GRAPH_VERTICES, InstanceSpec,
+                                     parse_instance, serialize_instance)
 
 
 def run(capsys, *argv):
@@ -118,6 +120,20 @@ class TestKernelize:
             assert report["kernel_size"] <= report["bound"]
             assert report["bound_formula"]
 
+    @pytest.mark.parametrize("exc", [NotNicePair((0, 1, 2)), AssertionError("invariants broken")],
+                             ids=["NotNicePair", "AssertionError"])
+    def test_internal_error_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch, exc):
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", "TPT", "--family", "uniform", "--n", "12",
+              "--k", "3", "--seed", "3001", "--output", str(inst)])
+
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(tournament, "greedy_localize_triangles", broken)
+        code, _, err = run(capsys, "kernelize", "--input", str(inst))
+        assert code == 3 and err == f"internal error: {exc}\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("problem TPT k x\n")
@@ -196,6 +212,24 @@ class TestSolveVerify:
         assert "valid:" in out
         # one vertex cannot hit two disjoint planted triangles
         assert code == 1 and "valid: false" in out
+
+    @pytest.mark.parametrize("body, error", [
+        ("solution packing 1\n0 1 2\n", None),
+        ("solution packing 1\n0 1 -1\n", "line 2: vertex ids must lie in 0..2"),
+        ("solution packing 1\n0 1 99\n", "line 2: vertex ids must lie in 0..2"),
+        ("solution packing x\n", "line 1: expected 'solution <packing|hitting> <count>'"),
+        ("solution packing 1\n0 1 x\n", "line 2: vertex ids must be integers"),
+    ], ids=["valid", "negative-id", "id-past-n", "non-integer-count", "non-integer-id"])
+    def test_verify_checks_solution_lines(self, tmp_path, capsys, body, error):
+        cyclic = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+        inst, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
+        inst.write_text(serialize_instance(InstanceSpec("TPT", cyclic, 1)))
+        sol.write_text(body)
+        code, out, err = run(capsys, "verify", "--input", str(inst), "--solution", str(sol))
+        if error is None:
+            assert code == 0 and "valid: true" in out
+        else:
+            assert code == 2 and err.startswith(f"error: {error}") and "valid" not in out
 
     def test_verify_kernel_pair(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"

@@ -1,18 +1,33 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowkernel.errors import NotAcyclic, ParseError
 from rainbowkernel.graphs import (ColoredMultigraph, Tournament,
-                                  UndirectedGraph, colored_edge,
-                                  dump_colored_multigraph,
+                                  UndirectedGraph, clique_partition,
+                                  colored_edge, dump_colored_multigraph,
                                   enumerate_induced_p3, enumerate_triangles,
                                   is_acyclic, is_triangle,
                                   make_colored_multigraph,
                                   parse_colored_multigraph, topological_order)
 
+from .reference import p3 as ref_p3
 from .strategies import colored_multigraphs, graphs, tournaments
+
+
+@st.composite
+def near_cluster_graphs(draw, max_n=12):
+    """A disjoint union of cliques with up to two vertex pairs toggled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    name = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    edges = {(u, v) for u, v in combinations(range(n), 2) if name[u] == name[v]}
+    if n >= 2:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            edges ^= {tuple(sorted(draw(st.permutations(range(n)))[:2]))}
+    return UndirectedGraph(n, edges)
 
 
 def triangle_tournament():
@@ -151,6 +166,22 @@ class TestEnumeration:
                     if sum(edges) == 2:
                         naive.add((a, b, c))
         assert {tuple(sorted(tr)) for tr in enumerate_induced_p3(g)} == naive
+
+    @given(st.one_of(graphs(), near_cluster_graphs()), st.data())
+    @settings(max_examples=300)
+    def test_clique_partition_matches_enumeration(self, g, data):
+        scope = [v for v in range(g.n) if data.draw(st.booleans())]
+        cliques = clique_partition(g, scope)
+        assert (cliques is None) == bool(enumerate_induced_p3(g, scope))
+        if cliques is not None:
+            assert cliques == ref_p3.clique_components(g, scope)
+
+    def test_clique_partition_rejects_six_cycle(self):
+        # every vertex sees as many vertices as carry its name, yet 0-5-2 is a 2-path
+        g = UndirectedGraph(6, [(0, 4), (0, 5), (1, 2), (1, 3), (2, 5), (3, 4)])
+        assert clique_partition(g, range(6)) is None
+        assert clique_partition(g, [0, 4, 3]) is None
+        assert clique_partition(g, [0, 4, 1, 2]) == ((0, 4), (1, 2))
 
     @given(tournaments())
     def test_triangle_scope_respected(self, t):

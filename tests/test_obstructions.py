@@ -1,27 +1,34 @@
-"""The per-family obstruction test against a pool (`triangle_pairs`,
-`p3_pairs`) and the validators' scan over it (`pattern_with_two_pool`),
-checked against per-triple brute force."""
+"""The per-family nice-pair row test (`tpt_rows`, `p3_rows`) and the pool
+pair test the auxiliary multigraphs use (`triangle_pairs`, `p3_pairs`),
+checked against per-triple brute force; the bucket decompositions against
+the per-vertex loops in `tests/reference/`; and the validators on valid
+decompositions corrupted once."""
+import dataclasses
 import random
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowkernel import p3, tournament
-from rainbowkernel.graphs import colored_edge, is_induced_p3, is_triangle
-from rainbowkernel.p3 import kernelize_p3, p3_pairs
-from rainbowkernel.rounds import pattern_with_two_pool
-from rainbowkernel.tournament import kernelize_tournament, triangle_pairs
+from rainbowkernel.errors import NotNicePair
+from rainbowkernel.graphs import (Tournament, UndirectedGraph, colored_edge,
+                                  is_induced_p3, is_triangle)
+from rainbowkernel.p3 import (P3Localization, bucket_decompose_p3,
+                              check_p3_decomp, kernelize_p3, p3_pairs, p3_rows)
+from rainbowkernel.tournament import (TriangleLocalization,
+                                      bucket_decompose_tpt, check_tpt_decomp,
+                                      kernelize_tournament, tpt_rows,
+                                      triangle_pairs)
 
+from .reference import p3 as ref_p3
+from .reference import tournament as ref_tournament
 from .strategies import graphs, tournaments
 from .test_acceptance import _near_transitive
 from .test_trace_targets import load
-
-FAMILIES = {
-    "p3": (graphs(max_n=10), p3_pairs, is_induced_p3),
-    "tournament": (tournaments(max_n=9), triangle_pairs, is_triangle),
-}
 
 
 def _brute_matrix(g, x, ids, is_obstruction):
@@ -52,24 +59,214 @@ def test_triangle_pairs_marks_each_triangle_once(t):
         assert all(t.has_arc(x, ids[i]) for i, _ in np.argwhere(marked))
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+# -- the row test ----------------------------------------------------------------
+
+
+@st.composite
+def tournament_pools(draw, max_n=12):
+    """A tournament made transitive on a drawn localization order, the
+    localization, and a pool drawn from the order."""
+    t = draw(tournaments(max_n=max_n))
+    perm = draw(st.permutations(range(t.n)))
+    order = perm[:draw(st.integers(min_value=0, max_value=t.n))]
+    m = t.matrix.copy()
+    for i, u in enumerate(order):
+        later = list(order[i + 1:])
+        m[u, later], m[later, u] = True, False
+    pool = frozenset(v for v in order if draw(st.booleans()))
+    return Tournament(m), TriangleLocalization((), frozenset(perm[len(order):]), tuple(order)), pool
+
+
+@st.composite
+def graph_pools(draw, max_n=12):
+    """A graph made a disjoint union of cliques on a drawn remainder, the
+    localization, and a pool drawn from the remainder."""
+    g = draw(graphs(max_n=max_n))
+    name = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=g.n, max_size=g.n))
+    rest = [v for v in range(g.n) if name[v] >= 0]
+    edges = [(u, v) for u, v in g.edges() if min(name[u], name[v]) < 0]
+    edges += [(u, v) for u, v in combinations(rest, 2) if name[u] == name[v]]
+    cliques = sorted(tuple(v for v in rest if name[v] == c) for c in {name[v] for v in rest})
+    loc = P3Localization((), frozenset(range(g.n)) - set(rest), tuple(cliques))
+    return UndirectedGraph(g.n, edges), loc, frozenset(v for v in rest if draw(st.booleans()))
+
+
+def _tpt_label(t, loc, pool, x):
+    """The least position of a pool vertex x beats, t0 + 1 when none."""
+    pos = loc.position
+    return min((pos[w] for w in pool if t.has_arc(x, w)), default=len(loc.order) + 1)
+
+
+def _p3_label(g, loc, pool, x):
+    """The clique of the least pool neighbour of x, -1 when none."""
+    nb = sorted(w for w in pool if g.has_edge(x, w))
+    return next(i for i, cl in enumerate(loc.cliques) if nb[0] in cl) if nb else -1
+
+
+ROWS = {
+    "p3": (graph_pools(), p3_rows, is_induced_p3, _p3_label,
+           bucket_decompose_p3, ref_p3.bucket_decompose_p3),
+    "tournament": (tournament_pools(), tpt_rows, is_triangle, _tpt_label,
+                   bucket_decompose_tpt, ref_tournament.bucket_decompose_tpt),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROWS))
 @given(data=st.data())
-def test_pattern_with_two_pool_matches_brute_force(family, data):
-    strategy, pairs_of, is_obstruction = FAMILIES[family]
-    g = data.draw(strategy)
-    in_pool = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
-    ids = [v for v in range(g.n) if in_pool[v]]
-    outside = [v for v in range(g.n) if not in_pool[v]]
-    brute = [(x, u, w) for x in outside for i, u in enumerate(ids) for w in ids[i + 1:]
-             if is_obstruction(g, (x, u, w))]
-    found = pattern_with_two_pool(pairs_of(g, ids), ids, outside)
-    if not brute:
-        assert found is None
-        return
-    assert found == tuple(sorted(found)) and is_obstruction(g, found)
-    assert len(set(found) & set(ids)) == 2
-    # the scan takes the outside vertices in increasing order
-    assert set(found) - set(ids) == {brute[0][0]}
+@settings(max_examples=200)
+def test_row_test_matches_brute_force(family, data):
+    strategy, rows_of, is_obstruction, label_of, _, _ = ROWS[family]
+    g, loc, pool = data.draw(strategy)
+    xs = [v for v in range(g.n) if v not in pool]
+    rows = rows_of(g, loc, pool, xs)
+    witnesses = iter(rows.witnesses)
+    for x, bad, label in zip(xs, rows.bad.tolist(), rows.label.tolist()):
+        assert bad == any(is_obstruction(g, (x, u, w)) for u, w in combinations(pool, 2))
+        assert label == label_of(g, loc, pool, x)
+        if bad:
+            witness = next(witnesses)
+            assert x in witness and len(set(witness) & pool) == 2
+            assert is_obstruction(g, witness)
+    assert next(witnesses, None) is None
+
+
+def _outcome(decompose, *args):
+    try:
+        return "nice", decompose(*args)
+    except NotNicePair as exc:
+        return "not nice", exc.witness
+
+
+@pytest.mark.parametrize("family", sorted(ROWS))
+@given(data=st.data())
+@settings(max_examples=200)
+def test_bucket_decompose_matches_per_vertex_loop(family, data):
+    strategy, _, _, _, decompose, reference = ROWS[family]
+    g, loc, pool = data.draw(strategy)
+    bucketed = frozenset(v for v in range(g.n) if v not in pool and data.draw(st.booleans()))
+    assert _outcome(decompose, pool, bucketed, g, loc) == \
+        _outcome(reference, pool, bucketed, g, loc)
+
+
+# -- the validators on corrupted decompositions ------------------------------------
+
+
+def _validated(module, name, run):
+    """(decomposition, instance) of every validator call `run` makes."""
+    real, seen = getattr(module, name), []
+
+    def spy(d, g):
+        seen.append((d, g))
+        return real(d, g)
+
+    with mock.patch.object(module, name, spy):
+        run()
+    return seen
+
+
+def _flip(g, u, w):
+    """g with the arc or edge between u and w reversed or toggled."""
+    if isinstance(g, Tournament):
+        m = g.matrix.copy()
+        m[u, w], m[w, u] = m[w, u], m[u, w]
+        return Tournament(m)
+    edges = set(g.edges()) ^ {(min(u, w), max(u, w))}
+    return UndirectedGraph(g.n, edges)
+
+
+def _tpt_move(d, v, target):
+    buckets = {i: b - {v} for i, b in d.buckets.items()}
+    buckets[target] = buckets.get(target, frozenset()) | {v}
+    return dataclasses.replace(d, buckets=buckets)
+
+
+def _tpt_targets(d, v):
+    positions = {d.loc.position[u] for u in d.pool}
+    return sorted((set(d.buckets) | positions | {d.infinity}) - {d.bucket_of(v)})
+
+
+def _tpt_sound(d, t):
+    """Per triple and pair: the pool is transitive in position order, no
+    bucketed vertex forms a triangle with two pool vertices, and each sits
+    in the bucket of the least pool position it beats."""
+    pos = d.loc.position
+    pool = sorted(d.pool, key=pos.get)
+    if not all(t.has_arc(u, w) for u, w in combinations(pool, 2)):
+        return False
+    stored = {v: i for i, b in d.buckets.items() for v in b}
+    return all(not any(is_triangle(t, (x, u, w)) for u, w in combinations(pool, 2))
+               and stored[x] == _tpt_label(t, d.loc, d.pool, x) for x in d.bucketed)
+
+
+def _p3_move(d, v, target):
+    buckets = [b - {v} for b in d.buckets]
+    if target >= 0:
+        buckets[target] |= {v}
+    detached = d.detached - {v} | ({v} if target < 0 else set())
+    return dataclasses.replace(d, buckets=tuple(buckets), detached=frozenset(detached))
+
+
+def _p3_targets(d, v):
+    current = d.bucket_index.get(v, -1)
+    return [i for i in range(-1, len(d.loc.cliques)) if i != current]
+
+
+def _p3_sound(d, g):
+    """Per triple and pair: pool vertices are adjacent exactly within a
+    clique, no bucketed vertex forms an induced 2-path with two pool
+    vertices, and each sits in the bucket of the clique of its least pool
+    neighbour (detached when it has none)."""
+    clique = {v: i for i, cl in enumerate(d.loc.cliques) for v in cl}
+    if any(g.has_edge(u, w) != (clique[u] == clique[w]) for u, w in combinations(d.pool, 2)):
+        return False
+    stored = {v: -1 for v in d.detached} | {v: i for i, b in enumerate(d.buckets) for v in b}
+    return all(not any(is_induced_p3(g, (x, u, w)) for u, w in combinations(d.pool, 2))
+               and stored[x] == _p3_label(g, d.loc, d.pool, x) for x in d.bucketed)
+
+
+def _tpt_runs(seed, n):
+    rng = random.Random(seed)
+    return lambda: kernelize_tournament(_near_transitive(n, rng.randint(0, n // 2), rng),
+                                        rng.randint(2, 12))
+
+
+def _p3_runs(seed, n):
+    rng = random.Random(seed)
+    cliques_core = load("inputs").cliques_core
+    return lambda: kernelize_p3(cliques_core(rng.randint(1, 3), n // 4, rng.randint(1, 5), rng),
+                                rng.randint(4, 10))
+
+
+CORRUPT = {
+    "p3": (p3, "check_p3_decomp", _p3_runs, _p3_move, _p3_targets, _p3_sound),
+    "tournament": (tournament, "check_tpt_decomp", _tpt_runs, _tpt_move, _tpt_targets,
+                   _tpt_sound),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CORRUPT))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=8, max_value=30), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_validator_is_exact_on_corrupted_decompositions(family, seed, n, data):
+    module, name, runs, move, targets, sound = CORRUPT[family]
+    seen = _validated(module, name, runs(seed, n))
+    assume(seen)
+    d, g = data.draw(st.sampled_from(seen))
+    assert getattr(module, name)(d, g) == [] and sound(d, g)
+    kind = data.draw(st.sampled_from(["bucketed", "colors", "pool", "move"]))
+    if kind == "move":
+        assume(d.bucketed)
+        v = data.draw(st.sampled_from(sorted(d.bucketed)))
+        assume(targets(d, v))
+        d = move(d, v, data.draw(st.sampled_from(targets(d, v))))
+    else:
+        # one arc or edge between a pool vertex and a vertex of `kind`
+        u = data.draw(st.sampled_from(sorted(d.pool) or [None]))
+        ends = sorted(getattr(d, kind) - {u})
+        assume(u is not None and ends)
+        g = _flip(g, u, data.draw(st.sampled_from(ends)))
+    assert (getattr(module, name)(d, g) == []) == sound(d, g)
 
 
 def _aux_calls(monkeypatch, module, name, run):
@@ -100,22 +297,22 @@ def _reference_color_edges(d, g, is_obstruction):
     return sorted(edges)
 
 
-def _p3_runs():
+def _p3_aux_runs():
     cliques_core = load("inputs").cliques_core
     rng = random.Random(7)
     for _ in range(3):
         kernelize_p3(cliques_core(3, 15, 6, rng), 4)
 
 
-def _tournament_runs():
+def _tournament_aux_runs():
     rng = random.Random(7)
     for _ in range(3):
         kernelize_tournament(_near_transitive(60, 18, rng), 20)
 
 
 AUX_BUILDERS = {
-    "p3": (p3, "build_p3_aux", _p3_runs, is_induced_p3),
-    "tournament": (tournament, "build_tpt_aux", _tournament_runs, is_triangle),
+    "p3": (p3, "build_p3_aux", _p3_aux_runs, is_induced_p3),
+    "tournament": (tournament, "build_tpt_aux", _tournament_aux_runs, is_triangle),
 }
 
 
