@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BrokenInvariant
 from .intervals import BucketInterval, span_buckets
 
 
@@ -30,12 +31,12 @@ class BucketProfile:
 
     def __post_init__(self):
         if tuple(sorted(self.s_psi)) != self.s_psi:
-            raise ValueError("bucket indices must be sorted")
+            raise BrokenInvariant("bucket indices must be sorted")
         for i in self.s_psi:
             if self.seeds.get(i, 0) < 1:
-                raise ValueError(f"bucket {i} needs at least one seed")
+                raise BrokenInvariant(f"bucket {i} needs at least one seed")
             if self.bulk.get(i, 0) < 0:
-                raise ValueError("bulk sizes must be non-negative")
+                raise BrokenInvariant("bulk sizes must be non-negative")
 
     def bucket_size(self, i: int) -> int:
         return self.seeds[i] + self.bulk.get(i, 0)

@@ -25,6 +25,10 @@ class InternalError(RuntimeError):
     """A broken invariant or contract inside the package: a bug, never bad input."""
 
 
+class BrokenInvariant(InternalError):
+    """A decomposition, interval or bucket profile built against its own law."""
+
+
 class NotNicePair(InternalError):
     """A forbidden pattern with two pool vertices exists; carries the witness."""
 

@@ -14,64 +14,56 @@ from .errors import NotAcyclic, ParseError
 
 
 class UndirectedGraph:
-    """Finite simple graph: symmetric, irreflexive adjacency."""
+    """Finite simple graph held as its read-only boolean adjacency matrix."""
 
-    __slots__ = ("n", "m", "_adj", "_matrix")
+    __slots__ = ("n", "_matrix")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-adjacency at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self.m = sum(len(s) for s in self._adj) // 2
-        self._matrix = None
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        except OverflowError:  # an id beyond the machine integers is out of range
+            uv = np.array([[-1, -1]])
+        if ((uv < 0) | (uv >= n)).any() or (uv[:, 0] == uv[:, 1]).any():
+            for u, v in pairs:  # report the first bad edge
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"self-adjacency at vertex {u}")
+        m = np.zeros((n, n), dtype=bool)
+        m[uv[:, 0], uv[:, 1]] = m[uv[:, 1], uv[:, 0]] = True
+        m.setflags(write=False)
+        self.n, self._matrix = n, m
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool(self._matrix[u, v])
 
     def neighbors(self, u: int) -> frozenset[int]:
-        return self._adj[u]
+        return frozenset(np.flatnonzero(self._matrix[u]).tolist())
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        us, vs = np.nonzero(self._matrix)
+        upper = us < vs
+        return list(zip(us[upper].tolist(), vs[upper].tolist()))
 
     def matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix, built lazily and cached."""
-        if self._matrix is None:
-            m = np.zeros((self.n, self.n), dtype=bool)
-            for u, v in self.edges():
-                m[u, v] = m[v, u] = True
-            m.setflags(write=False)
-            self._matrix = m
         return self._matrix
 
     def induced(self, keep: Iterable[int]) -> "UndirectedGraph":
         """Induced subgraph on `keep`, relabeled to 0..|keep|-1 in sorted id order."""
         ids = sorted(set(keep))
-        pos = {v: i for i, v in enumerate(ids)}
-        edges = [(pos[u], pos[v]) for u, v in self.edges() if u in pos and v in pos]
-        return UndirectedGraph(len(ids), edges)
+        return UndirectedGraph(len(ids), np.argwhere(self._matrix[np.ix_(ids, ids)]))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UndirectedGraph)
-            and self.n == other.n
-            and self._adj == other._adj
-        )
+        return isinstance(other, UndirectedGraph) and np.array_equal(self._matrix, other._matrix)
 
     def __hash__(self):
-        return hash((self.n, self._adj))
+        return hash((self.n, np.packbits(self._matrix).tobytes()))
 
     def __repr__(self):
-        return f"UndirectedGraph(n={self.n}, m={self.m})"
+        return f"UndirectedGraph(n={self.n}, m={np.count_nonzero(self._matrix) // 2})"
 
 
 class Tournament:
@@ -195,17 +187,14 @@ def enumerate_induced_p3(g: UndirectedGraph, scope: Iterable[int] | None = None)
     """All induced 2-paths inside `scope`, as (endpoint, center, endpoint) with
     endpoints sorted; the list is sorted.  A triple {u,v,w} qualifies iff
     exactly two of the three pairs are edges and they share the center."""
-    ids = sorted(set(scope)) if scope is not None else list(range(g.n))
-    idset = set(ids)
+    ids = np.array(sorted(set(scope)) if scope is not None else range(g.n), dtype=np.intp)
+    sub = g.matrix()[np.ix_(ids, ids)]
     out = []
-    for v in ids:
-        nb = sorted(g.neighbors(v) & idset)
-        for i, u in enumerate(nb):
-            for w in nb[i + 1:]:
-                if not g.has_edge(u, w):
-                    out.append((u, v, w))
-    out.sort()
-    return out
+    for v in range(ids.size):
+        nb = np.flatnonzero(sub[v])
+        i, j = np.nonzero(np.triu(~sub[np.ix_(nb, nb)], 1))
+        out += zip(ids[nb[i]].tolist(), [int(ids[v])] * i.size, ids[nb[j]].tolist())
+    return sorted(out)
 
 
 def clique_partition(g: UndirectedGraph, scope: Iterable[int]) -> tuple[tuple[int, ...], ...] | None:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +18,10 @@ GRAPH_PROBLEMS = frozenset({"I2PP", "I2PHS"})
 #: set of size <= k)
 PACKING_PROBLEMS = frozenset({"TPT", "I2PP"})
 
-#: largest vertex count a graph header may declare.  The 2-path kernel holds
-#: n x n one-byte arrays (`UndirectedGraph.matrix`, and several at once in
-#: `p3.p3_pairs`), 100 MB each at this cap; a header is only a few bytes, so
-#: without the cap a short file could ask for any amount of memory
+#: largest vertex count a graph header may declare.  A graph is held as an
+#: n x n one-byte matrix, and `p3.p3_pairs` holds several more: 100 MB each at
+#: this cap.  A header is a few bytes, so without the cap a short file could
+#: ask for any amount of memory
 MAX_GRAPH_VERTICES = 10_000
 
 
@@ -264,6 +265,16 @@ def _parse_tournament_lines(lines: list[str], start: int) -> tuple[Tournament, i
     return t, start + 1 + n
 
 
+def _parse_edge(line: str, lineno: int) -> tuple[int, int]:
+    toks = line.split()
+    if len(toks) != 2:
+        raise ParseError(lineno, f"expected 'u v', got {line!r}")
+    try:
+        return int(toks[0]), int(toks[1])
+    except ValueError:
+        raise ParseError(lineno, "bad edge endpoints") from None
+
+
 def _parse_graph_lines(lines: list[str], start: int) -> tuple[UndirectedGraph, int]:
     if start >= len(lines):
         raise ParseError(start + 1, "missing graph header")
@@ -280,17 +291,12 @@ def _parse_graph_lines(lines: list[str], start: int) -> tuple[UndirectedGraph, i
         raise ParseError(start + 1, f"vertex count {n} exceeds the limit {MAX_GRAPH_VERTICES}")
     if start + 1 + m > len(lines):
         raise ParseError(len(lines) + 1, f"expected {m} edge lines")
-    edges = []
-    for i in range(m):
-        lineno = start + 2 + i
-        toks = lines[start + 1 + i].split()
-        if len(toks) != 2:
-            raise ParseError(lineno, f"expected 'u v', got {lines[start + 1 + i]!r}")
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ParseError(lineno, "bad edge endpoints") from None
-        edges.append((u, v))
+    body = lines[start + 1:start + 1 + m]
+    blob = "\n".join(body + [""])
+    if re.fullmatch(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*", blob):  # as `serialize_graph` writes
+        edges = np.fromstring(blob, dtype=np.int64, sep=" ").reshape(m, 2)
+    else:
+        edges = [_parse_edge(line, start + 2 + i) for i, line in enumerate(body)]
     try:
         g = UndirectedGraph(n, edges)
     except ValueError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotProper
+from .errors import BrokenInvariant, NotProper
 
 
 @dataclass(frozen=True, order=True)
@@ -17,7 +17,7 @@ class BucketInterval:
 
     def __post_init__(self):
         if not self.l < self.r:
-            raise ValueError(f"interval needs l < r, got ({self.l}, {self.r})")
+            raise BrokenInvariant(f"interval needs l < r, got ({self.l}, {self.r})")
 
 
 def is_inside(inner: BucketInterval, outer: BucketInterval) -> bool:

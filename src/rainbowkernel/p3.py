@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (InvalidSolution, NotNicePair, OracleContractViolation,
-                     RepackFailed)
+from .errors import (BrokenInvariant, InvalidSolution, NotNicePair,
+                     OracleContractViolation, RepackFailed)
 from .graphs import (ColoredEdge, ColoredMultigraph, UndirectedGraph,
                      clique_partition, colored_edge, enumerate_induced_p3,
                      group_by, is_induced_p3, make_colored_multigraph)
@@ -54,33 +54,63 @@ class P3Localization:
 
 
 def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
-    """Scan vertex triples in lexicographic order, claiming disjoint induced
-    2-paths; a single pass yields a maximal packing.  Stops early once
-    `threshold` paths are claimed."""
-    used = [False] * g.n
-    packing: list[tuple[int, int, int]] = []
-    if len(packing) >= threshold:
+    """Claim disjoint induced 2-paths scanning triples lexicographically; one
+    pass gives a maximal packing.  Stops once `threshold` paths are claimed.
+    `free` marks the unclaimed vertices the scan has not passed."""
+    if threshold <= 0:
         return PackingFound(())
+    m = g.matrix()
+    free = np.ones(g.n, dtype=bool)
+    packing: list[tuple[int, int, int]] = []
     for a in range(g.n):
-        if used[a]:
+        if not free[a]:
             continue
-        for b in range(a + 1, g.n):
-            if used[a] or used[b]:
-                continue
-            for c in range(b + 1, g.n):
-                if used[a] or used[b] or used[c]:
-                    continue
-                if is_induced_p3(g, (a, b, c)):
-                    packing.append((a, b, c))
-                    used[a] = used[b] = used[c] = True
-                    if len(packing) >= threshold:
-                        return PackingFound(tuple(packing))
-                    break
+        free[a] = False
+        near = m[a] & free
+        found = near.any() and _first_p3(m, near, free)
+        if found:
+            packing.append((a, *found))
+            free[list(found)] = False
+            if len(packing) >= threshold:
+                return PackingFound(tuple(packing))
     core = frozenset(v for tri in packing for v in tri)
     cliques = clique_partition(g, [v for v in range(g.n) if v not in core])
     if cliques is None:
         raise AssertionError("the remainder has an induced 2-path; the packing was not maximal")
     return P3Localization(tuple(packing), core, cliques)
+
+
+def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, int] | None:
+    """The lexicographically first free (b, c) on an induced 2-path with a,
+    whose free neighbours are `near`.  Row b marks the free c for which
+    exactly two of ab, ac, bc are edges; the first row with a mark is the
+    least b, so its first mark is c > b.  The first free row is probed
+    alone, the rest read in blocks of 2, 4, ... rows, unless no path through
+    a is left: then `near` is a clique whose members have no other free
+    neighbour, `near` + a is on no path, and `near` is passed over too."""
+    b = int(free.argmax())
+    row = m[b] ^ near if near[b] else m[b] & near  # with ab, ac or bc; else both
+    row &= free
+    row[b] = False
+    if row.any():
+        return b, int(row.argmax())
+    ns = np.flatnonzero(near)
+    diff = m[ns]
+    diff &= free
+    diff ^= near  # the row of x in `near` differs from `near` only at x
+    if np.count_nonzero(diff) == ns.size:
+        free[ns] = False
+        return None
+    rows = np.flatnonzero(free)
+    lo, size = 1, 2
+    while lo < rows.size:
+        bs = rows[lo:lo + size]
+        hits = (m[bs].view(np.int8) + near + near[bs, None] == 2) & free
+        hits[np.arange(bs.size), bs] = False
+        if hits.any():
+            i, c = divmod(int(hits.argmax()), m.shape[1])
+            return int(bs[i]), c
+        lo, size = lo + size, 2 * size
 
 
 def p3_pairs(g: UndirectedGraph, ids: list[int]) -> Callable[[int], np.ndarray]:
@@ -179,7 +209,7 @@ def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
     nothing or exactly one full clique slice; otherwise the pair is not nice
     and a witnessing induced 2-path with two pool vertices is raised."""
     if (loc.clique_of[list(pool)] < 0).any():
-        raise ValueError("pool must lie inside the localization remainder")
+        raise BrokenInvariant("pool must lie inside the localization remainder")
     rows = p3_rows(g, loc, pool, sorted(bucketed))
     if rows.witnesses:
         raise NotNicePair(rows.witnesses[0])

@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .demand import BucketProfile, Demand, compute_demand, interval_stats
-from .errors import (Case2SelectionFailed, InvalidSolution, NotNicePair,
-                     OracleContractViolation, PreconditionViolated,
+from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution,
+                     NotNicePair, OracleContractViolation, PreconditionViolated,
                      RepackFailed)
 from .graphs import (ColoredEdge, Tournament, colored_edge, group_by,
                      is_acyclic, is_triangle, make_colored_multigraph,
@@ -210,7 +210,7 @@ def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
     dominates none).  A pool vertex past that position dominating it back
     witnesses a triangle with two pool vertices."""
     if not pool <= loc.position.keys():
-        raise ValueError("pool must lie inside the localization remainder")
+        raise BrokenInvariant("pool must lie inside the localization remainder")
     rows = tpt_rows(t, loc, pool, sorted(bucketed))
     if rows.witnesses:
         raise NotNicePair(rows.witnesses[0])
@@ -222,7 +222,7 @@ def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
                     bulk, t: Tournament, delta: float, c_delta: float) -> TptDecomp:
     pool, bucketed, colors, spine, bulk = map(frozenset, (pool, bucketed, colors, spine, bulk))
     if spine | bulk != bucketed & set(loc.order) or spine & bulk:
-        raise ValueError("spine and bulk must partition the bucketed remainder part")
+        raise BrokenInvariant("spine and bulk must partition the bucketed remainder part")
     s_psi, buckets = bucket_decompose_tpt(pool, bucketed, t, loc)
     return TptDecomp(loc, pool, bucketed, colors, spine, bulk, delta, c_delta,
                      s_psi, buckets)

@@ -1,10 +1,42 @@
-"""The per-vertex bucket decomposition, the component search that split the
-2-path-free remainder into cliques, and the scanning `P3Decomp.bucket_of`."""
+"""The per-triple greedy localization, the per-vertex bucket decomposition,
+the component search that split the 2-path-free remainder into cliques, and
+the scanning `P3Decomp.bucket_of`."""
 from __future__ import annotations
 
 from rainbowkernel.errors import NotNicePair
-from rainbowkernel.graphs import UndirectedGraph
+from rainbowkernel.graphs import UndirectedGraph, clique_partition, is_induced_p3
 from rainbowkernel.p3 import P3Decomp, P3Localization
+from rainbowkernel.rounds import PackingFound
+
+
+def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
+    """Scan vertex triples in lexicographic order, claiming disjoint induced
+    2-paths; a single pass yields a maximal packing.  Stops early once
+    `threshold` paths are claimed."""
+    used = [False] * g.n
+    packing: list[tuple[int, int, int]] = []
+    if len(packing) >= threshold:
+        return PackingFound(())
+    for a in range(g.n):
+        if used[a]:
+            continue
+        for b in range(a + 1, g.n):
+            if used[a] or used[b]:
+                continue
+            for c in range(b + 1, g.n):
+                if used[a] or used[b] or used[c]:
+                    continue
+                if is_induced_p3(g, (a, b, c)):
+                    packing.append((a, b, c))
+                    used[a] = used[b] = used[c] = True
+                    if len(packing) >= threshold:
+                        return PackingFound(tuple(packing))
+                    break
+    core = frozenset(v for tri in packing for v in tri)
+    cliques = clique_partition(g, [v for v in range(g.n) if v not in core])
+    if cliques is None:
+        raise AssertionError("the remainder has an induced 2-path; the packing was not maximal")
+    return P3Localization(tuple(packing), core, cliques)
 
 
 def clique_components(g: UndirectedGraph, rest: list[int]) -> tuple[tuple[int, ...], ...]:

@@ -1,11 +1,14 @@
 import json
+import time
 import tracemalloc
 
 import pytest
 
-from rainbowkernel import exact, tournament
+from rainbowkernel import exact, p3, tournament
 from rainbowkernel.cli import build_parser, main
+from rainbowkernel.demand import BucketProfile
 from rainbowkernel.errors import NotNicePair, ParseError
+from rainbowkernel.intervals import BucketInterval
 from rainbowkernel.graphs import Tournament
 from rainbowkernel.instances import (MAX_GRAPH_VERTICES, InstanceSpec,
                                      parse_instance, serialize_instance)
@@ -133,6 +136,43 @@ class TestKernelize:
         monkeypatch.setattr(tournament, "greedy_localize_triangles", broken)
         code, _, err = run(capsys, "kernelize", "--input", str(inst))
         assert code == 3 and err == f"internal error: {exc}\n"
+
+    # each stage is replaced by one that hands an internal constructor a value
+    # breaking its law; the run must end as an internal error, not bad input
+    BROKEN_STAGES = {
+        "bucket_decompose_p3": ("I2PP", p3, "clean_p3", lambda d, g: p3.make_p3_decomp(
+            d.loc, d.pool | d.colors, d.bucketed, frozenset(), g, d.epsilon),
+            "pool must lie inside the localization remainder"),
+        "bucket_decompose_tpt": ("TPT", tournament, "clean_tpt", lambda d, t: tournament.make_tpt_decomp(
+            d.loc, d.pool | d.colors, d.bucketed, frozenset(), d.spine, d.bulk, t, d.delta, d.c_delta),
+            "pool must lie inside the localization remainder"),
+        "make_tpt_decomp": ("TPT", tournament, "clean_tpt", lambda d, t: tournament.make_tpt_decomp(
+            d.loc, d.pool, d.bucketed, d.colors, d.pool, d.bulk, t, d.delta, d.c_delta),
+            "spine and bulk must partition the bucketed remainder part"),
+        "BucketInterval": ("TPT", tournament, "compute_demand", lambda profile: BucketInterval(3, 3),
+                           "interval needs l < r, got (3, 3)"),
+        "BucketProfile": ("TPT", tournament, "compute_demand",
+                          lambda profile: BucketProfile((2, 1), {1: 1, 2: 1}, {}),
+                          "bucket indices must be sorted"),
+    }
+
+    @pytest.mark.parametrize("site", BROKEN_STAGES)
+    def test_broken_internal_value_exits_3(self, tmp_path, capsys, monkeypatch, site):
+        problem, module, stage, broken, message = self.BROKEN_STAGES[site]
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", problem, "--family", "planted", "--k", "20",
+              "--planted", "1", "--filler", "9", "--seed", "5", "--output", str(inst)])
+        assert run(capsys, "kernelize", "--input", str(inst))[0] == 0
+        monkeypatch.setattr(module, stage, broken)
+        code, _, err = run(capsys, "kernelize", "--input", str(inst))
+        assert code == 3 and err == f"internal error: {message}\n"
+
+    def test_edgeless_graph_kernelizes_fast(self, tmp_path, capsys):
+        inst = tmp_path / "edgeless.txt"
+        inst.write_text("problem I2PP k 1\ngraph 2000 0\n")
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "kernelize", "--input", str(inst))
+        assert code == 0 and time.perf_counter() - start < 5.0
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from rainbowkernel.demand import BucketProfile, compute_demand, interval_stats
-from rainbowkernel.errors import NotProper
+from rainbowkernel.errors import BrokenInvariant, NotProper
 from rainbowkernel.intervals import (BucketInterval, block_partition, crosses,
                                      is_inside, join, maximal_elements,
                                      span_buckets)
@@ -42,7 +42,7 @@ class TestIntervalOps:
             meet(I(20, 23), I(14, 23))
 
     def test_interval_needs_l_below_r(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BrokenInvariant):
             I(5, 5)
 
     def test_inside_family(self):

@@ -1,31 +1,43 @@
-"""Differential tests: the numpy and precomputed forms on the tournament path
-return exactly what the slow reference forms in `tests/reference/` return.
+"""Differential tests: the numpy and precomputed forms return exactly what
+the slow reference forms in `tests/reference/` return.
 
-Covered: greedy triangle localization (packing, order, early stop), the
-demand (order and values), the tournament text format (bytes written, and
-the parsed tournament or the ParseError line and message), and layer 1 of
-the rainbow oracle (assignment and missing colors).
+Covered: greedy triangle and induced-2-path localization (packing, order or
+cliques, early stop), the demand (order and values), the tournament and
+graph text formats (bytes written, and the parsed payload or the ParseError
+line and message), and layer 1 of the rainbow oracle (assignment and
+missing colors).
 """
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowkernel import instances
 from rainbowkernel.demand import BucketProfile, compute_demand
 from rainbowkernel.errors import ParseError
-from rainbowkernel.graphs import Tournament
+from rainbowkernel.graphs import Tournament, UndirectedGraph
+from rainbowkernel.p3 import greedy_localize_p3
 from rainbowkernel.rainbow import RainbowOracle
 from rainbowkernel.tournament import greedy_localize_triangles
 
 from .reference import demand as ref_demand
+from .reference import p3 as ref_p3
 from .reference import rainbow as ref_rainbow
 from .reference import text as ref_text
 from .reference import tournament as ref_tournament
-from .strategies import colored_multigraphs, tournaments
+from .strategies import colored_multigraphs, graphs, tournaments
 from .test_acceptance import _near_transitive
+
+# the benchmark's generators build the named scale graphs
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_inputs)
 
 
 def _uniform(n: int, seed: int) -> Tournament:
@@ -62,6 +74,53 @@ def test_localization_matches_reference(kind, n, seed, threshold):
 def test_localization_matches_reference_small(t, threshold):
     assert greedy_localize_triangles(t, threshold) == \
         ref_tournament.greedy_localize_triangles(t, threshold)
+
+
+# -- greedy induced-2-path localization ---------------------------------------------
+
+
+def _gnp(n: int, p: float, seed: int) -> UndirectedGraph:
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    return UndirectedGraph(n, np.argwhere(upper))
+
+
+def _slow_form(g: UndirectedGraph) -> ref_text.UndirectedGraph:
+    """The same graph with frozenset adjacency, which the reference scan reads
+    at its original speed."""
+    return ref_text.UndirectedGraph(g.n, g.edges())
+
+
+@given(n=st.integers(min_value=0, max_value=40),
+       p=st.floats(min_value=0.0, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       threshold=st.one_of(st.integers(min_value=0, max_value=15), st.just(math.inf)))
+@settings(max_examples=150)
+def test_p3_localization_matches_reference(n, p, seed, threshold):
+    g = _gnp(n, p, seed)
+    assert greedy_localize_p3(g, threshold) == \
+        ref_p3.greedy_localize_p3(_slow_form(g), threshold)
+
+
+@given(graphs(max_n=12), st.sampled_from([0, 1, 2, 3, math.inf]))
+@settings(max_examples=300)
+def test_p3_localization_matches_reference_small(g, threshold):
+    assert greedy_localize_p3(g, threshold) == ref_p3.greedy_localize_p3(g, threshold)
+
+
+SCALE_GRAPHS = {
+    "cliques+core n=321": (lambda: bench_inputs.cliques_core(7, 50, 6, random.Random(1)), 8),
+    "cliques+core n=621": (lambda: bench_inputs.cliques_core(7, 100, 6, random.Random(2)), 8),
+    "edgeless n=400": (lambda: UndirectedGraph(400), 1),
+    "gnp n=300": (lambda: bench_inputs.gnp_graph(300, 0.3, random.Random(3)), 90),
+}
+
+
+@pytest.mark.parametrize("name", SCALE_GRAPHS)
+def test_p3_localization_matches_reference_at_scale(name):
+    make, threshold = SCALE_GRAPHS[name]
+    g = make()
+    assert greedy_localize_p3(g, threshold) == \
+        ref_p3.greedy_localize_p3(_slow_form(g), threshold)
 
 
 # -- demand ----------------------------------------------------------------------
@@ -163,6 +222,51 @@ def test_parse_errors_at_scale_match_reference():
     outcome = _outcome(instances._parse_tournament_lines, lines)
     assert outcome == _outcome(ref_text._parse_tournament_lines, lines)
     assert outcome == ("error", 203, "line 203: unexpected character 'é'")
+
+
+def _graph_outcome(parse, lines):
+    try:
+        g, pos = parse(lines, 1)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    return "ok", g.n, g.edges(), pos
+
+
+GRAPH_MUTATIONS = ("token count", "non-integer", "int() spelling", "out of range",
+                   "self-loop", "duplicate", "reversed duplicate", "missing lines")
+
+
+@given(graphs(max_n=12), st.data())
+@settings(max_examples=200)
+def test_graph_parse_errors_match_reference(g, data):
+    text = instances.serialize_graph(g)
+    rows = text.splitlines()[1:]
+    m, edges = len(rows), g.edges()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        kind = data.draw(st.sampled_from(GRAPH_MUTATIONS))
+        i = data.draw(st.integers(min_value=0, max_value=max(len(rows) - 1, 0)))
+        u = data.draw(st.integers(min_value=0, max_value=max(g.n - 1, 0)))
+        if kind == "token count":
+            rows.insert(i, data.draw(st.sampled_from(["", "1", "0 1 2", " ", "1\t2 3"])))
+        elif kind == "non-integer":
+            rows.insert(i, data.draw(st.sampled_from(["a 1", "0 x", "1.0 2", "0x1 2", "1 2e0"])))
+        elif kind == "int() spelling":
+            rows.insert(i, data.draw(st.sampled_from(
+                ["+3 1", "1_000 2", " 0  1 ", "0\t1", "01 002", "١ 0", "-0 1"])))
+        elif kind == "out of range":
+            rows.insert(i, data.draw(st.sampled_from(
+                [f"{g.n} 0", "-1 0", f"0 {10**20}", f"{10**18} 1"])))
+        elif kind == "self-loop":
+            rows.insert(i, f"{u} {u}")
+        elif kind in ("duplicate", "reversed duplicate") and edges:
+            a, b = data.draw(st.sampled_from(edges))
+            rows.insert(i, f"{a} {b}" if kind == "duplicate" else f"{b} {a}")
+        elif kind == "missing lines":
+            rows = rows[:i]
+        m = len(rows) if kind != "missing lines" else m + data.draw(st.integers(0, 2))
+    lines = ["problem I2PP k 1", f"graph {g.n} {m}"] + rows
+    assert _graph_outcome(instances._parse_graph_lines, lines) == \
+        _graph_outcome(ref_text._parse_graph_lines, lines)
 
 
 # -- oracle layer 1 ------------------------------------------------------------------
