@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from collections import Counter
@@ -248,6 +249,7 @@ def _add_kernel_args(sub):
     _add_oracle_limit(sub)
 
 
+@functools.cache  # once per process: argparse sizes the terminal on each add_argument
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rainbowkernel",

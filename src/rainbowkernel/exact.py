@@ -9,7 +9,6 @@ iterative deepening for exact optima.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import TooLarge
@@ -18,14 +17,6 @@ from .instances import PACKING_PROBLEMS, InstanceSpec
 
 DEFAULT_TOURNAMENT_LIMIT = 24
 DEFAULT_GRAPH_LIMIT = 30
-LIMIT_ENV_VAR = "RAINBOWKERNEL_ORACLE_LIMIT"
-
-
-def _limit_for(default: int, limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get(LIMIT_ENV_VAR)
-    return int(env) if env else default
 
 
 @dataclass(frozen=True)
@@ -143,9 +134,10 @@ def _obstructions(payload: Tournament | UndirectedGraph, limit: int | None) -> l
     """The payload's triangles or induced 2-paths as sorted triples, after
     checking its size against the exact solvers' vertex limit."""
     tournament = isinstance(payload, Tournament)
-    lim = _limit_for(DEFAULT_TOURNAMENT_LIMIT if tournament else DEFAULT_GRAPH_LIMIT, limit)
-    if payload.n > lim:
-        raise TooLarge(f"n={payload.n} exceeds limit {lim}")
+    if limit is None:
+        limit = DEFAULT_TOURNAMENT_LIMIT if tournament else DEFAULT_GRAPH_LIMIT
+    if payload.n > limit:
+        raise TooLarge(f"n={payload.n} exceeds limit {limit}")
     if tournament:
         return enumerate_triangles(payload)
     return [tuple(sorted(tri)) for tri in enumerate_induced_p3(payload)]

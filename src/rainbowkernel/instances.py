@@ -19,9 +19,10 @@ GRAPH_PROBLEMS = frozenset({"I2PP", "I2PHS"})
 PACKING_PROBLEMS = frozenset({"TPT", "I2PP"})
 
 #: largest vertex count a graph header may declare.  A graph is held as an
-#: n x n one-byte matrix, and `p3.p3_pairs` holds several more: 100 MB each at
-#: this cap.  A header is a few bytes, so without the cap a short file could
-#: ask for any amount of memory
+#: n x n one-byte matrix, and pool-by-pool arrays come on top: three in the
+#: validator's pool-shape check, and a few per color in the color-edge marks
+#: of `p3.build_p3_aux`: 100 MB each at this cap.  A header is a few bytes, so
+#: without the cap a short file could ask for any amount of memory
 MAX_GRAPH_VERTICES = 10_000
 
 

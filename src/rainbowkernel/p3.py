@@ -21,18 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .errors import (BrokenInvariant, InvalidSolution, NotNicePair,
                      OracleContractViolation, RepackFailed)
-from .graphs import (ColoredEdge, ColoredMultigraph, UndirectedGraph,
-                     clique_partition, colored_edge, enumerate_induced_p3,
-                     group_by, is_induced_p3, make_colored_multigraph)
+from .graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
+                     group_by, is_induced_p3)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (PackingFound, PoolRows, RuleNext, RuleStop, decide,
+from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux,
                      first_true, run_rounds)
 
 
@@ -113,23 +111,6 @@ def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, i
         lo, size = lo + size, 2 * size
 
 
-def p3_pairs(g: UndirectedGraph, ids: list[int]) -> Callable[[int], np.ndarray]:
-    """The obstruction test against a pool `ids`: the returned function maps a
-    vertex x outside `ids` to the boolean matrix marking (i, j), i < j, when
-    {x, ids[i], ids[j]} is an induced 2-path, i.e. spans exactly two edges.
-    The pool view is built once, here."""
-    m = g.matrix()
-    arr = np.asarray(ids, dtype=np.intp)
-    sub = m[arr[:, None], arr].astype(np.int8)
-    upper = np.triu(np.ones(sub.shape, dtype=bool), 1)
-
-    def pairs(x: int) -> np.ndarray:
-        nb = m[x, arr].astype(np.int8)
-        return (nb[:, None] + sub + nb[None, :] == 2) & upper
-
-    return pairs
-
-
 def p3_rows(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
     """The nice-pair row test against `pool` as sorted ids, keyed by clique.
     The pool is a union of clique slices with no edge between them, so x
@@ -151,6 +132,14 @@ def p3_rows(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
     witnesses = np.where(crosses[:, None], np.column_stack((ext[first], xs, ext[extra])),
                          np.column_stack((xs, ext[first], ext[lack])))[crosses | misses].tolist()
     return PoolRows(xs, ids, keys, rows, label, crosses | misses, list(map(tuple, witnesses)))
+
+
+def p3_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per `p3_rows` row r of a color c, the pool pairs (i, j) forming an
+    induced 2-path with c: two of r[i], r[j] and the pool edge ij, which is
+    there exactly when keys[i] == keys[j]."""
+    r = block.view(np.int8)
+    return r[:, :, None] + r[:, None, :] + (keys[:, None] == keys) == 2
 
 
 @dataclass(frozen=True)
@@ -276,36 +265,13 @@ def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
                           g, d.epsilon)
 
 
-@dataclass(frozen=True)
-class P3Aux:
-    """Auxiliary multigraph plus the meaning of each color index."""
-
-    cm: ColoredMultigraph
-    meanings: tuple[tuple, ...]  # ("color", vertex) or ("bucket", vertex)
-
-    def color_vertex(self, color: int) -> int:
-        return self.meanings[color][1]
-
-
-def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> P3Aux:
-    """Vertex set = pool.  A loop per (bucket vertex u, clique vertex v) pair,
-    colored u; an ordinary edge per induced 2-path {c, v, w} with c in colors
-    and v, w in the pool, colored c."""
-    meanings: list[tuple] = [("color", c) for c in sorted(d.colors)]
-    edges: list[ColoredEdge] = []
-    ids = sorted(d.pool)
-    pairs = p3_pairs(g, ids)
-    for idx, c in enumerate(sorted(d.colors)):
-        rows, cols = np.nonzero(pairs(c))
-        edges += [colored_edge(ids[i], ids[j], idx) for i, j in zip(rows.tolist(), cols.tolist())]
-    for i, bucket in enumerate(d.buckets):
-        for u in sorted(bucket):
-            idx = len(meanings)
-            meanings.append(("bucket", u))
-            for v in sorted(d.pool_parts[i]):
-                edges.append(colored_edge(v, v, idx))
-    cm = make_colored_multigraph(d.pool, edges, len(meanings))
-    return P3Aux(cm, tuple(meanings))
+def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
+    """Vertex set = pool.  An ordinary edge per induced 2-path {c, v, w}
+    with c in colors and v, w in the pool, colored c; a loop per (bucket
+    vertex u, clique vertex v) pair, colored u."""
+    return build_aux(p3_rows(g, d.loc, d.pool, sorted(d.colors)), p3_marks,
+                     [(("bucket", u), sorted(d.pool_parts[i]))
+                      for i, bucket in enumerate(d.buckets) for u in sorted(bucket)])
 
 
 @dataclass
@@ -314,7 +280,7 @@ class P3KernelState:
 
     final: P3Decomp
     matching: RainbowMatching
-    aux: P3Aux
+    aux: Aux
 
 
 def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> RuleStop | RuleNext:
@@ -324,21 +290,14 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
     retires the covered colors) or, when bucket colors dominate, demotes the
     whole clique slices those buckets point at."""
     aux = build_p3_aux(d, g)
-    outcome, stats = oracle.solve(aux.cm, d.epsilon)
-    ok, problems = verify_outcome(aux.cm, outcome)
-    if not ok:
-        raise OracleContractViolation("; ".join(problems))
-    notes = {"oracle": {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges},
-             "live_cliques": len(d.live)}
+    outcome, notes = aux.ask(oracle, d.epsilon, verify_outcome, live_cliques=len(d.live))
     if isinstance(outcome, RainbowMatching):
         kept = frozenset(outcome.vertices()) | d.bucketed | d.colors
         return RuleStop(kept, P3KernelState(d, outcome, aux), notes)
     cover: ColorCover = outcome
     tc = frozenset(cover.cover)
-    xc = frozenset(aux.color_vertex(c) for c in cover.colors
-                   if aux.meanings[c][0] == "color")
-    xb = frozenset(aux.color_vertex(c) for c in cover.colors
-                   if aux.meanings[c][0] == "bucket")
+    xc, buckets = aux.split(cover.colors)
+    xb = [u for _, u in buckets]
     if len(xb) <= len(xc):
         nxt = make_p3_decomp(d.loc, d.pool - tc, d.bucketed | tc | xc,
                              d.colors - xc, g, d.epsilon)
@@ -377,17 +336,12 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
     }
     report = KernelReport(problem=problem, n=g.n, k=k, params=params, status="kernel",
                           bound=bound, bound_formula="3*(1+2*(4+epsilon))^2*k")
-    threshold = k if problem == "I2PP" else k + 1
-    loc = greedy_localize_p3(g, threshold)
-    if isinstance(loc, PackingFound):
-        return decide(report, loc, problem == "I2PP")
-    report.core_size = len(loc.core)
-    report.rest_size = g.n - len(loc.core)
     oracle = RainbowOracle()
-    d = make_p3_decomp(loc, frozenset(range(g.n)) - loc.core, frozenset(),
-                       loc.core, g, epsilon)
     # stages are looked up at call time, so wrapping the module names traces them
-    return run_rounds(report, d, clean=lambda d: clean_p3(d, g),
+    return run_rounds(report, localize=lambda threshold: greedy_localize_p3(g, threshold),
+                      start=lambda loc: make_p3_decomp(loc, frozenset(range(g.n)) - loc.core,
+                                                       frozenset(), loc.core, g, epsilon),
+                      clean=lambda d: clean_p3(d, g),
                       check=lambda d: check_p3_decomp(d, g),
                       apply_rule=lambda d: apply_rule_p3(d, g, oracle),
                       validate=validate)
@@ -407,13 +361,8 @@ def repack_packing_p3(g: UndirectedGraph, state: P3KernelState,
     enters some bucket i; its pool vertex is swapped for the loop vertex
     matched to its bucket neighbor, which stays an induced 2-path because all
     of clique slice i looks the same from that bucket."""
-    d, matching, aux = state.final, state.matching, state.aux
-    by_color = matching.by_color()
-    meaning_index = {m: i for i, m in enumerate(aux.meanings)}
-
-    def matched_edge(meaning: tuple) -> ColoredEdge:
-        return by_color[meaning_index[meaning]]
-
+    d, matching = state.final, state.matching
+    matched = state.aux.matched(matching)
     out: list[tuple[int, int, int]] = []
     used: set[int] = set()
     for tri in packing:
@@ -429,7 +378,7 @@ def repack_packing_p3(g: UndirectedGraph, state: P3KernelState,
         in_colors = sorted(tset & d.colors)
         if in_colors:
             c = in_colors[0]
-            e = matched_edge(("color", c))
+            e = matched[("color", c)]
             out.append(tuple(sorted((c, e.u, e.v))))
             continue
         # color-free, pool-hitting: exactly one pool vertex, one bucket vertex
@@ -439,7 +388,7 @@ def repack_packing_p3(g: UndirectedGraph, state: P3KernelState,
         w = pool_part[0]
         rest = sorted(tset - {w})
         neighbor = next(v for v in rest if g.has_edge(v, w))
-        e = matched_edge(("bucket", neighbor))
+        e = matched[("bucket", neighbor)]
         out.append(tuple(sorted((rest[0], rest[1], e.u))))
     final_used: set[int] = set()
     kernel = set(matching.vertices()) | d.bucketed | d.colors

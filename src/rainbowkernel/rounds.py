@@ -1,26 +1,33 @@
-"""The round loop both kernel families share.
+"""The kernel skeleton both families share.
 
-A kernelizer first localizes greedily.  When that already finds the
-threshold number of disjoint obstructions the instance is decided
-(`decide`).  Otherwise rounds run on a partial decomposition (`run_rounds`):
+A kernelizer first localizes greedily at the problem's threshold.  When that
+already finds the threshold number of disjoint obstructions the instance is
+decided.  Otherwise rounds run on a partial decomposition (`run_rounds`):
 each asks the rainbow-matching-or-cover dichotomy on an auxiliary
-multigraph, and either stops on a matching (`RuleStop`) or demotes a cover
-and drops the round potential (`RuleNext`).  The families supply the
-decomposition and the stages; a decomposition exposes `pool`, `bucketed`,
-`colors` and `potential`.  Every question about the nice pair (no vertex
-outside the pool forms an obstruction with two pool vertices) is a read of
-one row block `m[xs, pool]`: each family's row test (`tpt_rows`,
-`p3_rows`) returns a `PoolRows`, which the bucket decomposition, the clean,
-add-1 and the validator all consume.
+multigraph (`build_aux`), and either stops on a matching (`RuleStop`) or
+demotes a cover and drops the round potential (`RuleNext`).  The families
+supply the localization, the decomposition and the stages; a decomposition
+exposes `pool`, `bucketed`, `colors` and `potential`.  Every question about
+obstructions with two pool vertices is a read of one row block
+`m[xs, pool]`: each family's row test (`tpt_rows`, `p3_rows`) returns a
+`PoolRows`, which the bucket decomposition, the clean, add-1, the validator
+and the color edges of the auxiliary multigraph all consume.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .errors import OracleContractViolation
+from .graphs import ColoredEdge, ColoredMultigraph, colored_edge, make_colored_multigraph
+from .instances import PACKING_PROBLEMS
+from .rainbow import RainbowMatching
 from .report import Decided, KernelOutput, KernelReport, RoundRecord
+
+#: pool pairs `color_edges` marks at once, summed over a block of color rows
+BLOCK_PAIRS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -50,14 +57,6 @@ class RuleNext:
     notes: dict
 
 
-def decide(report: KernelReport, found: PackingFound, packing_problem: bool) -> Decided:
-    """Threshold many disjoint obstructions answer the packing problem with
-    yes and the hitting problem with no."""
-    report.status = "early-yes" if packing_problem else "early-no"
-    report.witness = [list(tri) for tri in found.packing]
-    return Decided(packing_problem, found.packing, report)
-
-
 class PoolRows(NamedTuple):
     """A family's row test of the vertices `xs` against a pool `ids` whose
     columns carry `keys`, read off `rows = m[xs, ids]`: per row its bucket
@@ -78,12 +77,83 @@ def first_true(rows: np.ndarray) -> np.ndarray:
     return rows.shape[1] - np.logical_or.accumulate(rows, axis=1).sum(axis=1)
 
 
-def run_rounds(report: KernelReport, d, clean: Callable, check: Callable,
-               apply_rule: Callable, validate: bool) -> KernelOutput:
-    """Clean `d`, then run rounds until a rule stops.  Every round is
-    recorded in `report`; the potential must drop each round, the round count
-    stays within the initial potential, and the kept set within
-    `report.bound`."""
+@dataclass(frozen=True)
+class Aux:
+    """An auxiliary multigraph on the pool plus the meaning of each color:
+    ("color", c) for an untreated core vertex c, then the family's loop
+    colors ("bucket", u) or ("slot", (l, r), j)."""
+
+    cm: ColoredMultigraph
+    meanings: tuple[tuple, ...]
+
+    def split(self, colors) -> tuple[frozenset[int], list[tuple]]:
+        """The core vertices behind the ("color", c) colors among `colors`,
+        and the meanings of the others."""
+        picked = [self.meanings[c] for c in colors]
+        return (frozenset(m[1] for m in picked if m[0] == "color"),
+                [m for m in picked if m[0] != "color"])
+
+    def matched(self, matching: RainbowMatching) -> dict[tuple, ColoredEdge]:
+        """The edge `matching` picks for each meaning, in color order."""
+        by_color = matching.by_color()
+        return {m: by_color[c] for c, m in enumerate(self.meanings)}
+
+    def ask(self, oracle, epsilon: float, verify: Callable, **notes) -> tuple[object, dict]:
+        """The oracle's outcome on `cm`, re-checked by `verify`, and the
+        round record's notes: the answering layer plus `notes`."""
+        outcome, stats = oracle.solve(self.cm, epsilon)
+        ok, problems = verify(self.cm, outcome)
+        if not ok:
+            raise OracleContractViolation("; ".join(problems))
+        return outcome, {"oracle": {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges},
+                         **notes}
+
+
+def color_edges(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                ) -> list[ColoredEdge]:
+    """The edges {ids[i], ids[j]}, i < j in column order, colored r, for
+    every pair that `marks(block, rows.keys)` marks in row r; `marks` maps a
+    block of rows to one pool-by-pool matrix per row."""
+    ids, step = rows.ids, max(1, BLOCK_PAIRS // max(1, rows.ids.size ** 2))
+    edges: list[ColoredEdge] = []
+    for lo in range(0, rows.xs.size, step):
+        c, i, j = np.nonzero(marks(rows.rows[lo:lo + step], rows.keys))
+        keep = i < j
+        edges += map(colored_edge, ids[i[keep]].tolist(), ids[j[keep]].tolist(),
+                     (c[keep] + lo).tolist())
+    return edges
+
+
+def build_aux(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              loops: Iterable[tuple[tuple, list[int]]]) -> Aux:
+    """The auxiliary multigraph on the pool `rows.ids`: color i is the core
+    vertex rows.xs[i] and carries its `color_edges`, then each (meaning,
+    vertices) of `loops` adds a color with a loop on each of its vertices."""
+    edges = color_edges(rows, marks)
+    meanings = [("color", x) for x in rows.xs.tolist()]
+    for meaning, vertices in loops:
+        edges += [ColoredEdge(v, v, len(meanings)) for v in vertices]
+        meanings.append(meaning)
+    return Aux(make_colored_multigraph(rows.ids.tolist(), edges, len(meanings)), tuple(meanings))
+
+
+def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean: Callable,
+               check: Callable, apply_rule: Callable, validate: bool) -> Decided | KernelOutput:
+    """Localize greedily at the problem's threshold: k disjoint obstructions
+    answer a packing problem with yes, k + 1 rule out a hitting set of size
+    k.  Otherwise clean the initial decomposition `start(loc)`, whose colors
+    are the localization core and whose pool is the rest, and run rounds
+    until a rule stops.  Every round is recorded in `report`; the potential
+    must drop each round, the round count stays within the initial
+    potential, and the kept set within `report.bound`."""
+    packing = report.problem in PACKING_PROBLEMS
+    loc = localize(report.k if packing else report.k + 1)
+    if isinstance(loc, PackingFound):
+        report.status = "early-yes" if packing else "early-no"
+        report.witness = [list(tri) for tri in loc.packing]
+        return Decided(packing, loc.packing, report)
+    d = start(loc)
+    report.core_size, report.rest_size = len(d.colors), len(d.pool)
     d = clean(d)
     max_rounds = d.potential
     prev_potential = None

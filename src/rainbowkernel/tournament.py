@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -34,14 +33,13 @@ from .demand import BucketProfile, Demand, compute_demand, interval_stats
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution,
                      NotNicePair, OracleContractViolation, PreconditionViolated,
                      RepackFailed)
-from .graphs import (ColoredEdge, Tournament, colored_edge, group_by,
-                     is_acyclic, is_triangle, make_colored_multigraph,
+from .graphs import (Tournament, group_by, is_acyclic, is_triangle,
                      topological_order)
 from .intervals import (BucketInterval, block_partition, maximal_elements,
                         span_buckets)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (PackingFound, PoolRows, RuleNext, RuleStop, decide,
+from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux,
                      first_true, run_rounds)
 
 
@@ -106,21 +104,6 @@ def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | T
     return TriangleLocalization(tuple(packing), core, order)
 
 
-def triangle_pairs(t: Tournament, ids: list[int]) -> Callable[[int], np.ndarray]:
-    """The obstruction test against a pool `ids`: the returned function maps a
-    vertex x outside `ids` to the boolean matrix marking (i, j) when
-    x -> ids[i] -> ids[j] -> x, so every triangle {x, ids[i], ids[j]} is
-    marked exactly once.  The pool view is built once, here."""
-    m = t.matrix
-    arr = np.asarray(ids, dtype=np.intp)
-    sub = m[arr[:, None], arr]
-
-    def pairs(x: int) -> np.ndarray:
-        return m[x, arr][:, None] & sub & m[arr, x][None, :]
-
-    return pairs
-
-
 def tpt_rows(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
     """The nice-pair row test against `pool` in position order, keyed by
     position.  The pool is transitive in that order, so a triangle {x, u, w}
@@ -138,6 +121,13 @@ def tpt_rows(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
     bad = drop < ids.size
     witnesses = list(map(tuple, np.column_stack((xs, ext[first], ext[drop]))[bad].tolist()))
     return PoolRows(xs, ids, keys, rows, np.append(keys, len(loc.order) + 1)[first], bad, witnesses)
+
+
+def triangle_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per `tpt_rows` row r of a color c, the pool pairs (i, j) forming a
+    triangle with c: for i < j, ids[i] -> ids[j] -> c -> ids[i] exactly
+    when r[i] and not r[j]."""
+    return block[:, :, None] & ~block[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -293,36 +283,15 @@ def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TptAux:
-    cm: "ColoredMultigraph"
-    meanings: tuple[tuple, ...]  # ("color", vertex) or ("slot", (l, r), j)
-    demand: Demand
-
-    def slot_interval(self, color: int) -> BucketInterval:
-        kind, payload = self.meanings[color][0], self.meanings[color][1]
-        if kind != "slot":
-            raise KeyError(color)
-        return BucketInterval(*payload)
-
-
-def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> TptAux:
-    meanings: list[tuple] = [("color", c) for c in sorted(d.colors)]
-    edges: list[ColoredEdge] = []
-    ids = sorted(d.pool)
-    pairs = triangle_pairs(t, ids)
-    for idx, c in enumerate(sorted(d.colors)):
-        rows, cols = np.nonzero(pairs(c))
-        edges += [colored_edge(ids[i], ids[j], idx) for i, j in zip(rows.tolist(), cols.tolist())]
-    for interval in sorted(demand.positive(), key=lambda iv: (iv.l, iv.r)):
-        window = sorted(d.window(interval))
-        for j in range(demand.values[interval]):
-            idx = len(meanings)
-            meanings.append(("slot", (interval.l, interval.r), j))
-            for v in window:
-                edges.append(colored_edge(v, v, idx))
-    cm = make_colored_multigraph(d.pool, edges, len(meanings))
-    return TptAux(cm, tuple(meanings), demand)
+def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
+    """Vertex set = pool.  An ordinary edge per triangle {c, v, w} with c in
+    colors and v, w in the pool, colored c; val(I) slot colors per
+    positive-demand interval I, each looped onto every vertex of its window."""
+    slots = []
+    for iv in sorted(demand.positive(), key=lambda iv: (iv.l, iv.r)):
+        window = sorted(d.window(iv))
+        slots += [(("slot", (iv.l, iv.r), j), window) for j in range(demand.values[iv])]
+    return build_aux(tpt_rows(t, d.loc, d.pool, sorted(d.colors)), triangle_marks, slots)
 
 
 @dataclass(frozen=True)
@@ -335,14 +304,11 @@ class Allocation:
         return frozenset().union(*self.picks.values())
 
 
-def extract_allocation(aux: TptAux, matching: RainbowMatching) -> Allocation:
-    by_color = matching.by_color()
+def extract_allocation(aux: Aux, matching: RainbowMatching) -> Allocation:
     picks: dict[BucketInterval, set[int]] = {}
-    for color, meaning in enumerate(aux.meanings):
-        if meaning[0] != "slot":
-            continue
-        interval = BucketInterval(*meaning[1])
-        picks.setdefault(interval, set()).add(by_color[color].u)
+    for meaning, e in aux.matched(matching).items():
+        if meaning[0] == "slot":
+            picks.setdefault(BucketInterval(*meaning[1]), set()).add(e.u)
     return Allocation({iv: frozenset(vs) for iv, vs in picks.items()})
 
 
@@ -419,7 +385,7 @@ def add2(d: TptDecomp, t: Tournament, interval: BucketInterval) -> TptDecomp:
 class TptKernelState:
     final: TptDecomp
     matching: RainbowMatching
-    aux: TptAux
+    aux: Aux
     demand: Demand
     allocation: Allocation
 
@@ -438,12 +404,7 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
     |cover| <= 5 |colors|."""
     demand = compute_demand(d.profile())
     aux = build_tpt_aux(d, t, demand)
-    outcome, stats = oracle.solve(aux.cm, 1.0)
-    ok, problems = verify_outcome(aux.cm, outcome)
-    if not ok:
-        raise OracleContractViolation("; ".join(problems))
-    notes = {"oracle": {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges},
-             "demand": _demand_summary(d, demand)}
+    outcome, notes = aux.ask(oracle, 1.0, verify_outcome, demand=_demand_summary(d, demand))
     if isinstance(outcome, RainbowMatching):
         allocation = extract_allocation(aux, outcome)
         bad = check_allocation(d, demand, allocation)
@@ -453,13 +414,11 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
         return RuleStop(kept, TptKernelState(d, outcome, aux, demand, allocation), notes)
     cover: ColorCover = outcome
     covered = frozenset(cover.cover)
-    retired = frozenset(aux.meanings[c][1] for c in cover.colors
-                        if aux.meanings[c][0] == "color")
-    slot_colors = [c for c in cover.colors if aux.meanings[c][0] == "slot"]
-    if len(slot_colors) <= len(retired):
+    retired, slots = aux.split(cover.colors)
+    if len(slots) <= len(retired):
         nxt = add1(d, t, covered, retired)
         return RuleNext(nxt, "case1", notes)
-    hit = sorted({aux.slot_interval(c) for c in slot_colors})
+    hit = sorted({BucketInterval(*interval) for _, interval, _ in slots})
     for interval in hit:
         if not d.window(interval) <= covered:
             raise OracleContractViolation(
@@ -512,17 +471,13 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
     params = {"delta": delta, "c_delta": c_delta, "epsilon": 1.0}
     report = KernelReport(problem=problem, n=t.n, k=k, params=params, status="kernel",
                           bound=bound, bound_formula="6534*c(delta)*k^delta")
-    threshold = k if problem == "TPT" else k + 1
-    loc = greedy_localize_triangles(t, threshold)
-    if isinstance(loc, PackingFound):
-        return decide(report, loc, problem == "TPT")
-    report.core_size = len(loc.core)
-    report.rest_size = len(loc.order)
     oracle = RainbowOracle()
-    d = make_tpt_decomp(loc, frozenset(loc.order), frozenset(), loc.core,
-                        frozenset(), frozenset(), t, delta, c_delta)
     # stages are looked up at call time, so wrapping the module names traces them
-    return run_rounds(report, d, clean=lambda d: clean_tpt(d, t),
+    return run_rounds(report, localize=lambda threshold: greedy_localize_triangles(t, threshold),
+                      start=lambda loc: make_tpt_decomp(loc, frozenset(loc.order), frozenset(),
+                                                        loc.core, frozenset(), frozenset(), t,
+                                                        delta, c_delta),
+                      clean=lambda d: clean_tpt(d, t),
                       check=lambda d: check_tpt_decomp(d, t),
                       apply_rule=lambda d: apply_rule_tpt(d, t, oracle),
                       validate=validate)

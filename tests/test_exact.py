@@ -84,24 +84,16 @@ class TestTrivial:
         ans = optimum("I2PHS", g)
         assert ans.value == 1 and ans.witness == (0,)
 
-    def test_limit_enforced(self, monkeypatch):
+    def test_limit_enforced(self):
         with pytest.raises(TooLarge):
             optimum("TPT", transitive(30), limit=24)
         # default caps: 24 vertices for tournaments, 30 for graphs
-        monkeypatch.delenv("RAINBOWKERNEL_ORACLE_LIMIT", raising=False)
         assert optimum("FVST", transitive(24)).value == 0
         with pytest.raises(TooLarge):
             optimum("FVST", transitive(25))
         assert optimum("I2PP", clique(30)).value == 0
         with pytest.raises(TooLarge):
             optimum("I2PHS", clique(31))
-
-    def test_limit_env_override(self, monkeypatch):
-        monkeypatch.setenv("RAINBOWKERNEL_ORACLE_LIMIT", "32")
-        assert optimum("TPT", transitive(30)).value == 0
-        monkeypatch.setenv("RAINBOWKERNEL_ORACLE_LIMIT", "10")
-        with pytest.raises(TooLarge):
-            optimum("TPT", transitive(12))
 
 
 class TestWitnesses:

@@ -1,8 +1,8 @@
-"""The per-family nice-pair row test (`tpt_rows`, `p3_rows`) and the pool
-pair test the auxiliary multigraphs use (`triangle_pairs`, `p3_pairs`),
-checked against per-triple brute force; the bucket decompositions against
-the per-vertex loops in `tests/reference/`; and the validators on valid
-decompositions corrupted once."""
+"""The per-family nice-pair row test (`tpt_rows`, `p3_rows`) and the color
+edges the auxiliary multigraphs read off it (`rounds.color_edges` with
+`triangle_marks`, `p3_marks`), checked against per-triple brute force; the
+bucket decompositions against the per-vertex loops in `tests/reference/`;
+and the validators on valid decompositions corrupted once."""
 import dataclasses
 import random
 from itertools import combinations
@@ -13,16 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rainbowkernel import p3, tournament
+from rainbowkernel import p3, rounds, tournament
 from rainbowkernel.errors import NotNicePair
 from rainbowkernel.graphs import (Tournament, UndirectedGraph, colored_edge,
                                   is_induced_p3, is_triangle)
 from rainbowkernel.p3 import (P3Localization, bucket_decompose_p3,
-                              check_p3_decomp, kernelize_p3, p3_pairs, p3_rows)
+                              check_p3_decomp, kernelize_p3, p3_marks, p3_rows)
 from rainbowkernel.tournament import (TriangleLocalization,
                                       bucket_decompose_tpt, check_tpt_decomp,
                                       kernelize_tournament, tpt_rows,
-                                      triangle_pairs)
+                                      triangle_marks)
 
 from .reference import p3 as ref_p3
 from .reference import tournament as ref_tournament
@@ -38,25 +38,6 @@ def _brute_matrix(g, x, ids, is_obstruction):
         for j, w in enumerate(ids):
             out[i, j] = i != j and is_obstruction(g, (x, u, w))
     return out
-
-
-@given(graphs(max_n=10))
-def test_p3_pairs_marks_each_induced_path_once(g):
-    for x in range(g.n):
-        ids = [v for v in range(g.n) if v != x]
-        expected = np.triu(_brute_matrix(g, x, ids, is_induced_p3), 1)
-        assert np.array_equal(p3_pairs(g, ids)(x), expected)
-
-
-@given(tournaments(max_n=9))
-def test_triangle_pairs_marks_each_triangle_once(t):
-    for x in range(t.n):
-        ids = [v for v in range(t.n) if v != x]
-        marked = triangle_pairs(t, ids)(x)
-        assert not (marked & marked.T).any()
-        assert np.array_equal(marked | marked.T, _brute_matrix(t, x, ids, is_triangle))
-        # the marked orientation is x -> ids[i] -> ids[j] -> x
-        assert all(t.has_arc(x, ids[i]) for i, _ in np.argwhere(marked))
 
 
 # -- the row test ----------------------------------------------------------------
@@ -128,6 +109,28 @@ def test_row_test_matches_brute_force(family, data):
             assert x in witness and len(set(witness) & pool) == 2
             assert is_obstruction(g, witness)
     assert next(witnesses, None) is None
+
+
+MARKS = {"p3": p3_marks, "tournament": triangle_marks}
+
+
+@pytest.mark.parametrize("family", sorted(ROWS))
+@given(data=st.data())
+@settings(max_examples=200)
+def test_color_edges_mark_each_obstruction_once(family, data):
+    strategy, rows_of, is_obstruction, _, _, _ = ROWS[family]
+    g, loc, pool = data.draw(strategy)
+    xs = [v for v in range(g.n) if v not in pool]
+    rows = rows_of(g, loc, pool, xs)
+    # small blocks make the color rows span several of them
+    with mock.patch.object(rounds, "BLOCK_PAIRS", data.draw(st.integers(1, 200))):
+        edges = rounds.color_edges(rows, MARKS[family])
+    ids = rows.ids.tolist()
+    for r, x in enumerate(xs):
+        upper = np.triu(_brute_matrix(g, x, ids, is_obstruction), 1)
+        assert sorted(e for e in edges if e.color == r) == \
+            sorted(colored_edge(ids[i], ids[j], r) for i, j in np.argwhere(upper))
+    assert all(e.color < len(xs) for e in edges)
 
 
 def _outcome(decompose, *args):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -133,6 +134,21 @@ class TestAuxGraph:
         aux = build_p3_aux(d, g)
         assert aux.meanings == (("bucket", 1),)
         assert [(e.u, e.v, e.color) for e in aux.cm.edges] == [(0, 0, 0)]
+
+    def test_no_colors_builds_no_pool_square(self):
+        # the initial decomposition of an edgeless graph: no core, no colors
+        n = 2000
+        g = UndirectedGraph(n, [])
+        d = localized_decomp(g)
+        assert not d.colors and len(d.pool) == n
+        tracemalloc.start()
+        try:
+            aux = build_p3_aux(d, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert aux.cm.p == 0 and aux.cm.edges == ()
+        assert peak < n * n  # one n x n bool matrix
 
     def test_cross_clique_color_edge(self):
         # cliques {0} and {1}; color 2 adjacent to both pool vertices

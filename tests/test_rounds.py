@@ -26,7 +26,8 @@ def countdown(d):
 def run(apply_rule, *, check=lambda d: [], validate=True, potential=3, bound=10.0):
     report = KernelReport(problem="TPT", n=5, k=1, params={}, status="kernel",
                           bound=bound)
-    return run_rounds(report, FakeDecomp(potential), clean=lambda d: d, check=check,
+    return run_rounds(report, localize=lambda threshold: "loc",
+                      start=lambda loc: FakeDecomp(potential), clean=lambda d: d, check=check,
                       apply_rule=apply_rule, validate=validate)
 
 
