@@ -5,7 +5,7 @@ construction (numpy buffers are frozen) and safe to share between workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -258,55 +258,77 @@ def colored_edge(u: int, v: int, color: int) -> ColoredEdge:
     return ColoredEdge(min(u, v), max(u, v), color)
 
 
-@dataclass(frozen=True)
 class ColoredMultigraph:
-    """Multigraph with loops whose edges carry colors 0..p-1.
+    """Multigraph with loops whose edges carry colors 0..p-1, held as arrays.
 
+    `vertices` are the sorted vertex ids.  Edge i joins the vertex positions
+    u[i] <= v[i] (a loop when equal) in color color[i]; the edges are sorted
+    by (color, u, v), so color c owns edges offsets[c] to offsets[c + 1].
     Every color is used by at least one edge, and parallel edges (same
-    endpoint set) never share a color.
+    endpoint set) never share a color.  The constructor takes the endpoints
+    as vertex ids, in either order.
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[ColoredEdge, ...]
-    p: int
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+    def __init__(self, vertices, us, vs, colors, p: int):
+        ids = np.sort(np.asarray(vertices, dtype=np.intp))
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate vertices")
-        used = set()
-        seen = set()
-        for e in self.edges:
-            if e.u not in vset or e.v not in vset:
-                raise ValueError(f"edge {e} has endpoint outside the vertex set")
-            if not (0 <= e.color < self.p):
-                raise ValueError(f"color {e.color} out of range [0, {self.p})")
-            if e in seen:
-                raise ValueError(f"parallel edges on {{{e.u}, {e.v}}} share color {e.color}")
-            seen.add(e)
-            used.add(e.color)
-        if used != set(range(self.p)):
-            missing = sorted(set(range(self.p)) - used)
-            raise ValueError(f"color map not surjective; unused colors {missing}")
+        us, vs, color = (np.asarray(x, dtype=np.intp) for x in (us, vs, colors))
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        u, v, ext = np.searchsorted(ids, lo), np.searchsorted(ids, hi), np.append(ids, 0)
+        outside = (ext[u] != lo) | (ext[v] != hi) | (v == ids.size)
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"edge {ColoredEdge(int(lo[i]), int(hi[i]), int(color[i]))} has "
+                             "endpoint outside the vertex set")
+        if ((color < 0) | (color >= p)).any():
+            raise ValueError(f"color {color[(color < 0) | (color >= p)][0]} out of range [0, {p})")
+        # one key per edge orders by (color, u, v) and shows parallel edges side by side
+        n = max(ids.size, 1)
+        key = np.sort((color * n + u) * n + v, kind="stable")
+        color, u, v = key // (n * n), key // n % n, key % n
+        twin = np.flatnonzero(key[1:] == key[:-1])
+        if twin.size:
+            i = twin[0]
+            raise ValueError(f"parallel edges on {{{ids[u[i]]}, {ids[v[i]]}}} share color {color[i]}")
+        offsets = np.searchsorted(color, np.arange(p + 1))
+        if (np.diff(offsets) == 0).any():
+            raise ValueError("color map not surjective; unused colors "
+                             f"{np.flatnonzero(np.diff(offsets) == 0).tolist()}")
+        for a in (ids, u, v, color, offsets):
+            a.setflags(write=False)
+        self.vertices, self.u, self.v, self.color, self.offsets, self.p = ids, u, v, color, offsets, p
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
+    @cached_property
+    def uv_order(self) -> np.ndarray:
+        """The edge indices in (u, v, color) order."""
+        return np.lexsort((self.color, self.v, self.u))
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (u, v) position pairs of the edges, in array order."""
+        return tuple(zip(self.u.tolist(), self.v.tolist()))
+
+    def edge(self, i: int) -> ColoredEdge:
+        """Edge i as a `ColoredEdge` of vertex ids."""
+        return ColoredEdge(int(self.vertices[self.u[i]]), int(self.vertices[self.v[i]]),
+                           int(self.color[i]))
+
+    @cached_property
+    def edges(self) -> tuple[ColoredEdge, ...]:
+        """The edges as `ColoredEdge`s, sorted."""
+        return tuple(map(self.edge, self.uv_order.tolist()))
 
 
 def make_colored_multigraph(vertices: Iterable[int], edges: Iterable[ColoredEdge], p: int) -> ColoredMultigraph:
-    return ColoredMultigraph(tuple(sorted(set(vertices))), tuple(sorted(edges)), p)
+    uvc = np.array(list(edges), dtype=np.intp).reshape(-1, 3)
+    return ColoredMultigraph(sorted(set(vertices)), uvc[:, 0], uvc[:, 1], uvc[:, 2], p)
 
 
 def dump_colored_multigraph(cm: ColoredMultigraph) -> str:
     """Debug dump: one line per edge, `loop v c` or `edge u v c`."""
-    lines = []
-    for e in sorted(cm.edges):
-        if e.is_loop:
-            lines.append(f"loop {e.u} {e.color}")
-        else:
-            lines.append(f"edge {e.u} {e.v} {e.color}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"loop {e.u} {e.color}\n" if e.is_loop else f"edge {e.u} {e.v} {e.color}\n"
+                   for e in cm.edges)
 
 
 def parse_colored_multigraph(text: str) -> ColoredMultigraph:
@@ -339,5 +361,5 @@ def parse_colored_multigraph(text: str) -> ColoredMultigraph:
     p = 1 + max((e.color for e in edges), default=-1)
     try:
         return make_colored_multigraph(vertices, edges, p)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(len(text.splitlines()), str(exc)) from exc

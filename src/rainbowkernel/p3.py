@@ -30,8 +30,8 @@ from .graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
                      group_by, is_induced_p3)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux,
-                     first_true, run_rounds)
+from .rounds import (BLOCK_PAIRS, Aux, PackingFound, PoolRows, RuleNext, RuleStop,
+                     build_aux, first_true, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,13 @@ def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, i
         lo, size = lo + size, 2 * size
 
 
+def p3_block(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
+    """The block `m[xs, pool]` with the pool as sorted ids, keyed by clique."""
+    ids = np.array(sorted(pool), dtype=np.intp)
+    xs = np.array(xs, dtype=np.intp)
+    return PoolRows(xs, ids, loc.clique_of[ids], g.matrix()[xs[:, None], ids])
+
+
 def p3_rows(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
     """The nice-pair row test against `pool` as sorted ids, keyed by clique.
     The pool is a union of clique slices with no edge between them, so x
@@ -119,10 +126,7 @@ def p3_rows(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
     with the clique of its least pool neighbour u (-1 when it has none); its
     witness is u - x - w for the least neighbour w outside that clique, else
     x - u - w for the least w of the slice that x misses."""
-    ids = np.array(sorted(pool), dtype=np.intp)
-    keys = loc.clique_of[ids]
-    xs = np.array(xs, dtype=np.intp)
-    rows = g.matrix()[np.ix_(xs, ids)]
+    xs, ids, keys, rows, *_ = block = p3_block(g, loc, pool, xs)
     first = first_true(rows)
     label = np.append(keys, -1)[first]
     same = keys == label[:, None]
@@ -131,7 +135,7 @@ def p3_rows(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
     ext = np.append(ids, -1)
     witnesses = np.where(crosses[:, None], np.column_stack((ext[first], xs, ext[extra])),
                          np.column_stack((xs, ext[first], ext[lack])))[crosses | misses].tolist()
-    return PoolRows(xs, ids, keys, rows, label, crosses | misses, list(map(tuple, witnesses)))
+    return block._replace(label=label, bad=crosses | misses, witnesses=list(map(tuple, witnesses)))
 
 
 def p3_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -228,10 +232,14 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
         return out
     stored = [(i, v) for i, b in enumerate(d.buckets) for v in b] + [(-1, v) for v in d.detached]
     rows = p3_rows(g, d.loc, d.pool, [v for _, v in stored])
-    same = rows.keys[:, None] == rows.keys
-    np.fill_diagonal(same, False)
-    if not np.array_equal(g.matrix()[np.ix_(rows.ids, rows.ids)], same):
-        out.append("pool edges disagree with the clique slices")
+    # in row blocks: no pool edge across slices, and each pool vertex sees its whole slice
+    sizes, step = np.bincount(rows.keys), max(1, BLOCK_PAIRS // max(1, rows.ids.size))
+    for lo in range(0, rows.ids.size, step):
+        block, keys = g.matrix()[np.ix_(rows.ids[lo:lo + step], rows.ids)], rows.keys[lo:lo + step]
+        if (block & (keys[:, None] != rows.keys)).any() or \
+                (np.count_nonzero(block, axis=1) != sizes[keys] - 1).any():
+            out.append("pool edges disagree with the clique slices")
+            break
     if rows.witnesses:
         out.append(f"induced 2-path {rows.witnesses[0]} has two pool vertices")
     parts = group_by(rows.keys, rows.ids)
@@ -269,7 +277,7 @@ def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
     """Vertex set = pool.  An ordinary edge per induced 2-path {c, v, w}
     with c in colors and v, w in the pool, colored c; a loop per (bucket
     vertex u, clique vertex v) pair, colored u."""
-    return build_aux(p3_rows(g, d.loc, d.pool, sorted(d.colors)), p3_marks,
+    return build_aux(p3_block(g, d.loc, d.pool, sorted(d.colors)), p3_marks,
                      [(("bucket", u), sorted(d.pool_parts[i]))
                       for i, bucket in enumerate(d.buckets) for u in sorted(bucket)])
 

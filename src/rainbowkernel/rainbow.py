@@ -17,6 +17,8 @@ The search is layered:
            memoized vertex sets, then color subsets in increasing size taking
            the first whose minimum vertex cover is small enough
 
+Every layer and `verify_outcome` read the multigraph's edge arrays over vertex
+positions; layer 1 takes back a failed eviction swap through an undo log.
 Layer 3 is exponential and intended for desk scale; it still runs whenever
 the fast layers fail, because a valid outcome is required unconditionally.
 """
@@ -26,6 +28,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .graphs import ColoredEdge, ColoredMultigraph
 
@@ -40,10 +44,7 @@ class RainbowMatching:
         return {e.color: e for e in self.edges}
 
     def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            out |= e.endpoints()
-        return frozenset(out)
+        return frozenset(x for e in self.edges for x in (e.u, e.v))
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,15 @@ class ColorCover:
 def verify_outcome(cm: ColoredMultigraph, outcome) -> tuple[bool, list[str]]:
     """Re-check every invariant of a matching / cover against `cm`."""
     problems: list[str] = []
+    pos = {x: i for i, x in enumerate(cm.vertices.tolist())}
     if isinstance(outcome, RainbowMatching):
         seen_colors = [e.color for e in outcome.edges]
         if sorted(seen_colors) != list(range(cm.p)):
             problems.append(f"colors {sorted(seen_colors)} != 0..{cm.p - 1}")
-        legal = set(cm.edges)
+        cuts = cm.offsets.tolist()
         for e in outcome.edges:
-            if e not in legal:
+            if not (0 <= e.color < cm.p and
+                    (pos.get(e.u), pos.get(e.v)) in cm.pairs[cuts[e.color]:cuts[e.color + 1]]):
                 problems.append(f"edge {e} not in the multigraph")
         used: set[int] = set()
         for e in sorted(outcome.edges):
@@ -78,12 +81,15 @@ def verify_outcome(cm: ColoredMultigraph, outcome) -> tuple[bool, list[str]]:
         bad = [c for c in outcome.colors if not 0 <= c < cm.p]
         if bad:
             problems.append(f"colors {sorted(bad)} out of range")
-        stray = [v for v in outcome.cover if v not in cm.vertex_set]
+        stray = [v for v in outcome.cover if v not in pos]
         if stray:
             problems.append(f"cover vertices {sorted(stray)} not in the graph")
-        for e in cm.edges:
-            if e.color in outcome.colors and not (e.endpoints() & outcome.cover):
-                problems.append(f"edge {e} of covered color is not covered")
+        picked, hit = np.zeros(cm.p, dtype=bool), np.zeros(len(pos), dtype=bool)
+        picked[[c for c in outcome.colors if 0 <= c < cm.p]] = True
+        hit[[pos[v] for v in outcome.cover if v in pos]] = True
+        order = cm.uv_order
+        for i in order[(picked[cm.color] & ~hit[cm.u] & ~hit[cm.v])[order]].tolist():
+            problems.append(f"edge {cm.edge(i)} of covered color is not covered")
         bound = (4.0 + outcome.epsilon) * len(outcome.colors)
         if not len(outcome.cover) < bound:
             problems.append(f"|X| = {len(outcome.cover)} not < (4+eps)|C| = {bound}")
@@ -114,221 +120,217 @@ class OracleStats:
     layer1_missing: int = 0
 
 
-def _strict_budget(x: float) -> int:
-    """Largest integer strictly below x (tolerant of float noise)."""
-    return math.floor(x - 1e-9)
-
-
 class RainbowOracle:
     """Stateless solver; a fresh instance may be used per call or shared."""
 
     def solve(self, cm: ColoredMultigraph, epsilon: float) -> tuple[RainbowMatching | ColorCover, OracleStats]:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        stats = OracleStats(p=cm.p, n_vertices=len(cm.vertices), n_edges=len(cm.edges))
+        stats = OracleStats(p=cm.p, n_vertices=len(cm.vertices), n_edges=len(cm.u))
+        stats.layer, outcome = self._first_answer(cm, epsilon, stats)
+        stats.outcome = "matching" if isinstance(outcome, RainbowMatching) else "cover"
+        return outcome, stats
+
+    def _first_answer(self, cm: ColoredMultigraph, epsilon: float, stats: OracleStats) -> tuple:
+        """The first layer that answers, and its answer."""
         if cm.p == 0:
-            stats.layer, stats.outcome = "empty", "matching"
-            return RainbowMatching(()), stats
-
-        incident = sorted({x for e in cm.edges for x in (e.u, e.v)})
-        if cm.p > len(incident):
-            # pigeonhole: p disjoint edges need p distinct vertices
-            stats.layer, stats.outcome = "dense-cover", "cover"
-            return ColorCover(frozenset(range(cm.p)), frozenset(incident), epsilon), stats
-
+            return "empty", RainbowMatching(())
+        incident = np.flatnonzero(np.bincount(np.concatenate((cm.u, cm.v))))
+        if cm.p > len(incident):  # pigeonhole: p disjoint edges need p distinct vertices
+            return "dense-cover", ColorCover(frozenset(range(cm.p)), _ids(cm, incident), epsilon)
         assign, missing = self._greedy(cm)
         if not missing:
-            stats.layer, stats.outcome = "greedy", "matching"
-            return RainbowMatching(tuple(assign[c] for c in range(cm.p))), stats
+            return "greedy", RainbowMatching(tuple(assign[c] for c in range(cm.p)))
         stats.layer1_missing = len(missing)
-
         cover = self._blocked_cover(cm, missing, epsilon)
         if cover is not None:
-            stats.layer, stats.outcome = "blocked-cover", "cover"
-            return cover, stats
-
+            return "blocked-cover", cover
         matching = self._exact_matching(cm)
         if matching is not None:
-            stats.layer, stats.outcome = "exact-matching", "matching"
-            return matching, stats
+            return "exact-matching", matching
         cover = self._exact_cover(cm, epsilon)
         if cover is None:
             raise RuntimeError("dichotomy exhausted; this cannot happen")
-        stats.layer, stats.outcome = "exact-cover", "cover"
-        return cover, stats
+        return "exact-cover", cover
 
     # -- layer 1 ------------------------------------------------------------
 
     def _greedy(self, cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int]]:
-        # endpoints are read as (e.u, e.v); a loop names its vertex twice
-        by_color: list[list[ColoredEdge]] = [[] for _ in range(cm.p)]
-        for e in sorted(cm.edges):
-            by_color[e.color].append(e)
+        # edges are (u, v) position pairs; a loop names its vertex twice
+        cuts = cm.offsets.tolist()
+        by_color = [cm.pairs[cuts[c]:cuts[c + 1]] for c in range(cm.p)]
         order = sorted(range(cm.p), key=lambda c: (len(by_color[c]), c))
-        assign: dict[int, ColoredEdge] = {}
-        owner: dict[int, int] = {}
-        budget = [LAYER1_BUDGET]
+        assign: list[tuple[int, int] | None] = [None] * cm.p
+        owner = [-1] * len(cm.vertices)
+        log: list[tuple[int, tuple[int, int] | None]] = []  # (color, its previous edge)
+        budget = LAYER1_BUDGET
 
-        def place(c: int, e: ColoredEdge) -> None:
-            assign[c] = e
-            owner[e.u] = owner[e.v] = c
-
-        def unplace(c: int) -> None:
-            e = assign.pop(c)
-            owner.pop(e.u, None)
-            owner.pop(e.v, None)
+        def undo(mark: int) -> None:
+            for c, e in reversed(log[mark:]):
+                if assign[c]:
+                    owner[assign[c][0]] = owner[assign[c][1]] = -1
+                if e:
+                    owner[e[0]] = owner[e[1]] = c
+                assign[c] = e
+            del log[mark:]
 
         def try_color(c: int, depth: int, banned: frozenset[int]) -> bool:
-            for e in by_color[c]:
-                budget[0] -= 1
-                if budget[0] < 0:
+            nonlocal budget
+            edges = by_color[c]
+            for a, b in edges:
+                budget -= 1
+                if budget < 0:
                     return False
-                if e.u not in owner and e.v not in owner:
-                    place(c, e)
+                if owner[a] < 0 and owner[b] < 0:
+                    log.append((c, None))
+                    assign[c], owner[a], owner[b] = (a, b), c, c
                     return True
             if depth == 0:
                 return False
-            for e in by_color[c]:
-                budget[0] -= 1
-                if budget[0] < 0:
+            inner = banned | {c}
+            for e in edges:
+                budget -= 1
+                if budget < 0:
                     return False
-                holders = {owner[x] for x in (e.u, e.v) if x in owner}
-                if not holders or holders & banned:
+                # the colors holding e's ends, in increasing order
+                ha, hb = owner[e[0]], owner[e[1]]
+                if ha in banned or hb in banned or ha == hb == -1:
                     continue
-                snapshot = (dict(assign), dict(owner))
+                holders = (hb,) if ha < 0 else (ha,) if hb < 0 or hb == ha else \
+                    (min(ha, hb), max(ha, hb))
+                mark = len(log)
                 for h in holders:
-                    unplace(h)
-                place(c, e)
-                if all(try_color(h, depth - 1, banned | {c}) for h in sorted(holders)):
+                    log.append((h, assign[h]))
+                    owner[assign[h][0]] = owner[assign[h][1]] = -1
+                    assign[h] = None
+                log.append((c, None))
+                assign[c], owner[e[0]], owner[e[1]] = e, c, c
+                for h in holders:
+                    if not try_color(h, depth - 1, inner):
+                        undo(mark)
+                        break
+                else:
                     return True
-                assign.clear(); assign.update(snapshot[0])
-                owner.clear(); owner.update(snapshot[1])
             return False
 
-        missing = []
-        for c in order:
-            if not try_color(c, SWAP_DEPTH, frozenset({c})):
-                missing.append(c)
-        return assign, sorted(missing)
+        missing = [c for c in order if not try_color(c, SWAP_DEPTH, frozenset({c}))]
+        ids = cm.vertices.tolist()
+        return ({c: ColoredEdge(ids[e[0]], ids[e[1]], c) for c, e in enumerate(assign) if e},
+                sorted(missing))
 
     # -- layer 2 ------------------------------------------------------------
 
-    def _cover_of(self, cm: ColoredMultigraph, colors: set[int], epsilon: float) -> frozenset[int] | None:
-        """A cover of the `colors`-edges meeting the strict budget, or None.
+    def _cover_of(self, cm: ColoredMultigraph, picked: np.ndarray, epsilon: float) -> frozenset[int] | None:
+        """A cover of the edges of the `picked` colors meeting the strict
+        budget, or None.
 
-        Loops force their vertex; a greedy maximal matching covers the rest at
-        twice the optimum.  Small residual instances get an exact branching."""
-        edges = [e for e in cm.edges if e.color in colors]
-        budget = _strict_budget((4.0 + epsilon) * len(colors))
-        cover: set[int] = {e.u for e in edges if e.is_loop}
-        for e in sorted(edges):
-            if not e.is_loop and e.u not in cover and e.v not in cover:
-                cover.add(e.u)
-                cover.add(e.v)
+        Loops force their vertex; a greedy maximal matching over the edges in
+        (u, v, color) order covers the rest at twice the optimum.  Small
+        residual instances get an exact branching."""
+        sel = cm.uv_order[picked[cm.color[cm.uv_order]]]
+        edges = list(zip(cm.u[sel].tolist(), cm.v[sel].tolist()))
+        # the largest integer strictly below (4+eps)|C|, tolerant of float noise
+        budget = math.floor((4.0 + epsilon) * np.count_nonzero(picked) - 1e-9)
+        cover = _maximal_matching_cover(edges)
         if len(cover) <= budget:
-            return frozenset(cover)
+            return _ids(cm, cover)
         if len(edges) <= COVER_EXACT_EDGE_LIMIT:
             exact = _vertex_cover_within(edges, budget)
             if exact is not None:
-                return frozenset(exact)
+                return _ids(cm, exact)
         return None
 
     def _blocked_cover(self, cm: ColoredMultigraph, missing: list[int], epsilon: float) -> ColorCover | None:
-        seeds: list[set[int]] = [set(missing), set(range(cm.p))]
-        seeds += [{c} for c in missing]
-        edges_by_color: dict[int, list[ColoredEdge]] = {c: [] for c in range(cm.p)}
-        for e in cm.edges:
-            edges_by_color[e.color].append(e)
-        for seed in seeds:
-            colors = set(seed)
+        for seed in [missing, list(range(cm.p))] + [[c] for c in missing]:
+            picked = np.zeros(cm.p, dtype=bool)
+            picked[seed] = True
             for _ in range(cm.p + 1):
-                cover = self._cover_of(cm, colors, epsilon)
+                cover = self._cover_of(cm, picked, epsilon)
                 if cover is not None:
-                    return ColorCover(frozenset(colors), cover, epsilon)
-                approx: set[int] = {e.u for c in colors for e in edges_by_color[c] if e.is_loop}
-                for c in sorted(colors):
-                    for e in sorted(edges_by_color[c]):
-                        if not e.is_loop and e.u not in approx and e.v not in approx:
-                            approx.add(e.u)
-                            approx.add(e.v)
-                grown = {
-                    c for c in range(cm.p)
-                    if c not in colors
-                    and all(e.endpoints() & approx for e in edges_by_color[c])
-                }
-                if not grown:
+                    return ColorCover(frozenset(np.flatnonzero(picked).tolist()), cover, epsilon)
+                hit = np.zeros(len(cm.vertices), dtype=bool)
+                hit[list(_maximal_matching_cover(
+                    [cm.pairs[i] for i in np.flatnonzero(picked[cm.color]).tolist()]))] = True
+                # a color grows the set when the approximate cover meets all its edges
+                grown = np.logical_and.reduceat(hit[cm.u] | hit[cm.v], cm.offsets[:-1]) & ~picked
+                if not grown.any():
                     break
-                colors |= grown
+                picked |= grown
         return None
 
     # -- layer 3 ------------------------------------------------------------
 
     def _exact_matching(self, cm: ColoredMultigraph) -> RainbowMatching | None:
-        index = {v: i for i, v in enumerate(cm.vertices)}
-        by_color: list[list[tuple[int, ColoredEdge]]] = [[] for _ in range(cm.p)]
-        for e in sorted(cm.edges):
-            mask = (1 << index[e.u]) | (1 << index[e.v])
-            by_color[e.color].append((mask, e))
-        order = sorted(range(cm.p), key=lambda c: (len(by_color[c]), c))
+        masks, cuts = [(1 << a) | (1 << b) for a, b in cm.pairs], cm.offsets.tolist()
+        order = sorted(range(cm.p), key=lambda c: (cuts[c + 1] - cuts[c], c))
         failed: set[tuple[int, int]] = set()
-        chosen: list[ColoredEdge] = []
+        chosen: list[int] = []
 
         def dfs(i: int, used: int) -> bool:
             if i == cm.p:
                 return True
-            key = (i, used)
-            if key in failed:
+            if (i, used) in failed:
                 return False
-            for mask, e in by_color[order[i]]:
-                if mask & used:
-                    continue
-                chosen.append(e)
-                if dfs(i + 1, used | mask):
-                    return True
-                chosen.pop()
-            failed.add(key)
+            for j in range(cuts[order[i]], cuts[order[i] + 1]):
+                if not masks[j] & used:
+                    chosen.append(j)
+                    if dfs(i + 1, used | masks[j]):
+                        return True
+                    chosen.pop()
+            failed.add((i, used))
             return False
 
-        if not dfs(0, 0):
-            return None
-        edges = sorted(chosen, key=lambda e: e.color)
-        return RainbowMatching(tuple(edges))
+        return RainbowMatching(tuple(map(cm.edge, sorted(chosen)))) if dfs(0, 0) else None
 
     def _exact_cover(self, cm: ColoredMultigraph, epsilon: float) -> ColorCover | None:
         """First color subset (increasing size, lexicographic) whose minimum
         vertex cover is at most (4+eps)(|C|-1).  Guaranteed to exist when no
         rainbow matching does."""
-        edges_by_color: dict[int, list[ColoredEdge]] = {c: [] for c in range(cm.p)}
-        for e in cm.edges:
-            edges_by_color[e.color].append(e)
+        cuts = cm.offsets.tolist()
         for size in range(1, cm.p + 1):
             budget = math.floor((4.0 + epsilon) * (size - 1) + 1e-9)
             for colors in combinations(range(cm.p), size):
-                edges = [e for c in colors for e in edges_by_color[c]]
+                edges = [e for c in colors for e in cm.pairs[cuts[c]:cuts[c + 1]]]
                 cover = _vertex_cover_within(edges, budget)
                 if cover is not None:
-                    return ColorCover(frozenset(colors), frozenset(cover), epsilon)
+                    return ColorCover(frozenset(colors), _ids(cm, cover), epsilon)
         return None
 
 
-def _vertex_cover_within(edges: Sequence[ColoredEdge], budget: int) -> set[int] | None:
-    """A vertex cover of `edges` of size <= budget, or None.  Branches on the
-    endpoints of an uncovered ordinary edge; loop vertices are forced."""
+def _ids(cm: ColoredMultigraph, positions) -> frozenset[int]:
+    """The vertex ids at `positions`."""
+    return frozenset(cm.vertices[list(positions)].tolist())
+
+
+def _maximal_matching_cover(edges: Sequence[tuple[int, int]]) -> set[int]:
+    """The loop vertices, then both ends of each edge that a greedy maximal
+    matching over the other edges takes, in the given order."""
+    cover = {u for u, v in edges if u == v}
+    for u, v in edges:
+        if u not in cover and v not in cover:
+            cover.add(u)
+            cover.add(v)
+    return cover
+
+
+def _vertex_cover_within(edges: Sequence[tuple[int, int]], budget: int) -> set[int] | None:
+    """A vertex cover of the (u, v, ...) `edges` of size <= budget, or None.
+    Branches on the endpoints of an uncovered ordinary edge; loop vertices
+    are forced."""
     if budget < 0:
         return None
-    forced = {e.u for e in edges if e.is_loop}
+    forced = {e[0] for e in edges if e[0] == e[1]}
     if len(forced) > budget:
         return None
-    pairs = [e for e in edges if not e.is_loop]
+    pairs = [e for e in edges if e[0] != e[1]]
 
-    def rec(cover: set[int], remaining: list[ColoredEdge], slack: int) -> set[int] | None:
-        live = [e for e in remaining if e.u not in cover and e.v not in cover]
+    def rec(cover: set[int], remaining: list, slack: int) -> set[int] | None:
+        live = [e for e in remaining if e[0] not in cover and e[1] not in cover]
         if not live:
             return set(cover)
         if slack == 0:
             return None
-        e = live[0]
-        for v in (e.u, e.v):
+        for v in live[0][:2]:
             result = rec(cover | {v}, live, slack - 1)
             if result is not None:
                 return result

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -36,7 +36,7 @@ class KernelReport:
     equivalent: bool | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(self, default=vars, indent=2, sort_keys=True)
 
 
 @dataclass

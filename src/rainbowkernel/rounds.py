@@ -16,12 +16,12 @@ and the color edges of the auxiliary multigraph all consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import OracleContractViolation
-from .graphs import ColoredEdge, ColoredMultigraph, colored_edge, make_colored_multigraph
+from .graphs import ColoredEdge, ColoredMultigraph
 from .instances import PACKING_PROBLEMS
 from .rainbow import RainbowMatching
 from .report import Decided, KernelOutput, KernelReport, RoundRecord
@@ -61,15 +61,16 @@ class PoolRows(NamedTuple):
     """A family's row test of the vertices `xs` against a pool `ids` whose
     columns carry `keys`, read off `rows = m[xs, ids]`: per row its bucket
     `label` and whether it is `bad`, i.e. forms an obstruction with two pool
-    vertices; `witnesses` holds the first one of each bad row, in row order."""
+    vertices; `witnesses` holds the first one of each bad row, in row order.
+    A bare block read (`tpt_block`, `p3_block`) leaves the last three None."""
 
     xs: np.ndarray
     ids: np.ndarray
     keys: np.ndarray
     rows: np.ndarray
-    label: np.ndarray
-    bad: np.ndarray
-    witnesses: list[tuple[int, int, int]]
+    label: np.ndarray | None = None
+    bad: np.ndarray | None = None
+    witnesses: list[tuple[int, int, int]] | None = None
 
 
 def first_true(rows: np.ndarray) -> np.ndarray:
@@ -110,31 +111,32 @@ class Aux:
 
 
 def color_edges(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                ) -> list[ColoredEdge]:
-    """The edges {ids[i], ids[j]}, i < j in column order, colored r, for
-    every pair that `marks(block, rows.keys)` marks in row r; `marks` maps a
-    block of rows to one pool-by-pool matrix per row."""
+                ) -> list[np.ndarray]:
+    """The arrays [r, ids[i], ids[j]] of every pair i < j in column order
+    that `marks(block, rows.keys)` marks in row r; `marks` maps a block of
+    rows to one pool-by-pool matrix per row."""
     ids, step = rows.ids, max(1, BLOCK_PAIRS // max(1, rows.ids.size ** 2))
-    edges: list[ColoredEdge] = []
+    parts = [(np.empty(0, dtype=np.intp),) * 3]
     for lo in range(0, rows.xs.size, step):
         c, i, j = np.nonzero(marks(rows.rows[lo:lo + step], rows.keys))
         keep = i < j
-        edges += map(colored_edge, ids[i[keep]].tolist(), ids[j[keep]].tolist(),
-                     (c[keep] + lo).tolist())
-    return edges
+        parts.append((c[keep] + lo, ids[i[keep]], ids[j[keep]]))
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def build_aux(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarray],
-              loops: Iterable[tuple[tuple, list[int]]]) -> Aux:
+              loops: list[tuple[tuple, list[int] | np.ndarray]]) -> Aux:
     """The auxiliary multigraph on the pool `rows.ids`: color i is the core
     vertex rows.xs[i] and carries its `color_edges`, then each (meaning,
     vertices) of `loops` adds a color with a loop on each of its vertices."""
-    edges = color_edges(rows, marks)
-    meanings = [("color", x) for x in rows.xs.tolist()]
-    for meaning, vertices in loops:
-        edges += [ColoredEdge(v, v, len(meanings)) for v in vertices]
-        meanings.append(meaning)
-    return Aux(make_colored_multigraph(rows.ids.tolist(), edges, len(meanings)), tuple(meanings))
+    colors, us, vs = color_edges(rows, marks)
+    meanings = [("color", x) for x in rows.xs.tolist()] + [m for m, _ in loops]
+    looped = np.concatenate([us[:0], *(vertices for _, vertices in loops)])
+    colors = np.concatenate((colors, np.repeat(np.arange(rows.xs.size, len(meanings)),
+                                               [len(vertices) for _, vertices in loops])))
+    return Aux(ColoredMultigraph(rows.ids, np.concatenate((us, looped)),
+                                 np.concatenate((vs, looped)), colors, len(meanings)),
+               tuple(meanings))
 
 
 def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean: Callable,

@@ -59,49 +59,63 @@ class TriangleLocalization:
 
 def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
     """Claim disjoint triangles scanning triples lexicographically; one pass
-    gives a maximal packing.  Stops once `threshold` triangles are claimed.
-
-    For each free a, the free rows b > a are read in blocks of 1, 2, 4, ...
-    rows; row b marks the free c > a closing a triangle with a and b.  The
-    first row with a mark is the least b of a triangle, so its first mark is
-    c > b, and the first flat hit is the lexicographically first (b, c).
-    When the first block misses, one test over the arcs from a's later free
-    out-neighbours to its later free in-neighbours says whether any triangle
-    is left."""
+    gives a maximal packing.  Stops once `threshold` triangles are claimed."""
     if threshold <= 0:
         return PackingFound(())
     m = t.matrix
-    cols = np.arange(t.n)
     free = np.ones(t.n, dtype=bool)
     packing: list[tuple[int, int, int]] = []
     for a in range(t.n):
-        if not free[a]:
-            continue
-        later = free & (cols > a)
-        rows = np.flatnonzero(later)
-        # with a -> b the triangle closes by b -> c -> a, else by a -> c -> b
-        head = m[a] & later
-        tail = m[:, a] & later
-        lo, size = 0, 1
-        while lo < rows.size:
-            bs = rows[lo:lo + size]
-            hits = np.where(m[a, bs][:, None], m[bs] & tail, m[:, bs].T & head)
-            first = np.flatnonzero(hits)
-            if first.size:
-                i, c = divmod(int(first[0]), t.n)
-                b = int(bs[i])
-                packing.append((a, b, c))
-                free[a] = free[b] = free[c] = False
-                if len(packing) >= threshold:
-                    return PackingFound(tuple(packing))
-                break
-            # every arc x -> y with a -> x and y -> a closes a triangle
-            if lo == 0 and not m[np.ix_(np.flatnonzero(head), np.flatnonzero(tail))].any():
-                break
-            lo, size = lo + size, 2 * size
+        found = free[a] and _first_triangle(m, a, free)
+        if found:
+            packing.append((a, *found))
+            free[[a, *found]] = False
+            if len(packing) >= threshold:
+                return PackingFound(tuple(packing))
     core = frozenset(v for tri in packing for v in tri)
     order = topological_order(t, [v for v in range(t.n) if free[v]])
     return TriangleLocalization(tuple(packing), core, order)
+
+
+def _first_triangle(m: np.ndarray, a: int, free: np.ndarray) -> tuple[int, int] | None:
+    """The lexicographically first (b, c) of free vertices past a closing a
+    triangle with a.  Row b marks the c closing one with a and b, so the
+    first row with a mark is the least b and its first mark is c > b.  The
+    first free row is probed alone; the rest are read in blocks of 2, 4, ...
+    rows, unless one test says no triangle through a is left."""
+    rest = free[a + 1:]
+    if not rest.any():
+        return None
+    b = a + 1 + int(rest.argmax())
+    # with a -> b the triangle closes by b -> c -> a, else by a -> c -> b
+    row = (m[b, a + 1:] & m[a + 1:, a] if m[a, b] else m[a, a + 1:] & m[a + 1:, b]) & rest
+    if row.any():
+        return b, a + 1 + int(row.argmax())
+    later = free.copy()
+    later[:a + 1] = False
+    head, tail = m[a] & later, m[:, a] & later
+    # every arc x -> y with a -> x and y -> a closes a triangle
+    if not m[np.flatnonzero(head)[:, None], np.flatnonzero(tail)].any():
+        return None
+    rows = np.flatnonzero(later)
+    lo, size = 1, 2
+    while lo < rows.size:
+        bs = rows[lo:lo + size]
+        hits = np.where(m[a, bs][:, None], m[bs] & tail, m[:, bs].T & head)
+        if hits.any():
+            i, c = divmod(int(hits.argmax()), m.shape[1])
+            return int(bs[i]), c
+        lo, size = lo + size, 2 * size
+    return None
+
+
+def tpt_block(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
+    """The block `m[xs, pool]` with the pool in position order, keyed by
+    position."""
+    keys = np.array(sorted(loc.position[v] for v in pool), dtype=np.intp)
+    ids = np.array(loc.order, dtype=np.intp)[keys - 1]
+    xs = np.array(xs, dtype=np.intp)
+    return PoolRows(xs, ids, keys, t.matrix[xs[:, None], ids])
 
 
 def tpt_rows(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
@@ -111,16 +125,14 @@ def tpt_rows(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
     Row x is labelled with the position of its first 1 (t0 + 1 when it has
     none); its witness is x, the pool vertex of that 1 and the first 0
     after it."""
-    keys = np.array(sorted(loc.position[v] for v in pool), dtype=np.intp)
-    ids = np.array(loc.order, dtype=np.intp)[keys - 1]
-    xs = np.array(xs, dtype=np.intp)
-    rows = t.matrix[np.ix_(xs, ids)]
+    xs, ids, keys, rows, *_ = block = tpt_block(t, loc, pool, xs)
     first = first_true(rows)
     drop = first_true(~rows & np.logical_or.accumulate(rows, axis=1))
     ext = np.append(ids, -1)
     bad = drop < ids.size
     witnesses = list(map(tuple, np.column_stack((xs, ext[first], ext[drop]))[bad].tolist()))
-    return PoolRows(xs, ids, keys, rows, np.append(keys, len(loc.order) + 1)[first], bad, witnesses)
+    return block._replace(label=np.append(keys, len(loc.order) + 1)[first], bad=bad,
+                          witnesses=witnesses)
 
 
 def triangle_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -286,12 +298,14 @@ def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
 def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
     """Vertex set = pool.  An ordinary edge per triangle {c, v, w} with c in
     colors and v, w in the pool, colored c; val(I) slot colors per
-    positive-demand interval I, each looped onto every vertex of its window."""
+    positive-demand interval I, each looped onto every vertex of its window,
+    a slice of the pool in position order."""
+    block = tpt_block(t, d.loc, d.pool, sorted(d.colors))
     slots = []
-    for iv in sorted(demand.positive(), key=lambda iv: (iv.l, iv.r)):
-        window = sorted(d.window(iv))
-        slots += [(("slot", (iv.l, iv.r), j), window) for j in range(demand.values[iv])]
-    return build_aux(tpt_rows(t, d.loc, d.pool, sorted(d.colors)), triangle_marks, slots)
+    for (l, r), val in sorted(((iv.l, iv.r), val) for iv, val in demand.values.items() if val > 0):
+        window = block.ids[np.searchsorted(block.keys, l):np.searchsorted(block.keys, r)]
+        slots += [(("slot", (l, r), j), window) for j in range(val)]
+    return build_aux(block, triangle_marks, slots)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Layer 1 of the rainbow oracle with a fresh `frozenset` of endpoints per
-edge visit and the dataclass order for sorting."""
+edge visit, dict owners and a full snapshot per eviction swap; and the
+outcome check over `ColoredEdge` sets, as both read the multigraph when it
+held a tuple of `ColoredEdge`s."""
 from __future__ import annotations
 
 from rainbowkernel.graphs import ColoredEdge, ColoredMultigraph
-from rainbowkernel.rainbow import LAYER1_BUDGET, SWAP_DEPTH
+from rainbowkernel.rainbow import (LAYER1_BUDGET, SWAP_DEPTH, ColorCover,
+                                   RainbowMatching)
 
 
 def greedy_layer1(cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int]]:
@@ -57,3 +60,41 @@ def greedy_layer1(cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[i
         if not try_color(c, SWAP_DEPTH, frozenset({c})):
             missing.append(c)
     return assign, sorted(missing)
+
+
+def verify_outcome(cm: ColoredMultigraph, outcome) -> tuple[bool, list[str]]:
+    """Re-check every invariant of a matching / cover against `cm`."""
+    problems: list[str] = []
+    if isinstance(outcome, RainbowMatching):
+        seen_colors = [e.color for e in outcome.edges]
+        if sorted(seen_colors) != list(range(cm.p)):
+            problems.append(f"colors {sorted(seen_colors)} != 0..{cm.p - 1}")
+        legal = set(cm.edges)
+        for e in outcome.edges:
+            if e not in legal:
+                problems.append(f"edge {e} not in the multigraph")
+        used: set[int] = set()
+        for e in sorted(outcome.edges):
+            pts = e.endpoints()
+            if pts & used:
+                problems.append(f"edge {e} shares a vertex with an earlier edge")
+            used |= pts
+    elif isinstance(outcome, ColorCover):
+        if not outcome.colors:
+            problems.append("color set is empty")
+        bad = [c for c in outcome.colors if not 0 <= c < cm.p]
+        if bad:
+            problems.append(f"colors {sorted(bad)} out of range")
+        vertex_set = set(cm.vertices.tolist())
+        stray = [v for v in outcome.cover if v not in vertex_set]
+        if stray:
+            problems.append(f"cover vertices {sorted(stray)} not in the graph")
+        for e in cm.edges:
+            if e.color in outcome.colors and not (e.endpoints() & outcome.cover):
+                problems.append(f"edge {e} of covered color is not covered")
+        bound = (4.0 + outcome.epsilon) * len(outcome.colors)
+        if not len(outcome.cover) < bound:
+            problems.append(f"|X| = {len(outcome.cover)} not < (4+eps)|C| = {bound}")
+    else:
+        problems.append(f"unknown outcome type {type(outcome).__name__}")
+    return (not problems, problems)

@@ -30,18 +30,22 @@ def tournaments(draw, max_n=10, min_n=0):
 
 @st.composite
 def colored_multigraphs(draw, max_vertices=12, max_colors=6):
+    """Vertex ids are sparse and start past 0, so that a vertex position
+    read as an id (or the reverse) shows."""
     nv = draw(st.integers(min_value=1, max_value=max_vertices))
+    ids = sorted(draw(st.sets(st.integers(min_value=1, max_value=8 * max_vertices),
+                              min_size=nv, max_size=nv)))
     p = draw(st.integers(min_value=1, max_value=max_colors))
     edges = {}
     count = draw(st.integers(min_value=0, max_value=3 * p + 4))
     for _ in range(count):
         c = draw(st.integers(min_value=0, max_value=p - 1))
         if draw(st.booleans()) or nv < 2:
-            v = draw(st.integers(min_value=0, max_value=nv - 1))
+            v = ids[draw(st.integers(min_value=0, max_value=nv - 1))]
             edges[(v, v, c)] = colored_edge(v, v, c)
         else:
-            u = draw(st.integers(min_value=0, max_value=nv - 1))
-            v = draw(st.integers(min_value=0, max_value=nv - 1))
+            u = ids[draw(st.integers(min_value=0, max_value=nv - 1))]
+            v = ids[draw(st.integers(min_value=0, max_value=nv - 1))]
             if u == v:
                 continue
             e = colored_edge(u, v, c)
@@ -49,9 +53,9 @@ def colored_multigraphs(draw, max_vertices=12, max_colors=6):
     used = {c for (_, _, c) in edges}
     for c in range(p):
         if c not in used:
-            v = draw(st.integers(min_value=0, max_value=nv - 1))
+            v = ids[draw(st.integers(min_value=0, max_value=nv - 1))]
             edges[(v, v, c)] = colored_edge(v, v, c)
-    return make_colored_multigraph(range(nv), edges.values(), p)
+    return make_colored_multigraph(ids, edges.values(), p)
 
 
 @st.composite

@@ -66,7 +66,7 @@ class TestTypes:
 
     def test_multigraph_rejects_parallel_same_color(self):
         with pytest.raises(ValueError, match="parallel"):
-            ColoredMultigraph((0, 1), (colored_edge(0, 1, 0), colored_edge(1, 0, 0)), 1)
+            ColoredMultigraph((0, 1), [0, 1], [1, 0], [0, 0], 1)
 
 
 class TestTopologicalOrder:
@@ -201,3 +201,7 @@ class TestMultigraphDump:
         with pytest.raises(ParseError) as err:
             parse_colored_multigraph("loop 0 0\nwhat 1 2\n")
         assert err.value.line == 2
+
+    def test_rejects_ids_past_the_machine_integers(self):
+        with pytest.raises(ParseError):
+            parse_colored_multigraph(f"loop {10**20} 0\n")

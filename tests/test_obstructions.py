@@ -124,7 +124,8 @@ def test_color_edges_mark_each_obstruction_once(family, data):
     rows = rows_of(g, loc, pool, xs)
     # small blocks make the color rows span several of them
     with mock.patch.object(rounds, "BLOCK_PAIRS", data.draw(st.integers(1, 200))):
-        edges = rounds.color_edges(rows, MARKS[family])
+        colors, us, vs = rounds.color_edges(rows, MARKS[family])
+    edges = list(map(colored_edge, us.tolist(), vs.tolist(), colors.tolist()))
     ids = rows.ids.tolist()
     for r, x in enumerate(xs):
         upper = np.triu(_brute_matrix(g, x, ids, is_obstruction), 1)

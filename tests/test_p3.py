@@ -150,6 +150,20 @@ class TestAuxGraph:
         assert aux.cm.p == 0 and aux.cm.edges == ()
         assert peak < n * n  # one n x n bool matrix
 
+    def test_validator_builds_no_pool_square(self):
+        # the pool-shape test reads the pool in row blocks
+        n = 4000
+        g = UndirectedGraph(n, [])
+        d = localized_decomp(g)
+        tracemalloc.start()
+        try:
+            problems = check_p3_decomp(d, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert problems == [] and len(d.pool) == n
+        assert peak < n * n  # one n x n bool matrix
+
     def test_cross_clique_color_edge(self):
         # cliques {0} and {1}; color 2 adjacent to both pool vertices
         g = UndirectedGraph(3, [(2, 0), (2, 1)])
@@ -330,6 +344,14 @@ class TestValidator:
     def test_initial_decomposition_validates(self, g):
         d = clean_p3(localized_decomp(g), g)
         assert check_p3_decomp(d, g) == []
+
+    def test_pool_shape_with_matching_degrees_is_caught(self):
+        # slices {0, 1} and {2, 3}, but the pool edges run across them: every
+        # pool vertex still has its slice size minus one pool neighbours
+        g = UndirectedGraph(4, [(0, 2), (1, 3)])
+        loc = P3Localization((), frozenset(), ((0, 1), (2, 3)))
+        d = make_p3_decomp(loc, frozenset(range(4)), frozenset(), frozenset(), g, 1.0)
+        assert check_p3_decomp(d, g) == ["pool edges disagree with the clique slices"]
 
 
 class TestDeterminism:

@@ -4,25 +4,28 @@ the slow reference forms in `tests/reference/` return.
 Covered: greedy triangle and induced-2-path localization (packing, order or
 cliques, early stop), the demand (order and values), the tournament and
 graph text formats (bytes written, and the parsed payload or the ParseError
-line and message), and layer 1 of the rainbow oracle (assignment and
-missing colors).
+line and message), layer 1 of the rainbow oracle (assignment and missing
+colors, also when its visit budget runs out), and the oracle outcome check
+(verdict and problem list on corrupted outcomes).
 """
 import importlib.util
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rainbowkernel import instances
+from rainbowkernel import instances, rainbow
 from rainbowkernel.demand import BucketProfile, compute_demand
 from rainbowkernel.errors import ParseError
-from rainbowkernel.graphs import Tournament, UndirectedGraph
+from rainbowkernel.graphs import ColoredEdge, Tournament, UndirectedGraph, colored_edge
 from rainbowkernel.p3 import greedy_localize_p3
-from rainbowkernel.rainbow import RainbowOracle
+from rainbowkernel.rainbow import (ColorCover, RainbowMatching, RainbowOracle,
+                                   rainbow_or_cover, verify_outcome)
 from rainbowkernel.tournament import greedy_localize_triangles
 
 from .reference import demand as ref_demand
@@ -272,7 +275,78 @@ def test_graph_parse_errors_match_reference(g, data):
 # -- oracle layer 1 ------------------------------------------------------------------
 
 
-@given(colored_multigraphs(max_vertices=30, max_colors=16))
-@settings(max_examples=150)
-def test_layer1_matches_reference(cm):
-    assert RainbowOracle()._greedy(cm) == ref_rainbow.greedy_layer1(cm)
+@given(colored_multigraphs(max_vertices=30, max_colors=16),
+       st.one_of(st.just(rainbow.LAYER1_BUDGET), st.integers(min_value=0, max_value=60)))
+@settings(max_examples=300)
+def test_layer1_matches_reference(cm, budget):
+    """At the default budget and at small ones, where the visits run out
+    part-way through the colors."""
+    with mock.patch.object(rainbow, "LAYER1_BUDGET", budget), \
+            mock.patch.object(ref_rainbow, "LAYER1_BUDGET", budget):
+        assert RainbowOracle()._greedy(cm) == ref_rainbow.greedy_layer1(cm)
+
+
+# -- the oracle outcome check ------------------------------------------------------
+
+
+def _corrupt_matching(cm, edges: list, kind: str, data) -> RainbowMatching:
+    i = data.draw(st.integers(0, len(edges) - 1))
+    e, others = edges[i], edges[:i] + edges[i + 1:]
+    stranger = int(cm.vertices[-1]) + 1
+    if kind == "dropped edge":
+        return RainbowMatching(tuple(others))
+    if kind == "edge not in the multigraph":
+        ids = cm.vertices.tolist()
+        absent = [colored_edge(x, y, e.color) for x in ids for y in ids
+                  if colored_edge(x, y, e.color) not in cm.edges]
+        e = data.draw(st.sampled_from(absent + [colored_edge(e.u, stranger, e.color)]))
+    elif kind == "shared vertex":
+        taken = {x for f in others for x in (f.u, f.v)}
+        meets = [f for f in cm.edges if f.color == e.color and {f.u, f.v} & taken]
+        e = data.draw(st.sampled_from(meets or [colored_edge(others[0].u, e.v, e.color)]))
+    else:  # a wrong color set: one color twice, or one out of range
+        e = ColoredEdge(e.u, e.v, data.draw(st.sampled_from(
+            [c for c in range(cm.p + 1) if c != e.color])))
+    return RainbowMatching(tuple(edges[:i] + [e] + edges[i + 1:]))
+
+
+def _corrupt_cover(cm, cover: ColorCover, kind: str, data) -> ColorCover:
+    stranger = int(cm.vertices[-1]) + 1
+    colors, xs = cover.colors, cover.cover
+    if kind == "wrong colors":
+        colors = data.draw(st.sampled_from(
+            [frozenset(), colors | {cm.p}, colors | {-1}] +
+            [colors | {c} for c in range(cm.p) if c not in colors]))
+    elif kind == "uncovered edge":
+        f = data.draw(st.sampled_from([f for f in cm.edges if f.color in colors]))
+        xs = xs - {f.u, f.v}
+    elif kind == "stray cover vertex":
+        xs = xs | {stranger + data.draw(st.integers(0, 3))}
+    else:  # a cover as large as the bound: real vertices first, then strays
+        spare = [v for v in cm.vertices.tolist() if v not in xs] + \
+            list(range(stranger, stranger + 5 * len(colors)))
+        xs = xs | set(spare[:math.ceil((4.0 + cover.epsilon) * len(colors)) - len(xs)])
+    return ColorCover(colors, xs, cover.epsilon)
+
+
+MATCHING_FAULTS = ("dropped edge", "edge not in the multigraph", "shared vertex", "wrong colors")
+COVER_FAULTS = ("wrong colors", "uncovered edge", "stray cover vertex", "cover at the bound")
+
+
+@given(colored_multigraphs(max_vertices=10, max_colors=6), st.data())
+@settings(max_examples=400)
+def test_verify_outcome_matches_reference(cm, data):
+    """Valid oracle outcomes pass both checks; corrupted once, they get the
+    same verdict and the same problems, in the same order."""
+    outcome = rainbow_or_cover(cm, 1.0)
+    assert verify_outcome(cm, outcome) == ref_rainbow.verify_outcome(cm, outcome) == (True, [])
+    if isinstance(outcome, RainbowMatching):
+        kind = data.draw(st.sampled_from([f for f in MATCHING_FAULTS
+                                          if f != "shared vertex" or len(outcome.edges) > 1]))
+        bad = _corrupt_matching(cm, list(outcome.edges), kind, data)
+    else:
+        kind = data.draw(st.sampled_from(COVER_FAULTS))
+        bad = _corrupt_cover(cm, outcome, kind, data)
+    ok, problems = verify_outcome(cm, bad)
+    assert (ok, problems) == ref_rainbow.verify_outcome(cm, bad)
+    assert not ok or (kind == "wrong colors" and isinstance(bad, ColorCover)), kind
