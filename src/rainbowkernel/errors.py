@@ -49,6 +49,14 @@ class OracleContractViolation(InternalError):
     """The rainbow oracle returned an outcome that fails verification."""
 
 
+class OracleExhausted(InternalError):
+    """No layer of the rainbow oracle answered; carries the multigraph."""
+
+    def __init__(self, cm):
+        super().__init__(f"no rainbow oracle layer answered ({cm.p} colors, {len(cm.u)} edges)")
+        self.cm = cm
+
+
 class PreconditionViolated(InternalError):
     """An add operation was invoked outside its hypothesis; signals a rule bug."""
 

@@ -19,10 +19,10 @@ GRAPH_PROBLEMS = frozenset({"I2PP", "I2PHS"})
 PACKING_PROBLEMS = frozenset({"TPT", "I2PP"})
 
 #: largest vertex count a graph header may declare.  A graph is held as an
-#: n x n one-byte matrix, and pool-by-pool arrays come on top: three in the
-#: validator's pool-shape check, and a few per color in the color-edge marks
-#: of `p3.build_p3_aux`: 100 MB each at this cap.  A header is a few bytes, so
-#: without the cap a short file could ask for any amount of memory
+#: n x n one-byte matrix (100 MB at this cap); greedy localization reads up
+#: to half its rows at once, the validator and `p3.build_p3_aux` read row
+#: blocks of a few million pairs.  A header is a few bytes, so without the
+#: cap a short file could ask for any amount of memory
 MAX_GRAPH_VERTICES = 10_000
 
 

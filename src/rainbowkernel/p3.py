@@ -19,6 +19,7 @@ potential #live cliques + #colors drops.  The loop itself lives in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +32,7 @@ from .graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
 from .rounds import (BLOCK_PAIRS, Aux, PackingFound, PoolRows, RuleNext, RuleStop,
-                     build_aux, first_true, run_rounds)
+                     build_aux, finite, first_true, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -331,12 +332,12 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
     a packing of k paths answers I2PP with yes, while k+1 disjoint paths rule
     out a hitting set of size k (I2PHS answers no).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be a finite positive number")
     if problem not in ("I2PP", "I2PHS"):
         raise ValueError(f"not a 2-path problem: {problem}")
     c1 = 4.0 + epsilon
-    bound = 3.0 * (1.0 + 2.0 * c1) ** 2 * k
+    bound = finite("the kernel bound", lambda: 3.0 * (1.0 + 2.0 * c1) ** 2 * k)
     params = {
         "epsilon": epsilon,
         "epsilon_prime": 12.0 * epsilon ** 2 + 108.0 * epsilon,

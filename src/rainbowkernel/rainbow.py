@@ -3,7 +3,7 @@
 Given a p-edge-colored multigraph, `rainbow_or_cover` returns either a rainbow
 matching (one edge per color, pairwise vertex-disjoint) or a non-empty color
 set C together with a vertex cover X of the C-colored edges satisfying
-|X| < (4+eps)|C|.  One of the two always exists, so the oracle never fails.
+|X| < (4+eps)|C|.  One of the two always exists.
 
 The search is layered:
 
@@ -13,24 +13,23 @@ The search is layered:
            the partial matching missed, cover it with a maximal-matching
            2-approximation (exact branching for small residuals), accept when
            the cover beats the (4+eps) budget
-  layer 3  exact fallback: rainbow-matching decision by DFS over colors with
-           memoized vertex sets, then color subsets in increasing size taking
-           the first whose minimum vertex cover is small enough
+
+When no layer answers, `solve` raises `OracleExhausted`, an internal error
+carrying the multigraph (the command line exits 3).  No test, corpus or
+random search has produced such a multigraph.
 
 Every layer and `verify_outcome` read the multigraph's edge arrays over vertex
 positions; layer 1 takes back a failed eviction swap through an undo log.
-Layer 3 is exponential and intended for desk scale; it still runs whenever
-the fast layers fail, because a valid outcome is required unconditionally.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from .errors import OracleExhausted
 from .graphs import ColoredEdge, ColoredMultigraph
 
 
@@ -113,10 +112,8 @@ COVER_EXACT_EDGE_LIMIT = 48
 @dataclass
 class OracleStats:
     p: int = 0
-    n_vertices: int = 0
     n_edges: int = 0
     layer: str = ""
-    outcome: str = ""
     layer1_missing: int = 0
 
 
@@ -124,11 +121,10 @@ class RainbowOracle:
     """Stateless solver; a fresh instance may be used per call or shared."""
 
     def solve(self, cm: ColoredMultigraph, epsilon: float) -> tuple[RainbowMatching | ColorCover, OracleStats]:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        stats = OracleStats(p=cm.p, n_vertices=len(cm.vertices), n_edges=len(cm.u))
+        if not 0 < epsilon < math.inf:
+            raise ValueError("epsilon must be a finite positive number")
+        stats = OracleStats(p=cm.p, n_edges=len(cm.u))
         stats.layer, outcome = self._first_answer(cm, epsilon, stats)
-        stats.outcome = "matching" if isinstance(outcome, RainbowMatching) else "cover"
         return outcome, stats
 
     def _first_answer(self, cm: ColoredMultigraph, epsilon: float, stats: OracleStats) -> tuple:
@@ -145,13 +141,7 @@ class RainbowOracle:
         cover = self._blocked_cover(cm, missing, epsilon)
         if cover is not None:
             return "blocked-cover", cover
-        matching = self._exact_matching(cm)
-        if matching is not None:
-            return "exact-matching", matching
-        cover = self._exact_cover(cm, epsilon)
-        if cover is None:
-            raise RuntimeError("dichotomy exhausted; this cannot happen")
-        return "exact-cover", cover
+        raise OracleExhausted(cm)
 
     # -- layer 1 ------------------------------------------------------------
 
@@ -258,44 +248,6 @@ class RainbowOracle:
                 picked |= grown
         return None
 
-    # -- layer 3 ------------------------------------------------------------
-
-    def _exact_matching(self, cm: ColoredMultigraph) -> RainbowMatching | None:
-        masks, cuts = [(1 << a) | (1 << b) for a, b in cm.pairs], cm.offsets.tolist()
-        order = sorted(range(cm.p), key=lambda c: (cuts[c + 1] - cuts[c], c))
-        failed: set[tuple[int, int]] = set()
-        chosen: list[int] = []
-
-        def dfs(i: int, used: int) -> bool:
-            if i == cm.p:
-                return True
-            if (i, used) in failed:
-                return False
-            for j in range(cuts[order[i]], cuts[order[i] + 1]):
-                if not masks[j] & used:
-                    chosen.append(j)
-                    if dfs(i + 1, used | masks[j]):
-                        return True
-                    chosen.pop()
-            failed.add((i, used))
-            return False
-
-        return RainbowMatching(tuple(map(cm.edge, sorted(chosen)))) if dfs(0, 0) else None
-
-    def _exact_cover(self, cm: ColoredMultigraph, epsilon: float) -> ColorCover | None:
-        """First color subset (increasing size, lexicographic) whose minimum
-        vertex cover is at most (4+eps)(|C|-1).  Guaranteed to exist when no
-        rainbow matching does."""
-        cuts = cm.offsets.tolist()
-        for size in range(1, cm.p + 1):
-            budget = math.floor((4.0 + epsilon) * (size - 1) + 1e-9)
-            for colors in combinations(range(cm.p), size):
-                edges = [e for c in colors for e in cm.pairs[cuts[c]:cuts[c + 1]]]
-                cover = _vertex_cover_within(edges, budget)
-                if cover is not None:
-                    return ColorCover(frozenset(colors), _ids(cm, cover), epsilon)
-        return None
-
 
 def _ids(cm: ColoredMultigraph, positions) -> frozenset[int]:
     """The vertex ids at `positions`."""
@@ -317,8 +269,6 @@ def _vertex_cover_within(edges: Sequence[tuple[int, int]], budget: int) -> set[i
     """A vertex cover of the (u, v, ...) `edges` of size <= budget, or None.
     Branches on the endpoints of an uncovered ordinary edge; loop vertices
     are forced."""
-    if budget < 0:
-        return None
     forced = {e[0] for e in edges if e[0] == e[1]}
     if len(forced) > budget:
         return None

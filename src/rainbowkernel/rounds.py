@@ -15,6 +15,7 @@ and the color edges of the auxiliary multigraph all consume.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -137,6 +138,18 @@ def build_aux(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarr
     return Aux(ColoredMultigraph(rows.ids, np.concatenate((us, looped)),
                                  np.concatenate((vs, looped)), colors, len(meanings)),
                tuple(meanings))
+
+
+def finite(name: str, compute: Callable[[], float]) -> float:
+    """`compute()`, or a ValueError when it leaves the float range: a power
+    past it, a k too long to convert, an inf or a NaN."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not value < math.inf:
+        raise ValueError(f"{name} overflows a float at these parameters")
+    return value
 
 
 def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean: Callable,

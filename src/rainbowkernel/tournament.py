@@ -40,7 +40,7 @@ from .intervals import (BucketInterval, block_partition, maximal_elements,
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
 from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux,
-                     first_true, run_rounds)
+                     finite, first_true, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,12 @@ class TriangleLocalization:
     order: tuple[int, ...]
 
     @cached_property
-    def position(self) -> dict[int, int]:
-        """Topological position 1..t0 of each remainder vertex."""
-        return {v: i + 1 for i, v in enumerate(self.order)}
+    def position(self) -> np.ndarray:
+        """Topological position 1..t0 by vertex id, 0 off the remainder."""
+        out = np.zeros(len(self.core) + len(self.order), dtype=np.intp)
+        out[list(self.order)] = np.arange(1, len(self.order) + 1)
+        out.flags.writeable = False
+        return out
 
 
 def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
@@ -112,10 +115,10 @@ def _first_triangle(m: np.ndarray, a: int, free: np.ndarray) -> tuple[int, int] 
 def tpt_block(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
     """The block `m[xs, pool]` with the pool in position order, keyed by
     position."""
-    keys = np.array(sorted(loc.position[v] for v in pool), dtype=np.intp)
-    ids = np.array(loc.order, dtype=np.intp)[keys - 1]
+    ids = np.fromiter(pool, dtype=np.intp, count=len(pool))
+    ids = ids[loc.position[ids].argsort()]
     xs = np.array(xs, dtype=np.intp)
-    return PoolRows(xs, ids, keys, t.matrix[xs[:, None], ids])
+    return PoolRows(xs, ids, loc.position[ids], t.matrix[xs[:, None], ids])
 
 
 def tpt_rows(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
@@ -194,7 +197,7 @@ class TptDecomp:
 
     def window(self, interval: BucketInterval) -> frozenset[int]:
         """Pool vertices whose position lies in [l, r)."""
-        pos = self.loc.position
+        pos = self.loc.position.tolist()
         return frozenset(v for v in self.pool if interval.l <= pos[v] < interval.r)
 
     def profile(self) -> BucketProfile:
@@ -211,7 +214,7 @@ def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
     the smallest pool position it dominates (the infinity sentinel when it
     dominates none).  A pool vertex past that position dominating it back
     witnesses a triangle with two pool vertices."""
-    if not pool <= loc.position.keys():
+    if not loc.position[list(pool)].all():
         raise BrokenInvariant("pool must lie inside the localization remainder")
     rows = tpt_rows(t, loc, pool, sorted(bucketed))
     if rows.witnesses:
@@ -239,7 +242,7 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
         out.append("pool/bucketed/colors do not partition the vertex set")
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
-    if not d.pool <= d.loc.position.keys():
+    if not d.loc.position[list(d.pool)].all():
         out.append("pool leaks outside the localization remainder")
         return out
     stored = [(i, v) for i in sorted(d.buckets) for v in d.buckets[i]]
@@ -478,10 +481,8 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
         raise ValueError(f"not a tournament problem: {problem}")
     if delta is None:
         delta = choose_delta(k) if k >= 2 else 2.0
-    if not 1.0 < delta <= 2.0:
-        raise ValueError("delta must lie in (1, 2]")
-    c_delta = local_size_constant(delta)
-    bound = 6534.0 * c_delta * k ** delta
+    c_delta = finite("c(delta)", lambda: local_size_constant(delta))
+    bound = finite("the kernel bound", lambda: 6534.0 * c_delta * k ** delta)
     params = {"delta": delta, "c_delta": c_delta, "epsilon": 1.0}
     report = KernelReport(problem=problem, n=t.n, k=k, params=params, status="kernel",
                           bound=bound, bound_formula="6534*c(delta)*k^delta")

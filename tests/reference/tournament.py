@@ -49,7 +49,7 @@ def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
     the smallest pool position it dominates (the infinity sentinel when it
     dominates none).  A pool vertex past that position dominating it back
     witnesses a triangle with two pool vertices."""
-    pos = loc.position
+    pos = {v: i + 1 for i, v in enumerate(loc.order)}
     if not pool <= pos.keys():
         raise ValueError("pool must lie inside the localization remainder")
     t0 = len(loc.order)
@@ -82,7 +82,7 @@ def bucket_membership_problems(d: TptDecomp, t: Tournament) -> list[str]:
     """The bucket-membership lines of `check_tpt_decomp`, from its earlier
     double loop over (bucket vertex, pool vertex) pairs."""
     out: list[str] = []
-    pos = d.loc.position
+    pos = {v: i + 1 for i, v in enumerate(d.loc.order)}
     pool_sorted = sorted(d.pool, key=lambda v: pos[v])
     positions = [pos[v] for v in pool_sorted]
     m = t.matrix

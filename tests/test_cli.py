@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from rainbowkernel import exact, p3, tournament
+from rainbowkernel import exact, p3, rainbow, tournament
 from rainbowkernel.cli import build_parser, main
 from rainbowkernel.demand import BucketProfile
 from rainbowkernel.errors import NotNicePair, ParseError
@@ -166,6 +166,40 @@ class TestKernelize:
         monkeypatch.setattr(module, stage, broken)
         code, _, err = run(capsys, "kernelize", "--input", str(inst))
         assert code == 3 and err == f"internal error: {message}\n"
+
+    def test_exhausted_oracle_exits_3(self, tmp_path, capsys, monkeypatch):
+        # on this instance layer 1 misses two colors in the first round
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", "TPT", "--family", "uniform", "--n", "12",
+              "--k", "3", "--seed", "20", "--output", str(inst)])
+        assert run(capsys, "kernelize", "--input", str(inst))[0] == 0
+        monkeypatch.setattr(rainbow.RainbowOracle, "_blocked_cover", lambda *args: None)
+        code, _, err = run(capsys, "kernelize", "--input", str(inst))
+        assert code == 3 and err.startswith("internal error: no rainbow oracle layer answered")
+        assert "Traceback" not in err
+
+    # parameters outside the float range: NaN, infinity, a power past it
+    # (1e200), a bound that rounds to infinity (5e153) and a k too long to
+    # convert
+    @pytest.mark.parametrize("problem, k, flags, message", [
+        ("I2PP", "3", ["--epsilon", "nan"], "epsilon must be a finite positive number"),
+        ("I2PP", "3", ["--epsilon", "inf"], "epsilon must be a finite positive number"),
+        ("I2PP", "3", ["--epsilon", "1e200"], "the kernel bound overflows a float"),
+        ("I2PP", "3", ["--epsilon", "5e153"], "the kernel bound overflows a float"),
+        ("TPT", "3", ["--delta", "1.001"], "c(delta) overflows a float"),
+        ("I2PP", "9" * 400, [], "the kernel bound overflows a float"),
+        ("TPT", "9" * 400, [], "the kernel bound overflows a float")],
+        ids=["epsilon-nan", "epsilon-inf", "epsilon-1e200", "epsilon-5e153", "delta-1.001",
+             "I2PP-400-digit-k", "TPT-400-digit-k"])
+    def test_parameters_past_the_float_range_exit_2(self, tmp_path, capsys, problem, k, flags,
+                                                    message):
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", problem, "--family", "gnp" if problem == "I2PP" else "uniform",
+              "--n", "12", "--k", "3", "--seed", "20", "--output", str(inst)])
+        inst.write_text(inst.read_text().replace(" k 3\n", f" k {k}\n", 1))
+        code, out, err = run(capsys, "kernelize", "--input", str(inst), *flags)
+        assert code == 2 and err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out
 
     def test_edgeless_graph_kernelizes_fast(self, tmp_path, capsys):
         inst = tmp_path / "edgeless.txt"

@@ -17,9 +17,11 @@ SEEDS = [serialize_instance(generate_instance(GeneratorConfig(problem, family, n
          for problem, family in (("TPT", "uniform"), ("FVST", "uniform"),
                                  ("I2PP", "gnp"), ("I2PHS", "gnp"))]
 
-#: tokens to insert: numbers stay small, so a mutated header never asks
-#: the exact solvers or the graph matrix for much
-TOKENS = ("0", "1", "2", "7", "-1", "-", "01", "x", "1.5", "problem", "k",
+#: tokens to insert.  The numbers are small, so a mutated header never asks
+#: the exact solvers or the graph matrix for much, but for one 400-digit
+#: number: as k it overflows the float kernel bound, and as a vertex count
+#: it is rejected before anything is allocated
+TOKENS = ("0", "1", "2", "7", "-1", "-", "01", "x", "1.5", "9" * 400, "problem", "k",
           "graph", "tournament", "TPT", "I2PHS")
 
 

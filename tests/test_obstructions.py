@@ -74,7 +74,7 @@ def graph_pools(draw, max_n=12):
 
 def _tpt_label(t, loc, pool, x):
     """The least position of a pool vertex x beats, t0 + 1 when none."""
-    pos = loc.position
+    pos = loc.position.tolist()
     return min((pos[w] for w in pool if t.has_arc(x, w)), default=len(loc.order) + 1)
 
 
@@ -185,7 +185,7 @@ def _tpt_move(d, v, target):
 
 
 def _tpt_targets(d, v):
-    positions = {d.loc.position[u] for u in d.pool}
+    positions = set(d.loc.position[list(d.pool)].tolist())
     return sorted((set(d.buckets) | positions | {d.infinity}) - {d.bucket_of(v)})
 
 
@@ -193,8 +193,7 @@ def _tpt_sound(d, t):
     """Per triple and pair: the pool is transitive in position order, no
     bucketed vertex forms a triangle with two pool vertices, and each sits
     in the bucket of the least pool position it beats."""
-    pos = d.loc.position
-    pool = sorted(d.pool, key=pos.get)
+    pool = sorted(d.pool, key=d.loc.position.__getitem__)
     if not all(t.has_arc(u, w) for u, w in combinations(pool, 2)):
         return False
     stored = {v: i for i, b in d.buckets.items() for v in b}

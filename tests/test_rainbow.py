@@ -1,10 +1,13 @@
+import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
+from rainbowkernel.errors import InternalError, OracleExhausted
 from rainbowkernel.graphs import colored_edge, make_colored_multigraph
-from rainbowkernel.rainbow import (ColorCover, RainbowMatching,
+from rainbowkernel.rainbow import (ColorCover, RainbowMatching, RainbowOracle,
                                    rainbow_or_cover, verify_outcome,
                                    _vertex_cover_within)
 
@@ -127,6 +130,30 @@ class TestOracleExamples:
         assert ok, problems
         assert not brute_force_has_rainbow(cm)
 
+    def test_star_forces_cover(self):
+        # a chain of conflicting pair edges, all one shared vertex
+        edges = [colored_edge(0, i + 1, i) for i in range(4)]
+        cm = make_colored_multigraph(range(5), edges, 4)
+        assert not brute_force_has_rainbow(cm)
+        out = rainbow_or_cover(cm, 1.0)
+        assert isinstance(out, ColorCover)
+        ok, _ = verify_outcome(cm, out)
+        assert ok
+
+    def test_unanswered_multigraph_raises_oracle_exhausted(self, monkeypatch):
+        # layer 1 misses three colors of the star; with layer 2 silenced no layer answers
+        cm = make_colored_multigraph(range(5), [colored_edge(0, i + 1, i) for i in range(4)], 4)
+        monkeypatch.setattr(RainbowOracle, "_blocked_cover", lambda *args: None)
+        with pytest.raises(OracleExhausted) as err:
+            RainbowOracle().solve(cm, 1.0)
+        assert err.value.cm is cm and isinstance(err.value, InternalError)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        cm = make_colored_multigraph([0], [colored_edge(0, 0, 0)], 1)
+        with pytest.raises(ValueError, match="finite positive"):
+            rainbow_or_cover(cm, epsilon)
+
 
 class TestVerifyOutcome:
     def setup_method(self):
@@ -167,6 +194,19 @@ class TestDichotomyProperties:
         else:
             assert brute_force_has_rainbow(cm)
 
+    @given(colored_multigraphs(max_vertices=24, max_colors=12),
+           st.sampled_from((0.01, 0.1, 0.5, 1.0)))
+    @settings(max_examples=300)
+    def test_targeted_search_finds_no_unanswered_multigraph(self, cm, epsilon):
+        """Pushed towards multigraphs where layer 1 misses many colors and
+        layer 2's cover has little slack, the oracle still answers."""
+        out, stats = RainbowOracle().solve(cm, epsilon)
+        ok, problems = verify_outcome(cm, out)
+        assert ok, problems
+        target(float(stats.layer1_missing), label="colors layer 1 missed")
+        if isinstance(out, ColorCover):
+            target(len(out.cover) - (4 + epsilon) * len(out.colors), label="cover slack, negated")
+
     @given(colored_multigraphs(max_vertices=8, max_colors=4))
     @settings(max_examples=40)
     def test_translation_soundness(self, cm):
@@ -184,41 +224,3 @@ class TestDichotomyProperties:
             ok, problems = verify_outcome(cm, cover)
             assert ok, problems
             assert len(cover.cover) <= (4 + 1.0) * (len(subset) - 1)
-
-
-class TestLayer3Direct:
-    def test_exact_fallback_agrees_with_brute_force(self):
-        # a chain of conflicting pair edges, all one shared vertex
-        edges = [colored_edge(0, i + 1, i) for i in range(4)]
-        cm = make_colored_multigraph(range(5), edges, 4)
-        assert not brute_force_has_rainbow(cm)
-        out = rainbow_or_cover(cm, 1.0)
-        assert isinstance(out, ColorCover)
-        ok, _ = verify_outcome(cm, out)
-        assert ok
-
-    @given(colored_multigraphs(max_vertices=8, max_colors=5))
-    @settings(max_examples=60)
-    def test_exact_matching_layer_decides_correctly(self, cm):
-        from rainbowkernel.rainbow import RainbowOracle
-
-        found = RainbowOracle()._exact_matching(cm)
-        assert (found is not None) == brute_force_has_rainbow(cm)
-        if found is not None:
-            ok, problems = verify_outcome(cm, found)
-            assert ok, problems
-
-    @given(colored_multigraphs(max_vertices=6, max_colors=4))
-    @settings(max_examples=40)
-    def test_exact_cover_layer_meets_tight_bound(self, cm):
-        from rainbowkernel.rainbow import RainbowOracle
-
-        oracle = RainbowOracle()
-        if brute_force_has_rainbow(cm):
-            return
-        cover = oracle._exact_cover(cm, 1.0)
-        assert cover is not None
-        ok, problems = verify_outcome(cm, cover)
-        assert ok, problems
-        # the exact layer promises the stronger (4+eps)(|C|-1) form
-        assert len(cover.cover) <= (4 + 1.0) * (len(cover.colors) - 1)

@@ -90,6 +90,11 @@ class TestLocalize:
 
 
 class TestBucketDecompose:
+    def test_position_is_a_read_only_array_by_vertex_id(self):
+        loc = TriangleLocalization((), frozenset({0, 3}), (4, 1, 2))
+        assert loc.position.tolist() == [0, 2, 3, 0, 1]
+        assert not loc.position.flags.writeable
+
     def test_no_bucketed_no_buckets(self):
         t = transitive(5)
         loc = TriangleLocalization((), frozenset(), tuple(range(5)))
