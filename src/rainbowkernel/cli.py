@@ -24,9 +24,12 @@ def _read_instance(path: str) -> InstanceSpec:
     return parse_instance(Path(path).read_text())
 
 
-def _kernelize(spec: InstanceSpec, epsilon: float, delta, validate_run: bool):
-    if spec.problem in GRAPH_PROBLEMS:
-        return kernelize_p3(spec.payload, spec.k, epsilon=epsilon,
+def _kernelize(spec: InstanceSpec, epsilon, delta, validate_run: bool):
+    graph = spec.problem in GRAPH_PROBLEMS
+    if (delta if graph else epsilon) is not None:
+        raise ValueError(f"{'--delta' if graph else '--epsilon'} does not apply to {spec.problem}")
+    if graph:
+        return kernelize_p3(spec.payload, spec.k, epsilon=1.0 if epsilon is None else epsilon,
                             problem=spec.problem, validate=validate_run)
     return kernelize_tournament(spec.payload, spec.k, delta=delta,
                                 problem=spec.problem, validate=validate_run)
@@ -241,7 +244,8 @@ def _add_oracle_limit(sub):
 
 
 def _add_kernel_args(sub):
-    sub.add_argument("--epsilon", type=float, default=1.0)
+    sub.add_argument("--epsilon", type=float, default=None,
+                     help="oracle slack of the 2-path problems; omit for 1")
     sub.add_argument("--delta", type=float, default=None,
                      help="exponent in (1,2]; omit for the k-dependent choice")
     sub.add_argument("--no-validate", dest="no_validate", action="store_true",

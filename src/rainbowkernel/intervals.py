@@ -1,23 +1,23 @@
-"""Bucket intervals: containment/crossing relations, join, and the greedy
-block partition of a proper interval family."""
+"""Bucket intervals: containment/crossing relations and the greedy block
+partition of a proper interval family."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import BrokenInvariant, NotProper
 
 
-@dataclass(frozen=True, order=True)
-class BucketInterval:
-    """A pair of bucket indices l < r delimiting a stretch of the order."""
+class BucketInterval(namedtuple("BucketInterval", "l r")):
+    """A pair of bucket indices l < r delimiting a stretch of the order; a
+    tuple, so cheap to build, hash and compare."""
 
-    l: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.l < self.r:
-            raise BrokenInvariant(f"interval needs l < r, got ({self.l}, {self.r})")
+    def __new__(cls, l: int, r: int):
+        if not l < r:
+            raise BrokenInvariant(f"interval needs l < r, got ({l}, {r})")
+        return tuple.__new__(cls, (l, r))
 
 
 def is_inside(inner: BucketInterval, outer: BucketInterval) -> bool:
@@ -30,10 +30,6 @@ def crosses(a: BucketInterval, b: BucketInterval) -> bool:
     return a.l < b.l < a.r < b.r
 
 
-def join(a: BucketInterval, b: BucketInterval) -> BucketInterval:
-    return BucketInterval(min(a.l, b.l), max(a.r, b.r))
-
-
 def span_buckets(interval: BucketInterval, s_psi: Sequence[int]) -> tuple[int, ...]:
     """Bucket indices of s_psi falling inside the closed interval."""
     return tuple(i for i in s_psi if interval.l <= i <= interval.r)
@@ -41,18 +37,14 @@ def span_buckets(interval: BucketInterval, s_psi: Sequence[int]) -> tuple[int, .
 
 def maximal_elements(family: Iterable[BucketInterval]) -> list[BucketInterval]:
     members = sorted(set(family))
-    out = []
-    for a in members:
-        if not any(a != b and is_inside(a, b) for b in members):
-            out.append(a)
-    return out
+    return [a for a in members if not any(a != b and is_inside(a, b) for b in members)]
 
 
 def block_partition(family: Sequence[BucketInterval]) -> tuple[tuple[tuple[BucketInterval, ...], ...], tuple[BucketInterval, ...]]:
     """Split a proper interval family into maximal chains of consecutively
     crossing intervals (scanned by left endpoint) and return the chains plus
     their joins.  Consecutive joins satisfy r <= next l."""
-    members = sorted(set(family), key=lambda i: (i.l, i.r))
+    members = sorted(set(family))
     for a in members:
         for b in members:
             if a != b and is_inside(a, b):
@@ -66,10 +58,5 @@ def block_partition(family: Sequence[BucketInterval]) -> tuple[tuple[tuple[Bucke
         current.append(iv)
     if current:
         blocks.append(tuple(current))
-    joins = []
-    for block in blocks:
-        acc = block[0]
-        for iv in block[1:]:
-            acc = join(acc, iv)
-        joins.append(acc)
-    return tuple(blocks), tuple(joins)
+    # consecutive members of a block cross, so both endpoints grow along it
+    return tuple(blocks), tuple(BucketInterval(block[0].l, block[-1].r) for block in blocks)

@@ -102,11 +102,13 @@ def verify_outcome(cm: ColoredMultigraph, outcome) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-#: eviction depth of layer 1's swaps, its edge-visit budget, and the edge
-#: count up to which layer 2 covers a color set by exact branching
+#: eviction depth of layer 1's swaps, its edge-visit budget, the edge count
+#: up to which layer 2 covers a color set by exact branching, and the nodes
+#: one such branching may visit
 SWAP_DEPTH = 3
 LAYER1_BUDGET = 200_000
 COVER_EXACT_EDGE_LIMIT = 48
+COVER_EXACT_NODE_LIMIT = 20_000
 
 
 @dataclass
@@ -123,6 +125,8 @@ class RainbowOracle:
     def solve(self, cm: ColoredMultigraph, epsilon: float) -> tuple[RainbowMatching | ColorCover, OracleStats]:
         if not 0 < epsilon < math.inf:
             raise ValueError("epsilon must be a finite positive number")
+        if not (4.0 + epsilon) * cm.p < math.inf:
+            raise ValueError("the cover budget (4 + epsilon) p overflows a float")
         stats = OracleStats(p=cm.p, n_edges=len(cm.u))
         stats.layer, outcome = self._first_answer(cm, epsilon, stats)
         return outcome, stats
@@ -268,17 +272,21 @@ def _maximal_matching_cover(edges: Sequence[tuple[int, int]]) -> set[int]:
 def _vertex_cover_within(edges: Sequence[tuple[int, int]], budget: int) -> set[int] | None:
     """A vertex cover of the (u, v, ...) `edges` of size <= budget, or None.
     Branches on the endpoints of an uncovered ordinary edge; loop vertices
-    are forced."""
+    are forced.  None also when the branching visits more than
+    COVER_EXACT_NODE_LIMIT nodes."""
     forced = {e[0] for e in edges if e[0] == e[1]}
     if len(forced) > budget:
         return None
     pairs = [e for e in edges if e[0] != e[1]]
+    nodes = COVER_EXACT_NODE_LIMIT
 
     def rec(cover: set[int], remaining: list, slack: int) -> set[int] | None:
+        nonlocal nodes
+        nodes -= 1
         live = [e for e in remaining if e[0] not in cover and e[1] not in cover]
         if not live:
             return set(cover)
-        if slack == 0:
+        if slack == 0 or nodes < 0:
             return None
         for v in live[0][:2]:
             result = rec(cover | {v}, live, slack - 1)

@@ -23,6 +23,7 @@ its stages and the rule.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,10 +32,8 @@ import numpy as np
 
 from .demand import BucketProfile, Demand, compute_demand, interval_stats
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution,
-                     NotNicePair, OracleContractViolation, PreconditionViolated,
-                     RepackFailed)
-from .graphs import (Tournament, group_by, is_acyclic, is_triangle,
-                     topological_order)
+                     OracleContractViolation, PreconditionViolated, RepackFailed)
+from .graphs import Tournament, is_acyclic, is_triangle, topological_order
 from .intervals import (BucketInterval, block_partition, maximal_elements,
                         span_buckets)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
@@ -68,7 +67,8 @@ def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | T
     m = t.matrix
     free = np.ones(t.n, dtype=bool)
     packing: list[tuple[int, int, int]] = []
-    for a in range(t.n):
+    # a triangle {a, x, y} with x, y > a needs an arc into a from x or y
+    for a in np.flatnonzero(np.tril(m, -1).any(axis=0)).tolist():
         found = free[a] and _first_triangle(m, a, free)
         if found:
             packing.append((a, *found))
@@ -151,7 +151,9 @@ class TptDecomp:
 
     `spine` and `bulk` split the bucketed remainder vertices: spine vertices
     count as seeds next to the core, bulk vertices are the merge products
-    only bounded by the local-size law.
+    only bounded by the local-size law.  `buckets` maps each bucket index to
+    its members; the rounds carry it forward (`advance`) without reading
+    the tournament.
     """
 
     loc: TriangleLocalization
@@ -162,23 +164,43 @@ class TptDecomp:
     bulk: frozenset[int]
     delta: float
     c_delta: float
-    s_psi: tuple[int, ...]
     buckets: dict[int, frozenset[int]]
 
-    @property
-    def t0(self) -> int:
-        return len(self.loc.order)
+    def __post_init__(self):
+        if not self.keys.all():
+            raise BrokenInvariant("pool must lie inside the localization remainder")
+        if self.spine | self.bulk != self.bucketed - self.loc.core or self.spine & self.bulk:
+            raise BrokenInvariant("spine and bulk must partition the bucketed remainder part")
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The pool in position order."""
+        ids = np.fromiter(self.pool, dtype=np.intp, count=len(self.pool))
+        return ids[self.loc.position[ids].argsort()]
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The positions of `ids`."""
+        return self.loc.position[self.ids]
+
+    @cached_property
+    def s_psi(self) -> tuple[int, ...]:
+        return tuple(sorted(self.buckets))
 
     @property
     def infinity(self) -> int:
-        return self.t0 + 1
+        return len(self.loc.order) + 1
 
     @property
     def core_side(self) -> frozenset[int]:
         return self.bucketed & self.loc.core
 
+    @cached_property
+    def seed_set(self) -> frozenset[int]:
+        return self.loc.core | self.spine
+
     def seeds(self, i: int) -> frozenset[int]:
-        return self.buckets[i] & (self.loc.core | self.spine)
+        return self.buckets[i] & self.seed_set
 
     def bulk_of(self, i: int) -> frozenset[int]:
         return self.buckets[i] & self.bulk
@@ -196,10 +218,11 @@ class TptDecomp:
         return len(self.pool) + len(self.colors)
 
     def window(self, interval: BucketInterval) -> frozenset[int]:
-        """Pool vertices whose position lies in [l, r)."""
-        pos = self.loc.position.tolist()
-        return frozenset(v for v in self.pool if interval.l <= pos[v] < interval.r)
+        """Pool vertices whose position lies in [l, r): a slice of `ids`."""
+        lo, hi = np.searchsorted(self.keys, interval).tolist()
+        return frozenset(self.ids[lo:hi].tolist())
 
+    @cached_property
     def profile(self) -> BucketProfile:
         return BucketProfile(
             self.s_psi,
@@ -207,56 +230,51 @@ class TptDecomp:
             {i: len(self.bulk_of(i)) for i in self.s_psi},
         )
 
-
-def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
-                         t: Tournament, loc: TriangleLocalization):
-    """Unique bucket structure of a nice pair: each bucketed vertex lands at
-    the smallest pool position it dominates (the infinity sentinel when it
-    dominates none).  A pool vertex past that position dominating it back
-    witnesses a triangle with two pool vertices."""
-    if not loc.position[list(pool)].all():
-        raise BrokenInvariant("pool must lie inside the localization remainder")
-    rows = tpt_rows(t, loc, pool, sorted(bucketed))
-    if rows.witnesses:
-        raise NotNicePair(rows.witnesses[0])
-    buckets = group_by(rows.label, rows.xs)
-    return tuple(buckets), buckets
-
-
-def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
-                    bulk, t: Tournament, delta: float, c_delta: float) -> TptDecomp:
-    pool, bucketed, colors, spine, bulk = map(frozenset, (pool, bucketed, colors, spine, bulk))
-    if spine | bulk != bucketed & set(loc.order) or spine & bulk:
-        raise BrokenInvariant("spine and bulk must partition the bucketed remainder part")
-    s_psi, buckets = bucket_decompose_tpt(pool, bucketed, t, loc)
-    return TptDecomp(loc, pool, bucketed, colors, spine, bulk, delta, c_delta,
-                     s_psi, buckets)
+    def advance(self, keep: np.ndarray, xs: np.ndarray, labels: np.ndarray,
+                **changes) -> TptDecomp:
+        """The decomposition once the pool keeps the `ids` that `keep` marks
+        and the colors `xs` join the buckets at their row-test `labels`;
+        `changes` puts the pool vertices that leave in the spine or the
+        bulk.  No arc is read: the pool is transitive in position order, so
+        a leaving pool vertex goes to the least surviving position after its
+        own and an old bucket i to the least one >= i, or to infinity when
+        there is none."""
+        keys, left = self.keys[keep], self.ids[~keep]
+        ext = np.append(keys, self.infinity)
+        grouped: dict[int, set[int]] = {}
+        for v, j in zip(left.tolist() + xs.tolist(),
+                        ext[keys.searchsorted(self.keys[~keep], "right")].tolist() + labels.tolist()):
+            grouped.setdefault(j, set()).add(v)
+        for i, j in zip(self.s_psi, ext[keys.searchsorted(self.s_psi)].tolist()):
+            grouped.setdefault(j, set()).update(self.buckets[i])
+        joined = frozenset(xs.tolist())
+        return dataclasses.replace(
+            self, pool=frozenset(self.ids[keep].tolist()),
+            bucketed=self.bucketed | joined | set(left.tolist()), colors=self.colors - joined,
+            buckets={j: frozenset(grouped[j]) for j in sorted(grouped)}, **changes)
 
 
 def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
-    """Full validator: partition, nice pair, bucket membership, seeds, the
-    spine budget and the local-size law.  Empty list = everything holds."""
+    """Full validator, and the one fresh read of the tournament in a round:
+    partition, nice pair, bucket membership, seeds, the spine budget and the
+    local-size law.  Empty list = everything holds.  The constructor holds
+    the pool inside the remainder and spine and bulk apart."""
     out: list[str] = []
     if d.pool | d.bucketed | d.colors != frozenset(range(t.n)) or \
             len(d.pool) + len(d.bucketed) + len(d.colors) != t.n:
         out.append("pool/bucketed/colors do not partition the vertex set")
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
-    if not d.loc.position[list(d.pool)].all():
-        out.append("pool leaks outside the localization remainder")
-        return out
-    stored = [(i, v) for i in sorted(d.buckets) for v in d.buckets[i]]
+    stored = [(i, v) for i in d.s_psi for v in d.buckets[i]]
     rows = tpt_rows(t, d.loc, d.pool, [v for _, v in stored])
     sub = t.matrix[np.ix_(rows.ids, rows.ids)]
     if not np.array_equal(sub, np.triu(np.ones_like(sub), 1)):
         out.append("pool arcs disagree with the localization order")
     if rows.witnesses:
         out.append(f"triangle {rows.witnesses[0]} has two pool vertices")
-    for i in sorted(d.buckets):
+    for i in d.s_psi:
         if not d.buckets[i]:
             out.append(f"bucket {i} is empty")
-        if i not in d.s_psi:
-            out.append(f"bucket {i} missing from the index set")
         if i != d.infinity and i not in rows.keys:
             out.append(f"bucket index {i} is not a pool position")
     # a member of bucket i beats exactly the pool vertices at positions >= i
@@ -267,8 +285,6 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
                    else f"bucket {i} vertex {v} dominated by later pool vertex {w}")
     if frozenset().union(*d.buckets.values()) != d.bucketed:
         out.append("buckets do not partition the bucketed set")
-    if d.spine | d.bulk != d.bucketed & set(d.loc.order) or d.spine & d.bulk:
-        out.append("spine/bulk do not partition the bucketed remainder part")
     for i in d.s_psi:
         if not d.seeds(i):
             out.append(f"bucket {i} has no seed vertex")
@@ -283,14 +299,13 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
 
 def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
     """Demote colors that form no triangle with two pool vertices.  They join
-    the core side of the buckets; spine, bulk, and the local sizes do not
-    move."""
+    the core side of the buckets at their row-test label; spine, bulk, and
+    the local sizes do not move."""
     rows = tpt_rows(t, d.loc, d.pool, sorted(d.colors))
-    stale = frozenset(rows.xs[~rows.bad].tolist())
-    if not stale:
+    stale = ~rows.bad
+    if not stale.any():
         return d
-    return make_tpt_decomp(d.loc, d.pool, d.bucketed | stale, d.colors - stale,
-                           d.spine, d.bulk, t, d.delta, d.c_delta)
+    return d.advance(np.ones(d.ids.size, dtype=bool), rows.xs[stale], rows.label[stale])
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +319,11 @@ def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
     positive-demand interval I, each looped onto every vertex of its window,
     a slice of the pool in position order."""
     block = tpt_block(t, d.loc, d.pool, sorted(d.colors))
-    slots = []
-    for (l, r), val in sorted(((iv.l, iv.r), val) for iv, val in demand.values.items() if val > 0):
-        window = block.ids[np.searchsorted(block.keys, l):np.searchsorted(block.keys, r)]
-        slots += [(("slot", (l, r), j), window) for j in range(val)]
-    return build_aux(block, triangle_marks, slots)
+    positive = sorted((iv, val) for iv, val in demand.values.items() if val > 0)
+    cuts = block.keys.searchsorted([iv for iv, _ in positive]).tolist()
+    return build_aux(block, triangle_marks, [(("slot", iv, j), block.ids[lo:hi])
+                                             for (iv, val), (lo, hi) in zip(positive, cuts)
+                                             for j in range(val)])
 
 
 @dataclass(frozen=True)
@@ -325,7 +340,7 @@ def extract_allocation(aux: Aux, matching: RainbowMatching) -> Allocation:
     picks: dict[BucketInterval, set[int]] = {}
     for meaning, e in aux.matched(matching).items():
         if meaning[0] == "slot":
-            picks.setdefault(BucketInterval(*meaning[1]), set()).add(e.u)
+            picks.setdefault(meaning[1], set()).add(e.u)
     return Allocation({iv: frozenset(vs) for iv, vs in picks.items()})
 
 
@@ -360,37 +375,27 @@ def add1(d: TptDecomp, t: Tournament, moved: frozenset[int],
     if len(moved) > 10 * len(retired):
         raise PreconditionViolated(
             f"|moved| = {len(moved)} exceeds 10 * |retired| = {10 * len(retired)}")
-    survivors = frozenset(d.pool - moved)
-    witnesses = tpt_rows(t, d.loc, survivors, sorted(retired)).witnesses
-    if witnesses:
-        raise PreconditionViolated(f"retired color {witnesses[0][0]} still forms a "
+    keep = np.array([v not in moved for v in d.ids.tolist()], dtype=bool)
+    rows = tpt_rows(t, d.loc, d.ids[keep], sorted(retired))
+    if rows.witnesses:
+        raise PreconditionViolated(f"retired color {rows.witnesses[0][0]} still forms a "
                                    "triangle with two surviving pool vertices")
-    return make_tpt_decomp(d.loc, survivors, d.bucketed | moved | retired,
-                           d.colors - retired, d.spine | moved, d.bulk,
-                           t, d.delta, d.c_delta)
+    return d.advance(keep, rows.xs, rows.label, spine=d.spine | moved)
 
 
-def add2(d: TptDecomp, t: Tournament, interval: BucketInterval) -> TptDecomp:
+def add2(d: TptDecomp, interval: BucketInterval) -> TptDecomp:
     """Merge the buckets spanned by `interval` together with its window into
     the bucket at the right endpoint; the window joins the bulk.  Requires
     |window| <= 10 * capacity(interval)."""
     if interval.l not in d.s_psi or interval.r not in d.s_psi:
         raise PreconditionViolated(f"{interval} endpoints must be bucket indices")
     window = d.window(interval)
-    capacity = interval_stats(d.profile(), interval).capacity
+    capacity = interval_stats(d.profile, interval).capacity
     if len(window) > 10 * capacity:
         raise PreconditionViolated(
             f"|window| = {len(window)} exceeds 10 * capacity = {10 * capacity}")
-    nxt = make_tpt_decomp(d.loc, d.pool - window, d.bucketed | window, d.colors,
-                          d.spine, d.bulk | window, t, d.delta, d.c_delta)
-    span = set(span_buckets(interval, d.s_psi))
-    expected = tuple(sorted((set(d.s_psi) - span) | {interval.r}))
-    if nxt.s_psi != expected:
-        raise AssertionError(f"merge produced indices {nxt.s_psi}, expected {expected}")
-    merged = window | set().union(*(d.buckets[i] for i in span))
-    if nxt.buckets[interval.r] != frozenset(merged):
-        raise AssertionError("merged bucket does not match the predicted union")
-    return nxt
+    keep = (d.keys < interval.l) | (d.keys >= interval.r)
+    return d.advance(keep, d.ids[:0], d.keys[:0], bulk=d.bulk | window)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +424,7 @@ def _demand_summary(d: TptDecomp, demand: Demand) -> dict:
 def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleStop | RuleNext:
     """One round at the fixed oracle slack eps = 1, so covers obey
     |cover| <= 5 |colors|."""
-    demand = compute_demand(d.profile())
+    demand = compute_demand(d.profile)
     aux = build_tpt_aux(d, t, demand)
     outcome, notes = aux.ask(oracle, 1.0, verify_outcome, demand=_demand_summary(d, demand))
     if isinstance(outcome, RainbowMatching):
@@ -435,7 +440,7 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
     if len(slots) <= len(retired):
         nxt = add1(d, t, covered, retired)
         return RuleNext(nxt, "case1", notes)
-    hit = sorted({BucketInterval(*interval) for _, interval, _ in slots})
+    hit = sorted({interval for _, interval, _ in slots})
     for interval in hit:
         if not d.window(interval) <= covered:
             raise OracleContractViolation(
@@ -443,9 +448,9 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
     _, joins = block_partition(maximal_elements(hit))
     for join_interval in joins:
         window = d.window(join_interval)
-        capacity = interval_stats(d.profile(), join_interval).capacity
+        capacity = interval_stats(d.profile, join_interval).capacity
         if len(window) <= 10 * capacity:
-            nxt = add2(d, t, join_interval)
+            nxt = add2(d, join_interval)
             return RuleNext(nxt, "case2", notes)
     raise Case2SelectionFailed(
         "no block interval satisfies |window| <= 10 * capacity")
@@ -489,9 +494,9 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
     oracle = RainbowOracle()
     # stages are looked up at call time, so wrapping the module names traces them
     return run_rounds(report, localize=lambda threshold: greedy_localize_triangles(t, threshold),
-                      start=lambda loc: make_tpt_decomp(loc, frozenset(loc.order), frozenset(),
-                                                        loc.core, frozenset(), frozenset(), t,
-                                                        delta, c_delta),
+                      start=lambda loc: TptDecomp(loc, frozenset(loc.order), frozenset(),
+                                                  loc.core, frozenset(), frozenset(), delta,
+                                                  c_delta, {}),
                       clean=lambda d: clean_tpt(d, t),
                       check=lambda d: check_tpt_decomp(d, t),
                       apply_rule=lambda d: apply_rule_tpt(d, t, oracle),

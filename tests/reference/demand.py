@@ -10,8 +10,7 @@ from typing import Iterable
 from rainbowkernel.demand import (BucketProfile, Demand, DemandStats,
                                   compute_demand, interval_stats)
 from rainbowkernel.intervals import (BucketInterval, block_partition, crosses,
-                                     is_inside, join, maximal_elements,
-                                     span_buckets)
+                                     is_inside, maximal_elements, span_buckets)
 
 SEED = "seed"
 MATCH = "match"
@@ -20,6 +19,10 @@ TIE = "tie"
 
 class UndefinedMeet(ValueError):
     """Meet requested for intervals that do not cross."""
+
+
+def join(a: BucketInterval, b: BucketInterval) -> BucketInterval:
+    return BucketInterval(min(a.l, b.l), max(a.r, b.r))
 
 
 def meet(a: BucketInterval, b: BucketInterval) -> BucketInterval:

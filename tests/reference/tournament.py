@@ -1,14 +1,18 @@
-"""Per-(a, b) triangle localization (one numpy call per vertex pair), the
-per-vertex bucket decomposition, the validator's per-pair bucket-membership
-loop and the scanning `bucket_of`."""
+"""Per-(a, b) triangle localization (one numpy call per vertex pair) and the
+localization without its later-beater filter; the from-scratch bucket
+decomposition (by the row test, and the per-vertex loop before it) and the
+decomposition built on it, where the kernelizer carries the buckets from
+round to round (`TptDecomp.advance`); the validator's per-pair
+bucket-membership loop and the scanning `bucket_of`."""
 from __future__ import annotations
 
 import numpy as np
 
-from rainbowkernel.errors import NotNicePair
-from rainbowkernel.graphs import Tournament, topological_order
+from rainbowkernel.errors import BrokenInvariant, NotNicePair
+from rainbowkernel.graphs import Tournament, group_by, topological_order
 from rainbowkernel.rounds import PackingFound
-from rainbowkernel.tournament import TptDecomp, TriangleLocalization
+from rainbowkernel.tournament import (TptDecomp, TriangleLocalization,
+                                      _first_triangle, tpt_rows)
 
 
 def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
@@ -43,12 +47,53 @@ def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | T
     return TriangleLocalization(tuple(packing), core, order)
 
 
+def greedy_localize_triangles_unfiltered(t: Tournament, threshold: int
+                                         ) -> PackingFound | TriangleLocalization:
+    """`greedy_localize_triangles` trying every vertex as the least of a
+    triangle, also those that no later vertex beats."""
+    if threshold <= 0:
+        return PackingFound(())
+    m = t.matrix
+    free = np.ones(t.n, dtype=bool)
+    packing: list[tuple[int, int, int]] = []
+    for a in range(t.n):
+        found = free[a] and _first_triangle(m, a, free)
+        if found:
+            packing.append((a, *found))
+            free[[a, *found]] = False
+            if len(packing) >= threshold:
+                return PackingFound(tuple(packing))
+    core = frozenset(v for tri in packing for v in tri)
+    order = topological_order(t, [v for v in range(t.n) if free[v]])
+    return TriangleLocalization(tuple(packing), core, order)
+
+
 def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
                          t: Tournament, loc: TriangleLocalization):
     """Unique bucket structure of a nice pair: each bucketed vertex lands at
     the smallest pool position it dominates (the infinity sentinel when it
     dominates none).  A pool vertex past that position dominating it back
     witnesses a triangle with two pool vertices."""
+    if not loc.position[list(pool)].all():
+        raise BrokenInvariant("pool must lie inside the localization remainder")
+    rows = tpt_rows(t, loc, pool, sorted(bucketed))
+    if rows.witnesses:
+        raise NotNicePair(rows.witnesses[0])
+    buckets = group_by(rows.label, rows.xs)
+    return tuple(buckets), buckets
+
+
+def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
+                    bulk, t: Tournament, delta: float, c_delta: float) -> TptDecomp:
+    """A decomposition with its buckets read from scratch."""
+    pool, bucketed, colors, spine, bulk = map(frozenset, (pool, bucketed, colors, spine, bulk))
+    _, buckets = bucket_decompose_tpt(pool, bucketed, t, loc)
+    return TptDecomp(loc, pool, bucketed, colors, spine, bulk, delta, c_delta, buckets)
+
+
+def bucket_decompose_tpt_loop(pool: frozenset[int], bucketed: frozenset[int],
+                              t: Tournament, loc: TriangleLocalization):
+    """`bucket_decompose_tpt` as one row read per bucketed vertex."""
     pos = {v: i + 1 for i, v in enumerate(loc.order)}
     if not pool <= pos.keys():
         raise ValueError("pool must lie inside the localization remainder")

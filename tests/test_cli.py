@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -143,12 +144,11 @@ class TestKernelize:
         "bucket_decompose_p3": ("I2PP", p3, "clean_p3", lambda d, g: p3.make_p3_decomp(
             d.loc, d.pool | d.colors, d.bucketed, frozenset(), g, d.epsilon),
             "pool must lie inside the localization remainder"),
-        "bucket_decompose_tpt": ("TPT", tournament, "clean_tpt", lambda d, t: tournament.make_tpt_decomp(
-            d.loc, d.pool | d.colors, d.bucketed, frozenset(), d.spine, d.bulk, t, d.delta, d.c_delta),
+        "bucket_decompose_tpt": ("TPT", tournament, "clean_tpt", lambda d, t: dataclasses.replace(
+            d, pool=d.pool | d.colors, colors=frozenset()),
             "pool must lie inside the localization remainder"),
-        "make_tpt_decomp": ("TPT", tournament, "clean_tpt", lambda d, t: tournament.make_tpt_decomp(
-            d.loc, d.pool, d.bucketed, d.colors, d.pool, d.bulk, t, d.delta, d.c_delta),
-            "spine and bulk must partition the bucketed remainder part"),
+        "make_tpt_decomp": ("TPT", tournament, "clean_tpt", lambda d, t: dataclasses.replace(
+            d, spine=d.pool), "spine and bulk must partition the bucketed remainder part"),
         "BucketInterval": ("TPT", tournament, "compute_demand", lambda profile: BucketInterval(3, 3),
                            "interval needs l < r, got (3, 3)"),
         "BucketProfile": ("TPT", tournament, "compute_demand",
@@ -374,3 +374,17 @@ class TestFlags:
                 value = [] if flag == "--no-validate" else ["1"]
                 with pytest.raises(SystemExit):
                     build_parser().parse_args([command, *self.REQUIRED[command], flag, *value])
+
+    # the kernel flags are registered for both families, so the problem decides
+    @pytest.mark.parametrize("command", ["kernelize", "bench"])
+    @pytest.mark.parametrize("problem, flag, value", [
+        ("TPT", "--epsilon", "nan"), ("FVST", "--epsilon", "1"),
+        ("I2PP", "--delta", "2"), ("I2PHS", "--delta", "1.5")])
+    def test_flags_the_problem_does_not_read_exit_2(self, tmp_path, capsys, command, problem,
+                                                      flag, value):
+        family = "gnp" if problem.startswith("I2") else "uniform"
+        args = [command, "--problem", problem, "--family", family, "--n", "10", "--seed", "1"]
+        args += ["--k", "2"] if command == "kernelize" else ["--k-min", "2", "--k-max", "2"]
+        assert run(capsys, *args)[0] == 0
+        code, out, err = run(capsys, *args, flag, value)
+        assert (code, out) == (2, "") and err == f"error: {flag} does not apply to {problem}\n"

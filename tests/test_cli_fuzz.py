@@ -24,10 +24,24 @@ SEEDS = [serialize_instance(generate_instance(GeneratorConfig(problem, family, n
 TOKENS = ("0", "1", "2", "7", "-1", "-", "01", "x", "1.5", "9" * 400, "problem", "k",
           "graph", "tournament", "TPT", "I2PHS")
 
+#: (line, token) of each header field and the values it may take: an insert
+#: or a delete almost never leaves a token in a field's place, so an example
+#: either rewrites one field or edits lines
+HEADER_FIELDS = {"problem": (0, 1), "k": (0, 3), "n": (1, 1)}
+NUMBERS = ("0", "1", "2", "7", "-1", "01", "9" * 400)
+HEADER_VALUES = {"problem": ("TPT", "FVST", "I2PP", "I2PHS"), "k": NUMBERS, "n": NUMBERS}
+
 
 @st.composite
 def mutated(draw):
     lines = draw(st.sampled_from(SEEDS)).splitlines()
+    field = draw(st.none() | st.sampled_from(sorted(HEADER_FIELDS)))
+    if field is not None:
+        at, spot = HEADER_FIELDS[field]
+        tokens = lines[at].split()
+        tokens[spot] = draw(st.sampled_from(HEADER_VALUES[field]))
+        lines[at] = " ".join(tokens)
+        return "".join(line + "\n" for line in lines)
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         if not lines:
             break

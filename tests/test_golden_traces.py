@@ -46,6 +46,18 @@ def _runs():
             for problem in ("I2PP", "I2PHS"):
                 out = kernelize_p3(g, k, epsilon=EPSILON, problem=problem)
                 yield f"graph{gi}/k{k}/{problem}", "p3", out.report
+    yield from tournament_runs()
+    cliques_core = load("inputs").cliques_core
+    rng = random.Random(99)
+    for i in range(12):
+        g = cliques_core(3, 15, 6, rng)
+        for problem in ("I2PP", "I2PHS"):
+            out = kernelize_p3(g, 4, problem=problem)
+            yield f"cliques-core{i}/k4/{problem}", "p3", out.report
+
+
+def tournament_runs():
+    """(run id, family, report) for the tournament runs of the corpus."""
     for ti, t in enumerate(_tournament_corpus(500, seed=2)):
         for k in range(1, 5):
             for problem in ("TPT", "FVST"):
@@ -57,13 +69,6 @@ def _runs():
         for problem in ("TPT", "FVST"):
             out = kernelize_tournament(t, 20, problem=problem)
             yield f"near-transitive{i}/k20/{problem}", "tournament", out.report
-    cliques_core = load("inputs").cliques_core
-    rng = random.Random(99)
-    for i in range(12):
-        g = cliques_core(3, 15, 6, rng)
-        for problem in ("I2PP", "I2PHS"):
-            out = kernelize_p3(g, 4, problem=problem)
-            yield f"cliques-core{i}/k4/{problem}", "p3", out.report
 
 
 def test_golden_traces():

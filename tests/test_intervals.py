@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from rainbowkernel.demand import BucketProfile, compute_demand, interval_stats
 from rainbowkernel.errors import BrokenInvariant, NotProper
 from rainbowkernel.intervals import (BucketInterval, block_partition, crosses,
-                                     is_inside, join, maximal_elements,
-                                     span_buckets)
+                                     is_inside, maximal_elements, span_buckets)
 
 from .reference.demand import (MATCH, TIE, UndefinedMeet, all_intervals,
                                binding, demand_property_violations, inside_of,
-                               inside_value, level_scan_demand, meet)
+                               inside_value, join, level_scan_demand, meet)
 from .strategies import bucket_profiles
 
 

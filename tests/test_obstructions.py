@@ -1,10 +1,12 @@
 """The per-family nice-pair row test (`tpt_rows`, `p3_rows`) and the color
 edges the auxiliary multigraphs read off it (`rounds.color_edges` with
 `triangle_marks`, `p3_marks`), checked against per-triple brute force; the
-bucket decompositions against the per-vertex loops in `tests/reference/`;
+bucket decompositions against the per-vertex loops in `tests/reference/`,
+and the buckets the tournament rounds carry forward against a fresh read;
 and the validators on valid decompositions corrupted once."""
 import dataclasses
 import random
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -20,14 +22,14 @@ from rainbowkernel.graphs import (Tournament, UndirectedGraph, colored_edge,
 from rainbowkernel.p3 import (P3Localization, bucket_decompose_p3,
                               check_p3_decomp, kernelize_p3, p3_marks, p3_rows)
 from rainbowkernel.tournament import (TriangleLocalization,
-                                      bucket_decompose_tpt, check_tpt_decomp,
-                                      kernelize_tournament, tpt_rows,
-                                      triangle_marks)
+                                      check_tpt_decomp, kernelize_tournament,
+                                      tpt_rows, triangle_marks)
 
 from .reference import p3 as ref_p3
 from .reference import tournament as ref_tournament
 from .strategies import graphs, tournaments
 from .test_acceptance import _near_transitive
+from .test_golden_traces import tournament_runs
 from .test_trace_targets import load
 
 
@@ -88,7 +90,7 @@ ROWS = {
     "p3": (graph_pools(), p3_rows, is_induced_p3, _p3_label,
            bucket_decompose_p3, ref_p3.bucket_decompose_p3),
     "tournament": (tournament_pools(), tpt_rows, is_triangle, _tpt_label,
-                   bucket_decompose_tpt, ref_tournament.bucket_decompose_tpt),
+                   ref_tournament.bucket_decompose_tpt, ref_tournament.bucket_decompose_tpt_loop),
 }
 
 
@@ -150,6 +152,24 @@ def test_bucket_decompose_matches_per_vertex_loop(family, data):
     bucketed = frozenset(v for v in range(g.n) if v not in pool and data.draw(st.booleans()))
     assert _outcome(decompose, pool, bucketed, g, loc) == \
         _outcome(reference, pool, bucketed, g, loc)
+
+
+def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
+    """The tournament rounds carry the buckets forward (`TptDecomp.advance`);
+    every decomposition a golden-corpus run validates holds the buckets that
+    a fresh read of the tournament gives."""
+    real, steps = tournament.check_tpt_decomp, Counter()
+
+    def fresh(d, t):
+        assert (d.s_psi, d.buckets) == ref_tournament.bucket_decompose_tpt(
+            d.pool, d.bucketed, t, d.loc)
+        return real(d, t)
+
+    monkeypatch.setattr(tournament, "check_tpt_decomp", fresh)
+    for _, _, report in tournament_runs():
+        steps.update(r.case for r in report.rounds)
+        steps["stale colors"] += bool(report.rounds) and report.rounds[0].colors_size < report.core_size
+    assert all(steps[step] for step in ("case1", "case2", "matching", "stale colors"))
 
 
 # -- the validators on corrupted decompositions ------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -153,6 +154,29 @@ class TestOracleExamples:
         cm = make_colored_multigraph([0], [colored_edge(0, 0, 0)], 1)
         with pytest.raises(ValueError, match="finite positive"):
             rainbow_or_cover(cm, epsilon)
+
+    def test_epsilon_overflowing_the_cover_budget_is_a_value_error(self):
+        # layer 2 would take floor((4 + eps) |C|) of the 4-color star
+        cm = make_colored_multigraph(range(5), [colored_edge(0, i + 1, i) for i in range(4)], 4)
+        assert isinstance(rainbow_or_cover(cm, 1e300), ColorCover)
+        with pytest.raises(ValueError, match="overflows a float"):
+            rainbow_or_cover(cm, 1e308)
+
+    @pytest.mark.parametrize("t", [13, 16])
+    def test_exact_cover_branching_is_budgeted(self, t):
+        """Colors 0..3t/2-1 hold one edge each, a near-perfect matching; five
+        more colors share the 3t edges of t disjoint triangles.  Layer 1 misses
+        the five, and covering them takes 2t > 24 vertices, past the eps = 1
+        budget, so an exact branching without a node budget ran for a minute."""
+        n = 3 * t
+        edges = [colored_edge(2 * i, 2 * i + 1, i) for i in range(n // 2)]
+        triangles = [(3 * s + a, 3 * s + b) for s in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
+        edges += [colored_edge(u, v, n // 2 + i % 5) for i, (u, v) in enumerate(triangles)]
+        cm = make_colored_multigraph(range(n), edges, n // 2 + 5)
+        start = time.perf_counter()
+        out, stats = RainbowOracle().solve(cm, 1.0)
+        assert time.perf_counter() - start < 5.0
+        assert stats.layer == "blocked-cover" and verify_outcome(cm, out)[0]
 
 
 class TestVerifyOutcome:

@@ -2,7 +2,8 @@
 the slow reference forms in `tests/reference/` return.
 
 Covered: greedy triangle and induced-2-path localization (packing, order or
-cliques, early stop), the demand (order and values), the tournament and
+cliques, early stop; the triangle scan also against itself without the
+filter that skips vertices no later vertex beats), the demand (order and values), the tournament and
 graph text formats (bytes written, and the parsed payload or the ParseError
 line and message), layer 1 of the rainbow oracle (assignment and missing
 colors, also when its visit budget runs out), and the oracle outcome check
@@ -51,6 +52,10 @@ def _uniform(n: int, seed: int) -> Tournament:
 def _tournament(kind: str, n: int, seed: int) -> Tournament:
     if kind == "uniform":
         return _uniform(n, seed)
+    if kind == "planted":
+        planted = min(n // 3, 1 + seed % 20)
+        return instances.generate_instance(instances.GeneratorConfig(
+            "TPT", "planted", k=planted, filler=n - 3 * planted), seed).payload
     rng = random.Random(seed)
     return _near_transitive(n, rng.randint(0, n // 3) if n >= 2 else 0, rng)
 
@@ -77,6 +82,27 @@ def test_localization_matches_reference(kind, n, seed, threshold):
 def test_localization_matches_reference_small(t, threshold):
     assert greedy_localize_triangles(t, threshold) == \
         ref_tournament.greedy_localize_triangles(t, threshold)
+
+
+@given(kind=st.sampled_from(["near-transitive", "uniform", "planted"]),
+       n=st.integers(min_value=0, max_value=300),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       threshold=st.sampled_from([0, 1, 2, 5, math.inf]))
+@settings(max_examples=60)
+@example(kind="near-transitive", n=300, seed=7, threshold=math.inf)
+@example(kind="uniform", n=300, seed=7, threshold=math.inf)
+@example(kind="planted", n=300, seed=7, threshold=math.inf)
+def test_later_beater_filter_keeps_the_packing(kind, n, seed, threshold):
+    t = _tournament(kind, n, seed)
+    assert greedy_localize_triangles(t, threshold) == \
+        ref_tournament.greedy_localize_triangles_unfiltered(t, threshold)
+
+
+@given(tournaments(max_n=12), st.sampled_from([0, 1, 2, math.inf]))
+@settings(max_examples=300)
+def test_later_beater_filter_keeps_the_packing_small(t, threshold):
+    assert greedy_localize_triangles(t, threshold) == \
+        ref_tournament.greedy_localize_triangles_unfiltered(t, threshold)
 
 
 # -- greedy induced-2-path localization ---------------------------------------------

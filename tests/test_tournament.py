@@ -19,15 +19,16 @@ from rainbowkernel.rainbow import RainbowOracle
 from rainbowkernel.report import Decided, KernelOutput
 from rainbowkernel.rounds import PackingFound, RuleStop
 from rainbowkernel.tournament import (TriangleLocalization, add1,
-                                      add2, apply_rule_tpt,
-                                      bucket_decompose_tpt, build_tpt_aux,
+                                      add2, apply_rule_tpt, build_tpt_aux,
                                       check_tpt_decomp, choose_delta,
                                       clean_tpt, greedy_localize_triangles,
                                       kernelize_tournament, lift_fvs,
-                                      local_size_constant, make_tpt_decomp,
+                                      local_size_constant,
                                       repack_via_allocation)
 
-from .reference.tournament import bucket_membership_problems, bucket_of_scan
+from .reference.tournament import (bucket_decompose_tpt,
+                                   bucket_membership_problems, bucket_of_scan,
+                                   make_tpt_decomp)
 from .strategies import tournaments
 from .test_acceptance import _tournament_corpus
 
@@ -138,7 +139,7 @@ def decomp_with_extras(t0, cuts, colors=(), delta=2.0):
 class TestDemandOnDecompositions:
     def test_profile_reflects_buckets(self):
         t, d = decomp_with_extras(10, [4, 4, 7])
-        prof = d.profile()
+        prof = d.profile
         assert prof.s_psi == (4, 7)
         assert prof.seeds == {4: 2, 7: 1}
         assert prof.bulk == {4: 0, 7: 0}
@@ -152,13 +153,13 @@ class TestDemandOnDecompositions:
 class TestAuxGraph:
     def test_empty_for_no_colors_no_demand(self):
         t, d = decomp_with_extras(6, [3])
-        demand = compute_demand(d.profile())
+        demand = compute_demand(d.profile)
         aux = build_tpt_aux(d, t, demand)
         assert aux.cm.p == 0 and aux.cm.edges == ()
 
     def test_slot_loops_cover_window(self):
         t, d = decomp_with_extras(8, [3, 3, 6, 6])
-        demand = compute_demand(d.profile())
+        demand = compute_demand(d.profile)
         interval = BucketInterval(3, 6)
         assert demand.values[interval] == 2
         aux = build_tpt_aux(d, t, demand)
@@ -181,7 +182,7 @@ class TestAuxGraph:
         cd = local_size_constant(2.0)
         d = make_tpt_decomp(loc, frozenset(range(5)), frozenset(), frozenset({c}),
                             frozenset(), frozenset(), t, 2.0, cd)
-        aux = build_tpt_aux(d, t, compute_demand(d.profile()))
+        aux = build_tpt_aux(d, t, compute_demand(d.profile))
         expect = {(u, w) for u in (0, 1) for w in (2, 3, 4)}
         assert {(e.u, e.v) for e in aux.cm.edges} == expect
         assert all(aux.meanings[e.color] == ("color", c) for e in aux.cm.edges)
@@ -233,7 +234,7 @@ class TestAddOperations:
     def test_add2_merges_span(self):
         t, d = decomp_with_extras(8, [3, 6])
         interval = BucketInterval(3, 6)
-        nxt = add2(d, t, interval)
+        nxt = add2(d, interval)
         assert nxt.s_psi == (6,)
         assert nxt.buckets[6] == d.buckets[3] | d.buckets[6] | d.window(interval)
         assert nxt.bulk == d.window(interval)
@@ -241,13 +242,13 @@ class TestAddOperations:
 
     def test_add2_seed_count_accumulates(self):
         t, d = decomp_with_extras(8, [3, 3, 6, 6])
-        nxt = add2(d, t, BucketInterval(3, 6))
+        nxt = add2(d, BucketInterval(3, 6))
         assert len(nxt.seeds(6)) >= 2
 
     def test_add2_rejects_oversized_window(self):
         t, d = decomp_with_extras(60, [3, 55])
         with pytest.raises(PreconditionViolated):
-            add2(d, t, BucketInterval(3, 55))
+            add2(d, BucketInterval(3, 55))
 
     def test_repeated_unit_merges_keep_local_size(self):
         # pairwise merges of singleton buckets never break the law at delta=2
@@ -255,10 +256,10 @@ class TestAddOperations:
         while len(d.s_psi) >= 2:
             interval = BucketInterval(d.s_psi[0], d.s_psi[1])
             window = d.window(interval)
-            cap = interval_stats(d.profile(), interval).capacity
+            cap = interval_stats(d.profile, interval).capacity
             if len(window) > 10 * cap:
                 break
-            d = add2(d, t, interval)
+            d = add2(d, interval)
             assert check_tpt_decomp(d, t) == []
 
 
@@ -292,7 +293,7 @@ class TestRuleCases:
         # slot-only and the merge case fires, shrinking the pool
         t, d = decomp_with_extras(2, [1, 1, 2, 2])
         assert d.s_psi == (1, 2)
-        demand = compute_demand(d.profile())
+        demand = compute_demand(d.profile)
         assert demand.values[BucketInterval(1, 2)] == 2
         step = apply_rule_tpt(d, t, RainbowOracle())
         assert step.case == "case2"
