@@ -26,7 +26,8 @@ class InternalError(RuntimeError):
 
 
 class BrokenInvariant(InternalError):
-    """A decomposition, interval or bucket profile built against its own law."""
+    """A decomposition, interval, bucket profile or auxiliary multigraph built
+    against its own law."""
 
 
 class NotNicePair(InternalError):
@@ -35,10 +36,6 @@ class NotNicePair(InternalError):
     def __init__(self, witness):
         super().__init__(f"pattern {tuple(witness)} has two pool vertices")
         self.witness = tuple(witness)
-
-
-class NotProper(ValueError):
-    """Interval set handed to the block partition contains nested intervals."""
 
 
 class TooLarge(ValueError):

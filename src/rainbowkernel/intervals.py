@@ -1,11 +1,11 @@
-"""Bucket intervals: containment/crossing relations and the greedy block
-partition of a proper interval family."""
+"""Bucket intervals, the buckets they span, and the joins of the blocks of
+crossing maximal intervals."""
 from __future__ import annotations
 
 from collections import namedtuple
 from typing import Iterable, Sequence
 
-from .errors import BrokenInvariant, NotProper
+from .errors import BrokenInvariant
 
 
 class BucketInterval(namedtuple("BucketInterval", "l r")):
@@ -20,43 +20,21 @@ class BucketInterval(namedtuple("BucketInterval", "l r")):
         return tuple.__new__(cls, (l, r))
 
 
-def is_inside(inner: BucketInterval, outer: BucketInterval) -> bool:
-    """Containment of the closed index ranges."""
-    return outer.l <= inner.l and inner.r <= outer.r
-
-
-def crosses(a: BucketInterval, b: BucketInterval) -> bool:
-    """Strict left-to-right overlap: a starts first, b ends last, they meet."""
-    return a.l < b.l < a.r < b.r
-
-
 def span_buckets(interval: BucketInterval, s_psi: Sequence[int]) -> tuple[int, ...]:
     """Bucket indices of s_psi falling inside the closed interval."""
     return tuple(i for i in s_psi if interval.l <= i <= interval.r)
 
 
-def maximal_elements(family: Iterable[BucketInterval]) -> list[BucketInterval]:
-    members = sorted(set(family))
-    return [a for a in members if not any(a != b and is_inside(a, b) for b in members)]
-
-
-def block_partition(family: Sequence[BucketInterval]) -> tuple[tuple[tuple[BucketInterval, ...], ...], tuple[BucketInterval, ...]]:
-    """Split a proper interval family into maximal chains of consecutively
-    crossing intervals (scanned by left endpoint) and return the chains plus
-    their joins.  Consecutive joins satisfy r <= next l."""
-    members = sorted(set(family))
-    for a in members:
-        for b in members:
-            if a != b and is_inside(a, b):
-                raise NotProper(f"{a} is contained in {b}")
-    blocks: list[tuple[BucketInterval, ...]] = []
-    current: list[BucketInterval] = []
-    for iv in members:
-        if current and not crosses(current[-1], iv):
-            blocks.append(tuple(current))
-            current = []
-        current.append(iv)
-    if current:
-        blocks.append(tuple(current))
-    # consecutive members of a block cross, so both endpoints grow along it
-    return tuple(blocks), tuple(BucketInterval(block[0].l, block[-1].r) for block in blocks)
+def block_joins(family: Iterable[BucketInterval]) -> list[BucketInterval]:
+    """The joins of the blocks (chains of consecutively crossing members) of
+    the maximal members of `family`.  Sorted by l, then r descending, a
+    member lies inside an earlier one exactly when its r stays within the
+    current join, and crosses that join's last member when its l is below
+    the join's r.  Consecutive joins satisfy r <= next l."""
+    joins: list[list[int]] = []
+    for l, r in sorted(set(family), key=lambda iv: (iv.l, -iv.r)):
+        if not joins or l >= joins[-1][1]:
+            joins.append([l, r])
+        elif r > joins[-1][1]:
+            joins[-1][1] = r
+    return [BucketInterval(l, r) for l, r in joins]

@@ -14,11 +14,14 @@ clique vertex) pair and an ordinary edge per induced 2-path with both ends in
 the pool and its third vertex in `colors`.  A rainbow matching pins down the
 few pool vertices worth keeping and the run stops; a color cover moves a
 small slice of the pool (or whole cliques) into the buckets and the round
-potential #live cliques + #colors drops.  The loop itself lives in
-`rounds.py`; this module supplies the decomposition, its stages and the rule.
+potential #live cliques + #colors drops.  The rounds carry the buckets
+forward (`P3Decomp.advance`) and read only rows of colors; the validator is
+the one fresh read.  The loop itself lives in `rounds.py`; this module
+supplies the decomposition, its stages and the rule.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,9 +154,9 @@ def p3_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
 class P3Decomp:
     """Partial decomposition for the 2-path problems.
 
-    `pool_parts[i]` is the surviving slice of clique i, `buckets[i]` the
-    bucketed vertices whose pool neighborhood is exactly that slice, and
-    `detached` the bucketed vertices with no pool neighbor at all.
+    `buckets[i]` holds the bucketed vertices whose pool neighborhood is
+    exactly `pool_parts[i]`, the surviving slice of clique i, and `detached`
+    those with no pool neighbor at all.
     """
 
     loc: P3Localization
@@ -161,9 +164,27 @@ class P3Decomp:
     bucketed: frozenset[int]
     colors: frozenset[int]
     epsilon: float
-    pool_parts: tuple[frozenset[int], ...]
     buckets: tuple[frozenset[int], ...]
     detached: frozenset[int]
+
+    def __post_init__(self):
+        if (self.keys < 0).any():
+            raise BrokenInvariant("pool must lie inside the localization remainder")
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """The pool as sorted ids."""
+        return np.sort(np.fromiter(self.pool, dtype=np.intp, count=len(self.pool)))
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The cliques of `ids`."""
+        return self.loc.clique_of[self.ids]
+
+    @cached_property
+    def pool_parts(self) -> tuple[frozenset[int], ...]:
+        parts = group_by(self.keys, self.ids)
+        return tuple(parts.get(i, frozenset()) for i in range(len(self.loc.cliques)))
 
     @property
     def c1(self) -> float:
@@ -196,41 +217,36 @@ class P3Decomp:
     def bucket_of(self, v: int) -> int:
         return self.bucket_index[v]
 
-
-def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
-                        g: UndirectedGraph, loc: P3Localization):
-    """Group `bucketed` by pool neighborhood.  Each vertex must see either
-    nothing or exactly one full clique slice; otherwise the pair is not nice
-    and a witnessing induced 2-path with two pool vertices is raised."""
-    if (loc.clique_of[list(pool)] < 0).any():
-        raise BrokenInvariant("pool must lie inside the localization remainder")
-    rows = p3_rows(g, loc, pool, sorted(bucketed))
-    if rows.witnesses:
-        raise NotNicePair(rows.witnesses[0])
-    parts, buckets = group_by(rows.keys, rows.ids), group_by(rows.label, rows.xs)
-    slices = range(len(loc.cliques))
-    return (tuple(parts.get(i, frozenset()) for i in slices),
-            tuple(buckets.get(i, frozenset()) for i in slices), buckets.get(-1, frozenset()))
-
-
-def make_p3_decomp(loc: P3Localization, pool, bucketed, colors,
-                   g: UndirectedGraph, epsilon: float) -> P3Decomp:
-    pool, bucketed, colors = map(frozenset, (pool, bucketed, colors))
-    parts, buckets, detached = bucket_decompose_p3(pool, bucketed, g, loc)
-    return P3Decomp(loc, pool, bucketed, colors, epsilon, parts, buckets, detached)
+    def advance(self, keep: np.ndarray, xs: np.ndarray, labels: np.ndarray) -> P3Decomp:
+        """The decomposition once the pool keeps the `ids` that `keep` marks
+        and the colors `xs` join the buckets at their row-test `labels` (-1:
+        detached).  No edge is read: a pool vertex that leaves and an old
+        bucket stay with their clique while its slice keeps a vertex, and
+        are detached once it is empty."""
+        live = np.zeros(len(self.loc.cliques) + 1, dtype=bool)  # the last one stands for -1
+        live[self.keys[keep]] = True
+        labels = np.concatenate((self.keys[~keep], labels))
+        joined = group_by(np.where(live[labels], labels, -1),
+                          np.concatenate((self.ids[~keep], xs)))
+        lost = [b for i, b in enumerate(self.buckets) if not live[i]]
+        return dataclasses.replace(
+            self, pool=frozenset(self.ids[keep].tolist()),
+            bucketed=self.bucketed.union(*joined.values()), colors=self.colors - set(xs.tolist()),
+            buckets=tuple(b | joined.get(i, frozenset()) if live[i] else frozenset()
+                          for i, b in enumerate(self.buckets)),
+            detached=self.detached.union(joined.get(-1, ()), *lost))
 
 
 def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
-    """Full validator; returns violations (empty list = decomposition holds)."""
+    """Full validator, and the one fresh read of the graph in a round:
+    partition, pool shape, nice pair, bucket membership and the size budget
+    (empty list = all hold); the constructor holds the pool in the remainder."""
     out: list[str] = []
     everything = d.pool | d.bucketed | d.colors
     if everything != frozenset(range(g.n)) or len(d.pool) + len(d.bucketed) + len(d.colors) != g.n:
         out.append("pool/bucketed/colors do not partition the vertex set")
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
-    if (d.loc.clique_of[list(d.pool)] < 0).any():
-        out.append("pool leaks outside the localization remainder")
-        return out
     stored = [(i, v) for i, b in enumerate(d.buckets) for v in b] + [(-1, v) for v in d.detached]
     rows = p3_rows(g, d.loc, d.pool, [v for _, v in stored])
     # in row blocks: no pool edge across slices, and each pool vertex sees its whole slice
@@ -243,12 +259,8 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
             break
     if rows.witnesses:
         out.append(f"induced 2-path {rows.witnesses[0]} has two pool vertices")
-    parts = group_by(rows.keys, rows.ids)
-    for i, part in enumerate(d.pool_parts):
-        if part != parts.get(i, frozenset()):
-            out.append(f"pool part {i} is not pool intersected with its clique")
-        if not part and d.buckets[i]:
-            out.append(f"bucket {i} non-empty although its clique slice is empty")
+    out += [f"bucket {i} non-empty although its clique slice is empty"
+            for i, part in enumerate(d.pool_parts) if not part and d.buckets[i]]
     # a member of bucket i sees exactly slice i; a detached vertex sees nothing
     cuts = np.array([i for i, _ in stored], dtype=np.intp)
     for r in np.flatnonzero((rows.rows != (rows.keys == cuts[:, None])).any(axis=1)):
@@ -265,13 +277,13 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
 
 def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
     """Demote colors that no longer form an induced 2-path with two pool
-    vertices; the resulting decomposition is clean and still within budget."""
+    vertices.  They join the buckets at their row-test label; the result is
+    clean and still within budget."""
     rows = p3_rows(g, d.loc, d.pool, sorted(d.colors))
-    stale = frozenset(rows.xs[~rows.bad].tolist())
-    if not stale:
+    stale = ~rows.bad
+    if not stale.any():
         return d
-    return make_p3_decomp(d.loc, d.pool, d.bucketed | stale, d.colors - stale,
-                          g, d.epsilon)
+    return d.advance(np.ones(d.ids.size, dtype=bool), rows.xs[stale], rows.label[stale])
 
 
 def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
@@ -297,7 +309,9 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
     outcome.  A rainbow matching stops the run with kept = matched vertices
     plus bucketed plus colors.  A color cover either demotes the cover (and
     retires the covered colors) or, when bucket colors dominate, demotes the
-    whole clique slices those buckets point at."""
+    whole clique slices those buckets point at.  Only the retired colors'
+    rows are read, against the surviving pool: none may form an induced
+    2-path with two of its vertices."""
     aux = build_p3_aux(d, g)
     outcome, notes = aux.ask(oracle, d.epsilon, verify_outcome, live_cliques=len(d.live))
     if isinstance(outcome, RainbowMatching):
@@ -308,20 +322,18 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
     xc, buckets = aux.split(cover.colors)
     xb = [u for _, u in buckets]
     if len(xb) <= len(xc):
-        nxt = make_p3_decomp(d.loc, d.pool - tc, d.bucketed | tc | xc,
-                             d.colors - xc, g, d.epsilon)
-        return RuleNext(nxt, "case1", notes)
+        keep = ~np.isin(d.ids, list(tc))
+        rows = p3_rows(g, d.loc, d.pool - tc, sorted(xc))
+        if rows.witnesses:
+            raise NotNicePair(rows.witnesses[0])
+        return RuleNext(d.advance(keep, rows.xs, rows.label), "case1", notes)
     hit_cliques = sorted({d.bucket_of(u) for u in xb})
-    moved: set[int] = set()
     for i in hit_cliques:
-        part = d.pool_parts[i]
-        if not part <= tc:
+        if not d.pool_parts[i] <= tc:
             raise OracleContractViolation(
                 f"bucket color in bucket {i} but its clique slice is not covered")
-        moved |= part
-    nxt = make_p3_decomp(d.loc, d.pool - moved, d.bucketed | moved, d.colors,
-                         g, d.epsilon)
-    return RuleNext(nxt, "case2", notes)
+    return RuleNext(d.advance(~np.isin(d.keys, hit_cliques), d.ids[:0], d.keys[:0]),
+                    "case2", notes)
 
 
 def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
@@ -348,8 +360,9 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
     oracle = RainbowOracle()
     # stages are looked up at call time, so wrapping the module names traces them
     return run_rounds(report, localize=lambda threshold: greedy_localize_p3(g, threshold),
-                      start=lambda loc: make_p3_decomp(loc, frozenset(range(g.n)) - loc.core,
-                                                       frozenset(), loc.core, g, epsilon),
+                      start=lambda loc: P3Decomp(loc, frozenset(range(g.n)) - loc.core,
+                                                 frozenset(), loc.core, epsilon,
+                                                 (frozenset(),) * len(loc.cliques), frozenset()),
                       clean=lambda d: clean_p3(d, g),
                       check=lambda d: check_p3_decomp(d, g),
                       apply_rule=lambda d: apply_rule_p3(d, g, oracle),

@@ -10,8 +10,8 @@ supply the localization, the decomposition and the stages; a decomposition
 exposes `pool`, `bucketed`, `colors` and `potential`.  Every question about
 obstructions with two pool vertices is a read of one row block
 `m[xs, pool]`: each family's row test (`tpt_rows`, `p3_rows`) returns a
-`PoolRows`, which the bucket decomposition, the clean, add-1, the validator
-and the color edges of the auxiliary multigraph all consume.
+`PoolRows`, which the clean, the retiring of colors (add-1, case 1), the
+validator and the color edges of the auxiliary multigraph all consume.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import OracleContractViolation
+from .errors import BrokenInvariant, OracleContractViolation
 from .graphs import ColoredEdge, ColoredMultigraph
 from .instances import PACKING_PROBLEMS
 from .rainbow import RainbowMatching
@@ -135,9 +135,12 @@ def build_aux(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarr
     looped = np.concatenate([us[:0], *(vertices for _, vertices in loops)])
     colors = np.concatenate((colors, np.repeat(np.arange(rows.xs.size, len(meanings)),
                                                [len(vertices) for _, vertices in loops])))
-    return Aux(ColoredMultigraph(rows.ids, np.concatenate((us, looped)),
-                                 np.concatenate((vs, looped)), colors, len(meanings)),
-               tuple(meanings))
+    try:
+        cm = ColoredMultigraph(rows.ids, np.concatenate((us, looped)),
+                               np.concatenate((vs, looped)), colors, len(meanings))
+    except ValueError as exc:  # the caller's decomposition broke, not the input
+        raise BrokenInvariant(f"auxiliary multigraph: {exc}") from exc
+    return Aux(cm, tuple(meanings))
 
 
 def finite(name: str, compute: Callable[[], float]) -> float:

@@ -31,11 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .demand import BucketProfile, Demand, compute_demand, interval_stats
-from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution,
+from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution, NotAcyclic,
                      OracleContractViolation, PreconditionViolated, RepackFailed)
 from .graphs import Tournament, is_acyclic, is_triangle, topological_order
-from .intervals import (BucketInterval, block_partition, maximal_elements,
-                        span_buckets)
+from .intervals import BucketInterval, block_joins, span_buckets
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
 from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux,
@@ -76,7 +75,10 @@ def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | T
             if len(packing) >= threshold:
                 return PackingFound(tuple(packing))
     core = frozenset(v for tri in packing for v in tri)
-    order = topological_order(t, [v for v in range(t.n) if free[v]])
+    try:
+        order = topological_order(t, [v for v in range(t.n) if free[v]])
+    except NotAcyclic as exc:
+        raise AssertionError(f"remainder triangle {exc.witness}; the packing was not maximal") from exc
     return TriangleLocalization(tuple(packing), core, order)
 
 
@@ -445,8 +447,7 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
         if not d.window(interval) <= covered:
             raise OracleContractViolation(
                 f"slot color of {interval} covered but its window is not")
-    _, joins = block_partition(maximal_elements(hit))
-    for join_interval in joins:
+    for join_interval in block_joins(hit):
         window = d.window(join_interval)
         capacity = interval_stats(d.profile, join_interval).capacity
         if len(window) <= 10 * capacity:
@@ -608,20 +609,18 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
     later, earlier = np.nonzero(t.matrix[np.ix_(live, live)] & (idx[:, None] > idx))
     intervals = {BucketInterval(int(idx[b]), int(idx[a])) for a, b in zip(later, earlier)}
     chosen: set[int] = set()
-    if intervals:
-        _, joins = block_partition(maximal_elements(sorted(intervals)))
-        for join_interval in joins:
-            span = span_buckets(join_interval, d.s_psi)
-            seed_cover: set[int] = set()
-            for i in span:
-                seed_cover |= d.seeds(i)
-            sizes = {i: len(d.buckets[i]) for i in span}
-            biggest = max(span, key=lambda i: (sizes[i], -i))
-            match_cover: set[int] = set()
-            for i in span:
-                if i != biggest:
-                    match_cover |= d.buckets[i]
-            chosen |= seed_cover if len(seed_cover) <= len(match_cover) else match_cover
+    for join_interval in block_joins(intervals):
+        span = span_buckets(join_interval, d.s_psi)
+        seed_cover: set[int] = set()
+        for i in span:
+            seed_cover |= d.seeds(i)
+        sizes = {i: len(d.buckets[i]) for i in span}
+        biggest = max(span, key=lambda i: (sizes[i], -i))
+        match_cover: set[int] = set()
+        for i in span:
+            if i != biggest:
+                match_cover |= d.buckets[i]
+        chosen |= seed_cover if len(seed_cover) <= len(match_cover) else match_cover
     lifted = set(d.colors) | x_b | chosen
     if len(lifted) > len(fvs):
         raise AssertionError("lifted feedback vertex set grew; exchange argument violated")

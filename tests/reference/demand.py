@@ -1,20 +1,61 @@
 """Level-scan demand (O(B^4) `is_inside` sums), the demand-law property
-suite checked against it, and the interval and demand queries only that
-suite asks."""
+suite checked against it, the interval and demand queries only that suite
+asks, and the interval relations and greedy block partition that
+`intervals.block_joins` replaces."""
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from rainbowkernel.demand import (BucketProfile, Demand, DemandStats,
                                   compute_demand, interval_stats)
-from rainbowkernel.intervals import (BucketInterval, block_partition, crosses,
-                                     is_inside, maximal_elements, span_buckets)
+from rainbowkernel.intervals import BucketInterval, span_buckets
 
 SEED = "seed"
 MATCH = "match"
 TIE = "tie"
+
+
+class NotProper(ValueError):
+    """Interval set handed to the block partition contains nested intervals."""
+
+
+def is_inside(inner: BucketInterval, outer: BucketInterval) -> bool:
+    """Containment of the closed index ranges."""
+    return outer.l <= inner.l and inner.r <= outer.r
+
+
+def crosses(a: BucketInterval, b: BucketInterval) -> bool:
+    """Strict left-to-right overlap: a starts first, b ends last, they meet."""
+    return a.l < b.l < a.r < b.r
+
+
+def maximal_elements(family: Iterable[BucketInterval]) -> list[BucketInterval]:
+    members = sorted(set(family))
+    return [a for a in members if not any(a != b and is_inside(a, b) for b in members)]
+
+
+def block_partition(family: Sequence[BucketInterval]) -> tuple[tuple[tuple[BucketInterval, ...], ...], tuple[BucketInterval, ...]]:
+    """Split a proper interval family into maximal chains of consecutively
+    crossing intervals (scanned by left endpoint) and return the chains plus
+    their joins.  Consecutive joins satisfy r <= next l."""
+    members = sorted(set(family))
+    for a in members:
+        for b in members:
+            if a != b and is_inside(a, b):
+                raise NotProper(f"{a} is contained in {b}")
+    blocks: list[tuple[BucketInterval, ...]] = []
+    current: list[BucketInterval] = []
+    for iv in members:
+        if current and not crosses(current[-1], iv):
+            blocks.append(tuple(current))
+            current = []
+        current.append(iv)
+    if current:
+        blocks.append(tuple(current))
+    # consecutive members of a block cross, so both endpoints grow along it
+    return tuple(blocks), tuple(BucketInterval(block[0].l, block[-1].r) for block in blocks)
 
 
 class UndefinedMeet(ValueError):

@@ -1,11 +1,13 @@
-"""The per-triple greedy localization, the per-vertex bucket decomposition,
-the component search that split the 2-path-free remainder into cliques, and
-the scanning `P3Decomp.bucket_of`."""
+"""The per-triple greedy localization, the component search that split the
+2-path-free remainder into cliques, the from-scratch bucket decomposition
+(by the row test, and the per-vertex loop before it) and the decomposition
+built on it, where the kernelizer carries the buckets from round to round
+(`P3Decomp.advance`), and the scanning `P3Decomp.bucket_of`."""
 from __future__ import annotations
 
-from rainbowkernel.errors import NotNicePair
-from rainbowkernel.graphs import UndirectedGraph, clique_partition, is_induced_p3
-from rainbowkernel.p3 import P3Decomp, P3Localization
+from rainbowkernel.errors import BrokenInvariant, NotNicePair
+from rainbowkernel.graphs import UndirectedGraph, clique_partition, group_by, is_induced_p3
+from rainbowkernel.p3 import P3Decomp, P3Localization, p3_rows
 from rainbowkernel.rounds import PackingFound
 
 
@@ -72,6 +74,28 @@ def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
     """Group `bucketed` by pool neighborhood.  Each vertex must see either
     nothing or exactly one full clique slice; otherwise the pair is not nice
     and a witnessing induced 2-path with two pool vertices is raised."""
+    if (loc.clique_of[list(pool)] < 0).any():
+        raise BrokenInvariant("pool must lie inside the localization remainder")
+    rows = p3_rows(g, loc, pool, sorted(bucketed))
+    if rows.witnesses:
+        raise NotNicePair(rows.witnesses[0])
+    parts, buckets = group_by(rows.keys, rows.ids), group_by(rows.label, rows.xs)
+    slices = range(len(loc.cliques))
+    return (tuple(parts.get(i, frozenset()) for i in slices),
+            tuple(buckets.get(i, frozenset()) for i in slices), buckets.get(-1, frozenset()))
+
+
+def make_p3_decomp(loc: P3Localization, pool, bucketed, colors,
+                   g: UndirectedGraph, epsilon: float) -> P3Decomp:
+    """A decomposition with its buckets read from scratch."""
+    pool, bucketed, colors = map(frozenset, (pool, bucketed, colors))
+    _, buckets, detached = bucket_decompose_p3(pool, bucketed, g, loc)
+    return P3Decomp(loc, pool, bucketed, colors, epsilon, buckets, detached)
+
+
+def bucket_decompose_p3_loop(pool: frozenset[int], bucketed: frozenset[int],
+                             g: UndirectedGraph, loc: P3Localization):
+    """`bucket_decompose_p3` as one neighborhood read per bucketed vertex."""
     rest = {v for cl in loc.cliques for v in cl}
     if not pool <= rest:
         raise ValueError("pool must lie inside the localization remainder")

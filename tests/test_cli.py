@@ -141,8 +141,8 @@ class TestKernelize:
     # each stage is replaced by one that hands an internal constructor a value
     # breaking its law; the run must end as an internal error, not bad input
     BROKEN_STAGES = {
-        "bucket_decompose_p3": ("I2PP", p3, "clean_p3", lambda d, g: p3.make_p3_decomp(
-            d.loc, d.pool | d.colors, d.bucketed, frozenset(), g, d.epsilon),
+        "bucket_decompose_p3": ("I2PP", p3, "clean_p3", lambda d, g: dataclasses.replace(
+            d, pool=d.pool | d.colors, colors=frozenset()),
             "pool must lie inside the localization remainder"),
         "bucket_decompose_tpt": ("TPT", tournament, "clean_tpt", lambda d, t: dataclasses.replace(
             d, pool=d.pool | d.colors, colors=frozenset()),
@@ -154,6 +154,13 @@ class TestKernelize:
         "BucketProfile": ("TPT", tournament, "compute_demand",
                           lambda profile: BucketProfile((2, 1), {1: 1, 2: 1}, {}),
                           "bucket indices must be sorted"),
+        # a localization that misses a triangle, and a clean that keeps stale
+        # colors, make a helper raise its own ValueError
+        "topological_order": ("TPT", tournament, "_first_triangle", lambda m, a, free: None,
+                              "remainder triangle (1, 2, 7); the packing was not maximal"),
+        "ColoredMultigraph": ("I2PP", p3, "clean_p3", lambda d, g: d,
+                              "auxiliary multigraph: color map not surjective; unused colors "
+                              f"{list(range(12))}"),
     }
 
     @pytest.mark.parametrize("site", BROKEN_STAGES)

@@ -41,12 +41,17 @@ def _digest(report) -> str:
 
 def _runs():
     """(run id, family, report) for every run of the corpus."""
+    yield from p3_runs()
+    yield from tournament_runs()
+
+
+def p3_runs():
+    """(run id, family, report) for the 2-path runs of the corpus."""
     for gi, g in enumerate(_graph_corpus(500, seed=1)):
         for k in range(1, 6):
             for problem in ("I2PP", "I2PHS"):
                 out = kernelize_p3(g, k, epsilon=EPSILON, problem=problem)
                 yield f"graph{gi}/k{k}/{problem}", "p3", out.report
-    yield from tournament_runs()
     cliques_core = load("inputs").cliques_core
     rng = random.Random(99)
     for i in range(12):

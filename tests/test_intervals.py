@@ -1,14 +1,16 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowkernel.demand import BucketProfile, compute_demand, interval_stats
-from rainbowkernel.errors import BrokenInvariant, NotProper
-from rainbowkernel.intervals import (BucketInterval, block_partition, crosses,
-                                     is_inside, maximal_elements, span_buckets)
+from rainbowkernel.errors import BrokenInvariant
+from rainbowkernel.intervals import BucketInterval, block_joins, span_buckets
 
-from .reference.demand import (MATCH, TIE, UndefinedMeet, all_intervals,
-                               binding, demand_property_violations, inside_of,
-                               inside_value, join, level_scan_demand, meet)
+from .reference.demand import (MATCH, TIE, NotProper, UndefinedMeet, all_intervals,
+                               binding, block_partition, crosses,
+                               demand_property_violations, inside_of, inside_value,
+                               is_inside, join, level_scan_demand, maximal_elements,
+                               meet)
 from .strategies import bucket_profiles
 
 
@@ -69,6 +71,7 @@ class TestBlockPartition:
         assert joins == (I(1, 8), I(8, 12), I(12, 14))
         for a, b in zip(joins, joins[1:]):
             assert a.r <= b.l
+        assert block_joins(family + [I(2, 4), I(9, 10)]) == list(joins)
 
     def test_disjoint_intervals_split(self):
         blocks, _ = block_partition([I(1, 2), I(3, 4)])
@@ -77,6 +80,13 @@ class TestBlockPartition:
     def test_nested_rejected(self):
         with pytest.raises(NotProper):
             block_partition([I(1, 5), I(2, 3)])
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 12)), max_size=25))
+@settings(max_examples=300)
+def test_block_joins_match_the_block_partition_of_the_maximal_elements(pairs):
+    family = [I(l, l + length) for l, length in pairs]
+    assert block_joins(family) == list(block_partition(maximal_elements(family))[1])
 
 
 def profile(seeds, bulk):

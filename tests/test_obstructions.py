@@ -2,7 +2,7 @@
 edges the auxiliary multigraphs read off it (`rounds.color_edges` with
 `triangle_marks`, `p3_marks`), checked against per-triple brute force; the
 bucket decompositions against the per-vertex loops in `tests/reference/`,
-and the buckets the tournament rounds carry forward against a fresh read;
+and the buckets both families' rounds carry forward against a fresh read;
 and the validators on valid decompositions corrupted once."""
 import dataclasses
 import random
@@ -19,8 +19,8 @@ from rainbowkernel import p3, rounds, tournament
 from rainbowkernel.errors import NotNicePair
 from rainbowkernel.graphs import (Tournament, UndirectedGraph, colored_edge,
                                   is_induced_p3, is_triangle)
-from rainbowkernel.p3 import (P3Localization, bucket_decompose_p3,
-                              check_p3_decomp, kernelize_p3, p3_marks, p3_rows)
+from rainbowkernel.p3 import (P3Localization, check_p3_decomp, kernelize_p3,
+                              p3_marks, p3_rows)
 from rainbowkernel.tournament import (TriangleLocalization,
                                       check_tpt_decomp, kernelize_tournament,
                                       tpt_rows, triangle_marks)
@@ -29,7 +29,7 @@ from .reference import p3 as ref_p3
 from .reference import tournament as ref_tournament
 from .strategies import graphs, tournaments
 from .test_acceptance import _near_transitive
-from .test_golden_traces import tournament_runs
+from .test_golden_traces import p3_runs, tournament_runs
 from .test_trace_targets import load
 
 
@@ -88,7 +88,7 @@ def _p3_label(g, loc, pool, x):
 
 ROWS = {
     "p3": (graph_pools(), p3_rows, is_induced_p3, _p3_label,
-           bucket_decompose_p3, ref_p3.bucket_decompose_p3),
+           ref_p3.bucket_decompose_p3, ref_p3.bucket_decompose_p3_loop),
     "tournament": (tournament_pools(), tpt_rows, is_triangle, _tpt_label,
                    ref_tournament.bucket_decompose_tpt, ref_tournament.bucket_decompose_tpt_loop),
 }
@@ -154,22 +154,43 @@ def test_bucket_decompose_matches_per_vertex_loop(family, data):
         _outcome(reference, pool, bucketed, g, loc)
 
 
+def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
+    """Run `runs` with `fresh(d, g)` asserted on every decomposition the
+    validator `module.name` sees, and require that the runs reach case 1,
+    case 2, a matching and a clean that demotes a color."""
+    real, steps = getattr(module, name), Counter()
+
+    def check(d, g):
+        fresh(d, g)
+        return real(d, g)
+
+    monkeypatch.setattr(module, name, check)
+    for _, _, report in runs():
+        steps.update(r.case for r in report.rounds)
+        steps["stale colors"] += bool(report.rounds) and report.rounds[0].colors_size < report.core_size
+    assert all(steps[step] for step in ("case1", "case2", "matching", "stale colors"))
+
+
 def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
     """The tournament rounds carry the buckets forward (`TptDecomp.advance`);
     every decomposition a golden-corpus run validates holds the buckets that
     a fresh read of the tournament gives."""
-    real, steps = tournament.check_tpt_decomp, Counter()
-
     def fresh(d, t):
         assert (d.s_psi, d.buckets) == ref_tournament.bucket_decompose_tpt(
             d.pool, d.bucketed, t, d.loc)
-        return real(d, t)
 
-    monkeypatch.setattr(tournament, "check_tpt_decomp", fresh)
-    for _, _, report in tournament_runs():
-        steps.update(r.case for r in report.rounds)
-        steps["stale colors"] += bool(report.rounds) and report.rounds[0].colors_size < report.core_size
-    assert all(steps[step] for step in ("case1", "case2", "matching", "stale colors"))
+    _carried_against_fresh(monkeypatch, tournament, "check_tpt_decomp", fresh, tournament_runs)
+
+
+def test_carried_p3_buckets_match_a_fresh_decomposition(monkeypatch):
+    """The 2-path rounds carry the buckets forward (`P3Decomp.advance`);
+    every decomposition a golden-corpus run validates holds the pool parts,
+    buckets and detached vertices of the per-vertex read of the graph."""
+    def fresh(d, g):
+        assert (d.pool_parts, d.buckets, d.detached) == ref_p3.bucket_decompose_p3_loop(
+            d.pool, d.bucketed, g, d.loc)
+
+    _carried_against_fresh(monkeypatch, p3, "check_p3_decomp", fresh, p3_runs)
 
 
 # -- the validators on corrupted decompositions ------------------------------------

@@ -1,25 +1,25 @@
 import random
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowkernel import p3
 from rainbowkernel.errors import InvalidSolution, NotNicePair
 from rainbowkernel.exact import exact_answer, optimum
 from rainbowkernel.graphs import UndirectedGraph, enumerate_induced_p3
 from rainbowkernel.instances import InstanceSpec
 from rainbowkernel.p3 import (Decided, KernelOutput, P3Localization,
-                              apply_rule_p3, bucket_decompose_p3,
-                              build_p3_aux, check_p3_decomp, clean_p3,
-                              greedy_localize_p3, kernelize_p3,
-                              lift_hitting_set_p3, make_p3_decomp,
-                              repack_packing_p3)
-from rainbowkernel.rainbow import RainbowOracle
+                              apply_rule_p3, build_p3_aux, check_p3_decomp,
+                              clean_p3, greedy_localize_p3, kernelize_p3,
+                              lift_hitting_set_p3, repack_packing_p3)
+from rainbowkernel.rainbow import ColorCover, OracleStats, RainbowOracle
 from rainbowkernel.rounds import PackingFound, RuleStop
 
-from .reference.p3 import bucket_of_scan
+from .reference.p3 import bucket_decompose_p3, bucket_of_scan, make_p3_decomp
 from .strategies import graphs
 from .test_acceptance import _graph_corpus
 
@@ -188,6 +188,19 @@ class TestRule:
         assert step.decomp.pool == frozenset()
         assert step.decomp.live == ()
         assert step.decomp.potential < d.potential
+
+    def test_retired_color_with_a_pool_path_raises_with_witness(self, monkeypatch):
+        # clique slice {0, 1}; color 2 sees only 0, so 2 - 0 - 1 is an induced
+        # 2-path that a forged, empty cover of color 2 leaves in the pool
+        g = UndirectedGraph(3, [(0, 1), (0, 2)])
+        loc = P3Localization((), frozenset({2}), ((0, 1),))
+        d = make_p3_decomp(loc, frozenset({0, 1}), frozenset(), frozenset({2}), g, 1.0)
+        forged = SimpleNamespace(solve=lambda cm, epsilon: (
+            ColorCover(frozenset({0}), frozenset(), epsilon), OracleStats()))
+        monkeypatch.setattr(p3, "verify_outcome", lambda cm, outcome: (True, []))
+        with pytest.raises(NotNicePair) as err:
+            apply_rule_p3(d, g, forged)
+        assert err.value.witness == (2, 0, 1)
 
     def test_empty_pool_stops_with_rest(self):
         g = UndirectedGraph(3, [(0, 1), (1, 2)])

@@ -8,8 +8,16 @@ graph text formats (bytes written, and the parsed payload or the ParseError
 line and message), layer 1 of the rainbow oracle (assignment and missing
 colors, also when its visit budget runs out), and the oracle outcome check
 (verdict and problem list on corrupted outcomes).
+
+The 2-path localizations of the named scale graphs compare against the
+reference's output recorded in `data/p3_scale_localizations.json`, since
+the O(n^3) reference takes about a minute on them.  The recording runs only
+the reference:
+
+    PYTHONPATH=src python -m tests.test_reference_equivalence
 """
 import importlib.util
+import json
 import math
 import random
 from pathlib import Path
@@ -27,6 +35,7 @@ from rainbowkernel.graphs import ColoredEdge, Tournament, UndirectedGraph, color
 from rainbowkernel.p3 import greedy_localize_p3
 from rainbowkernel.rainbow import (ColorCover, RainbowMatching, RainbowOracle,
                                    rainbow_or_cover, verify_outcome)
+from rainbowkernel.rounds import PackingFound
 from rainbowkernel.tournament import greedy_localize_triangles
 
 from .reference import demand as ref_demand
@@ -144,12 +153,23 @@ SCALE_GRAPHS = {
 }
 
 
+SCALE_FIXTURE = Path(__file__).parent / "data" / "p3_scale_localizations.json"
+
+
+def _scale_record(g: UndirectedGraph, threshold: int, out) -> dict:
+    """The instance's size and threshold, and the localization as lists."""
+    found = isinstance(out, PackingFound)
+    return {"n": g.n, "threshold": threshold, "packing": [list(p) for p in out.packing],
+            "core": None if found else sorted(out.core),
+            "cliques": None if found else [list(c) for c in out.cliques]}
+
+
 @pytest.mark.parametrize("name", SCALE_GRAPHS)
 def test_p3_localization_matches_reference_at_scale(name):
     make, threshold = SCALE_GRAPHS[name]
     g = make()
-    assert greedy_localize_p3(g, threshold) == \
-        ref_p3.greedy_localize_p3(_slow_form(g), threshold)
+    assert _scale_record(g, threshold, greedy_localize_p3(g, threshold)) == \
+        json.loads(SCALE_FIXTURE.read_text())[name]
 
 
 # -- demand ----------------------------------------------------------------------
@@ -376,3 +396,12 @@ def test_verify_outcome_matches_reference(cm, data):
     ok, problems = verify_outcome(cm, bad)
     assert (ok, problems) == ref_rainbow.verify_outcome(cm, bad)
     assert not ok or (kind == "wrong colors" and isinstance(bad, ColorCover)), kind
+
+
+if __name__ == "__main__":
+    records = {}
+    for name, (make, threshold) in SCALE_GRAPHS.items():
+        g = make()
+        records[name] = _scale_record(g, threshold, ref_p3.greedy_localize_p3(_slow_form(g), threshold))
+    SCALE_FIXTURE.write_text("{\n" + ",\n".join(f"{json.dumps(name)}: {json.dumps(record)}"
+                                                for name, record in records.items()) + "\n}\n")
