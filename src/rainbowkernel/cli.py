@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidSolution, TooLarge, ValueError) as exc:
+    except (ParseError, InvalidSolution, TooLarge, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, AssertionError) as exc:

@@ -11,14 +11,16 @@ mu(I) = min(seed bound, match bound):
 
 Only bucket sizes matter here, so the machinery works on a light-weight
 profile; the kernel hands in its live decomposition through that interface
-and the property tests fuzz profiles directly.
+and the property tests fuzz profiles directly.  Case 2 reads mu back off the
+demand (`Demand.capacity`).
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import BrokenInvariant
-from .intervals import BucketInterval, span_buckets
+from .intervals import BucketInterval
 
 
 @dataclass(frozen=True)
@@ -38,34 +40,23 @@ class BucketProfile:
             if self.bulk.get(i, 0) < 0:
                 raise BrokenInvariant("bulk sizes must be non-negative")
 
-    def bucket_size(self, i: int) -> int:
-        return self.seeds[i] + self.bulk.get(i, 0)
-
-
-@dataclass(frozen=True)
-class DemandStats:
-    seed_bound: int
-    match_bound: int
-    capacity: int
-
-
-def interval_stats(profile: BucketProfile, interval: BucketInterval) -> DemandStats:
-    idx = span_buckets(interval, profile.s_psi)
-    sizes = [profile.bucket_size(i) for i in idx]
-    seed_bound = sum(profile.seeds[i] for i in idx)
-    match_bound = sum(sizes) - max(sizes)
-    return DemandStats(seed_bound, match_bound, min(seed_bound, match_bound))
-
 
 @dataclass(frozen=True)
 class Demand:
-    """The accepted intervals with their values, in acceptance order."""
+    """The accepted intervals with their values, in acceptance order, and
+    `cap[x][y]`, mu of the buckets of ranks x..y in `s_psi`."""
 
-    order: tuple[BucketInterval, ...]
     values: dict[BucketInterval, int]
+    s_psi: tuple[int, ...]
+    cap: list[list[int]]
 
     def positive(self) -> tuple[BucketInterval, ...]:
-        return tuple(i for i in self.order if self.values[i] > 0)
+        return tuple(i for i, v in self.values.items() if v > 0)
+
+    def capacity(self, interval: BucketInterval) -> int:
+        """mu(interval), over the buckets it spans (at least one)."""
+        s = self.s_psi
+        return self.cap[bisect_left(s, interval.l)][bisect_right(s, interval.r) - 1]
 
 
 def compute_demand(profile: BucketProfile) -> Demand:
@@ -82,7 +73,7 @@ def compute_demand(profile: BucketProfile) -> Demand:
     idx = profile.s_psi
     b = len(idx)
     seeds = [profile.seeds[i] for i in idx]
-    sizes = [profile.bucket_size(i) for i in idx]
+    sizes = [s + profile.bulk.get(i, 0) for s, i in zip(seeds, idx)]
     cap = [[0] * b for _ in range(b)]
     for x in range(b):
         seed_sum = size_sum = top = 0
@@ -102,4 +93,4 @@ def compute_demand(profile: BucketProfile) -> Demand:
                 values[BucketInterval(idx[x], idx[y])] = value
                 below += value
             inside[x][y] = below
-    return Demand(tuple(values), values)
+    return Demand(values, idx, cap)

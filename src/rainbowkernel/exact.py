@@ -3,13 +3,15 @@ kernels and to decide yes/no answers in tests and the CLI.
 
 Packing problems use pivot branching (branch on the obstructions through the
 smallest usable vertex, or discard it) with a greedy seed and a |remaining|/3
-upper bound.  Hitting problems use 3-way branching on the first surviving
-obstruction with a greedy disjoint-obstruction lower bound, wrapped in
-iterative deepening for exact optima.
+upper bound.  Hitting problems, and the exact covers of rainbow oracle layer
+2, use `hitting_set_within` (a greedy disjoint-set lower bound prunes it),
+wrapped in iterative deepening for exact optima.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import TooLarge
 from .graphs import Tournament, UndirectedGraph, enumerate_induced_p3, enumerate_triangles
@@ -90,44 +92,45 @@ def _max_packing(n: int, triples: list[tuple[int, int, int]],
     return [triples[i] for i in best]
 
 
-def _greedy_disjoint_count(triples: list[tuple[int, int, int]], removed: set[int]) -> int:
-    used: set[int] = set()
-    count = 0
-    for tri in triples:
-        if all(v not in removed and v not in used for v in tri):
-            count += 1
-            used.update(tri)
-    return count
+def hitting_set_within(sets: Sequence[tuple[int, ...]], budget: int,
+                       nodes: float = math.inf) -> set[int] | None:
+    """A set of at most `budget` elements meeting every member of `sets`, or
+    None.  A 1-tuple forces its element; then the search branches on the
+    members of the first unmet set, in order.  A branch is pruned once a
+    greedy packing of disjoint unmet sets outgrows its remaining budget, so
+    the prune cuts no solution.  None also once the search has visited more
+    than `nodes` nodes."""
+    forced = {s[0] for s in sets if len(s) == 1}
+    left = nodes
 
-
-def _hitting_within(triples: list[tuple[int, int, int]], budget: int) -> set[int] | None:
-    """A set of <= budget vertices meeting every triple, or None."""
-
-    def rec(removed: set[int], depth: int) -> set[int] | None:
-        first = None
-        for tri in triples:
-            if not (removed & set(tri)):
-                first = tri
-                break
-        if first is None:
-            return set(removed)
-        if depth == 0 or _greedy_disjoint_count(triples, removed) > depth:
+    def rec(chosen: set[int], live: Sequence, slack: int) -> set[int] | None:
+        nonlocal left
+        left -= 1
+        live = [s for s in live if chosen.isdisjoint(s)]
+        if not live:
+            return set(chosen)
+        used: set[int] = set()
+        packed = 0
+        for s in live:
+            if used.isdisjoint(s):
+                packed += 1
+                used.update(s)
+        if packed > slack or left < 0:
             return None
-        for v in first:
-            result = rec(removed | {v}, depth - 1)
-            if result is not None:
-                return result
+        for v in live[0]:
+            found = rec(chosen | {v}, live, slack - 1)
+            if found is not None:
+                return found
         return None
 
-    return rec(set(), budget)
+    return rec(forced, sets, budget - len(forced)) if len(forced) <= budget else None
 
 
 def _min_hitting(triples: list[tuple[int, int, int]]) -> set[int]:
-    for budget in range(0, 3 * len(triples) + 1):
-        result = _hitting_within(triples, budget)
-        if result is not None:
-            return result
-    return set()
+    budget = 0  # one vertex per triple always hits them all
+    while (hitting := hitting_set_within(triples, budget)) is None:
+        budget += 1
+    return hitting
 
 
 def _obstructions(payload: Tournament | UndirectedGraph, limit: int | None) -> list[tuple[int, int, int]]:
@@ -166,4 +169,4 @@ def exact_answer(spec: InstanceSpec, limit: int | None = None) -> bool:
             return True
         packing = _max_packing(spec.payload.n, triples, target=k)
         return len(packing) >= k
-    return _hitting_within(triples, k) is not None
+    return hitting_set_within(triples, k) is not None

@@ -230,7 +230,7 @@ def group_by(label: np.ndarray, xs: np.ndarray) -> dict[int, frozenset[int]]:
 def is_induced_p3(g: UndirectedGraph, triple: Iterable[int]) -> bool:
     a, b, c = sorted(triple)
     e = int(g.has_edge(a, b)) + int(g.has_edge(a, c)) + int(g.has_edge(b, c))
-    return e == 2
+    return e == 2 and a < b < c
 
 
 # ---------------------------------------------------------------------------

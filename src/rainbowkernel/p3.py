@@ -35,7 +35,7 @@ from .graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
 from .rounds import (BLOCK_PAIRS, Aux, PackingFound, PoolRows, RuleNext, RuleStop,
-                     build_aux, finite, first_true, run_rounds)
+                     build_aux, clean, finite, first_true, read_block, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -115,22 +115,15 @@ def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, i
         lo, size = lo + size, 2 * size
 
 
-def p3_block(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
-    """The block `m[xs, pool]` with the pool as sorted ids, keyed by clique."""
-    ids = np.array(sorted(pool), dtype=np.intp)
-    xs = np.array(xs, dtype=np.intp)
-    return PoolRows(xs, ids, loc.clique_of[ids], g.matrix()[xs[:, None], ids])
-
-
-def p3_rows(g: UndirectedGraph, loc: P3Localization, pool, xs) -> PoolRows:
-    """The nice-pair row test against `pool` as sorted ids, keyed by clique.
+def p3_rows(g: UndirectedGraph, loc: P3Localization, ids: np.ndarray, xs) -> PoolRows:
+    """The nice-pair row test against the pool `ids`, sorted, keyed by clique.
     The pool is a union of clique slices with no edge between them, so x
     forms an induced 2-path with two pool vertices exactly when its pool
     neighbourhood is neither empty nor one whole slice.  Row x is labelled
     with the clique of its least pool neighbour u (-1 when it has none); its
     witness is u - x - w for the least neighbour w outside that clique, else
     x - u - w for the least w of the slice that x misses."""
-    xs, ids, keys, rows, *_ = block = p3_block(g, loc, pool, xs)
+    xs, ids, keys, rows, *_ = block = read_block(g.matrix(), ids, loc.clique_of[ids], xs)
     first = first_true(rows)
     label = np.append(keys, -1)[first]
     same = keys == label[:, None]
@@ -248,7 +241,7 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
     stored = [(i, v) for i, b in enumerate(d.buckets) for v in b] + [(-1, v) for v in d.detached]
-    rows = p3_rows(g, d.loc, d.pool, [v for _, v in stored])
+    rows = p3_rows(g, d.loc, d.ids, [v for _, v in stored])
     # in row blocks: no pool edge across slices, and each pool vertex sees its whole slice
     sizes, step = np.bincount(rows.keys), max(1, BLOCK_PAIRS // max(1, rows.ids.size))
     for lo in range(0, rows.ids.size, step):
@@ -277,20 +270,15 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
 
 def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
     """Demote colors that no longer form an induced 2-path with two pool
-    vertices.  They join the buckets at their row-test label; the result is
-    clean and still within budget."""
-    rows = p3_rows(g, d.loc, d.pool, sorted(d.colors))
-    stale = ~rows.bad
-    if not stale.any():
-        return d
-    return d.advance(np.ones(d.ids.size, dtype=bool), rows.xs[stale], rows.label[stale])
+    vertices into the buckets; the result is clean and still within budget."""
+    return clean(d, p3_rows(g, d.loc, d.ids, sorted(d.colors)))
 
 
 def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
     """Vertex set = pool.  An ordinary edge per induced 2-path {c, v, w}
     with c in colors and v, w in the pool, colored c; a loop per (bucket
     vertex u, clique vertex v) pair, colored u."""
-    return build_aux(p3_block(g, d.loc, d.pool, sorted(d.colors)), p3_marks,
+    return build_aux(read_block(g.matrix(), d.ids, d.keys, sorted(d.colors)), p3_marks,
                      [(("bucket", u), sorted(d.pool_parts[i]))
                       for i, bucket in enumerate(d.buckets) for u in sorted(bucket)])
 
@@ -323,7 +311,7 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
     xb = [u for _, u in buckets]
     if len(xb) <= len(xc):
         keep = ~np.isin(d.ids, list(tc))
-        rows = p3_rows(g, d.loc, d.pool - tc, sorted(xc))
+        rows = p3_rows(g, d.loc, d.ids[keep], sorted(xc))
         if rows.witnesses:
             raise NotNicePair(rows.witnesses[0])
         return RuleNext(d.advance(keep, rows.xs, rows.label), "case1", notes)

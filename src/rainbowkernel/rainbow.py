@@ -11,8 +11,8 @@ The search is layered:
   layer 1  greedy matching extension with bounded eviction swaps
   layer 2  blocked-color analysis: grow a candidate color set from the colors
            the partial matching missed, cover it with a maximal-matching
-           2-approximation (exact branching for small residuals), accept when
-           the cover beats the (4+eps) budget
+           2-approximation (the exact search `exact.hitting_set_within` for
+           small residuals), accept when the cover beats the (4+eps) budget
 
 When no layer answers, `solve` raises `OracleExhausted`, an internal error
 carrying the multigraph (the command line exits 3).  No test, corpus or
@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OracleExhausted
+from .exact import hitting_set_within
 from .graphs import ColoredEdge, ColoredMultigraph
 
 
@@ -220,7 +221,7 @@ class RainbowOracle:
 
         Loops force their vertex; a greedy maximal matching over the edges in
         (u, v, color) order covers the rest at twice the optimum.  Small
-        residual instances get an exact branching."""
+        residual instances get a node-budgeted exact branching."""
         sel = cm.uv_order[picked[cm.color[cm.uv_order]]]
         edges = list(zip(cm.u[sel].tolist(), cm.v[sel].tolist()))
         # the largest integer strictly below (4+eps)|C|, tolerant of float noise
@@ -229,7 +230,8 @@ class RainbowOracle:
         if len(cover) <= budget:
             return _ids(cm, cover)
         if len(edges) <= COVER_EXACT_EDGE_LIMIT:
-            exact = _vertex_cover_within(edges, budget)
+            exact = hitting_set_within([(u,) if u == v else (u, v) for u, v in edges], budget,
+                                       COVER_EXACT_NODE_LIMIT)
             if exact is not None:
                 return _ids(cm, exact)
         return None
@@ -267,34 +269,6 @@ def _maximal_matching_cover(edges: Sequence[tuple[int, int]]) -> set[int]:
             cover.add(u)
             cover.add(v)
     return cover
-
-
-def _vertex_cover_within(edges: Sequence[tuple[int, int]], budget: int) -> set[int] | None:
-    """A vertex cover of the (u, v, ...) `edges` of size <= budget, or None.
-    Branches on the endpoints of an uncovered ordinary edge; loop vertices
-    are forced.  None also when the branching visits more than
-    COVER_EXACT_NODE_LIMIT nodes."""
-    forced = {e[0] for e in edges if e[0] == e[1]}
-    if len(forced) > budget:
-        return None
-    pairs = [e for e in edges if e[0] != e[1]]
-    nodes = COVER_EXACT_NODE_LIMIT
-
-    def rec(cover: set[int], remaining: list, slack: int) -> set[int] | None:
-        nonlocal nodes
-        nodes -= 1
-        live = [e for e in remaining if e[0] not in cover and e[1] not in cover]
-        if not live:
-            return set(cover)
-        if slack == 0 or nodes < 0:
-            return None
-        for v in live[0][:2]:
-            result = rec(cover | {v}, live, slack - 1)
-            if result is not None:
-                return result
-        return None
-
-    return rec(set(forced), pairs, budget - len(forced))
 
 
 def rainbow_or_cover(cm: ColoredMultigraph, epsilon: float) -> RainbowMatching | ColorCover:

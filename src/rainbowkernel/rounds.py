@@ -7,11 +7,11 @@ each asks the rainbow-matching-or-cover dichotomy on an auxiliary
 multigraph (`build_aux`), and either stops on a matching (`RuleStop`) or
 demotes a cover and drops the round potential (`RuleNext`).  The families
 supply the localization, the decomposition and the stages; a decomposition
-exposes `pool`, `bucketed`, `colors` and `potential`.  Every question about
-obstructions with two pool vertices is a read of one row block
-`m[xs, pool]`: each family's row test (`tpt_rows`, `p3_rows`) returns a
-`PoolRows`, which the clean, the retiring of colors (add-1, case 1), the
-validator and the color edges of the auxiliary multigraph all consume.
+exposes `pool` (cached in its order as `ids`, keyed by `keys`), `bucketed`,
+`colors` and `potential`.  Every question about obstructions with two pool
+vertices is a read of one row block `m[xs, ids]` (`read_block`): each
+family's row test (`tpt_rows`, `p3_rows`) returns a `PoolRows`, which the
+`clean`, add-1, case 1, the validator and the auxiliary multigraph consume.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ class PoolRows(NamedTuple):
     columns carry `keys`, read off `rows = m[xs, ids]`: per row its bucket
     `label` and whether it is `bad`, i.e. forms an obstruction with two pool
     vertices; `witnesses` holds the first one of each bad row, in row order.
-    A bare block read (`tpt_block`, `p3_block`) leaves the last three None."""
+    A bare block read (`read_block`) leaves the last three None."""
 
     xs: np.ndarray
     ids: np.ndarray
@@ -72,6 +72,22 @@ class PoolRows(NamedTuple):
     label: np.ndarray | None = None
     bad: np.ndarray | None = None
     witnesses: list[tuple[int, int, int]] | None = None
+
+
+def read_block(matrix: np.ndarray, ids: np.ndarray, keys: np.ndarray, xs) -> PoolRows:
+    """The block `matrix[xs, ids]` against a pool in its decomposition's
+    order `ids` (or a `keep` subset of it), whose columns carry `keys`."""
+    xs = np.array(xs, dtype=np.intp)
+    return PoolRows(xs, ids, keys, matrix[xs[:, None], ids])
+
+
+def clean(d, rows: PoolRows):
+    """The decomposition `d` once the colors whose row test in `rows` finds
+    no obstruction with two pool vertices join the buckets at their label."""
+    stale = ~rows.bad
+    if not stale.any():
+        return d
+    return d.advance(np.ones(d.ids.size, dtype=bool), rows.xs[stale], rows.label[stale])
 
 
 def first_true(rows: np.ndarray) -> np.ndarray:

@@ -30,15 +30,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import BucketProfile, Demand, compute_demand, interval_stats
+from .demand import BucketProfile, Demand, compute_demand
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution, NotAcyclic,
                      OracleContractViolation, PreconditionViolated, RepackFailed)
 from .graphs import Tournament, is_acyclic, is_triangle, topological_order
 from .intervals import BucketInterval, block_joins, span_buckets
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux,
-                     finite, first_true, run_rounds)
+from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux, clean,
+                     finite, first_true, read_block, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -114,23 +114,14 @@ def _first_triangle(m: np.ndarray, a: int, free: np.ndarray) -> tuple[int, int] 
     return None
 
 
-def tpt_block(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
-    """The block `m[xs, pool]` with the pool in position order, keyed by
-    position."""
-    ids = np.fromiter(pool, dtype=np.intp, count=len(pool))
-    ids = ids[loc.position[ids].argsort()]
-    xs = np.array(xs, dtype=np.intp)
-    return PoolRows(xs, ids, loc.position[ids], t.matrix[xs[:, None], ids])
-
-
-def tpt_rows(t: Tournament, loc: TriangleLocalization, pool, xs) -> PoolRows:
-    """The nice-pair row test against `pool` in position order, keyed by
-    position.  The pool is transitive in that order, so a triangle {x, u, w}
-    with u, w in the pool is u -> w -> x -> u: x's row has a 1 and then a 0.
-    Row x is labelled with the position of its first 1 (t0 + 1 when it has
-    none); its witness is x, the pool vertex of that 1 and the first 0
-    after it."""
-    xs, ids, keys, rows, *_ = block = tpt_block(t, loc, pool, xs)
+def tpt_rows(t: Tournament, loc: TriangleLocalization, ids: np.ndarray, xs) -> PoolRows:
+    """The nice-pair row test against the pool `ids` in position order,
+    keyed by position.  The pool is transitive in that order, so a triangle
+    {x, u, w} with u, w in the pool is u -> w -> x -> u: x's row has a 1 and
+    then a 0.  Row x is labelled with the position of its first 1 (t0 + 1
+    when it has none); its witness is x, the pool vertex of that 1 and the
+    first 0 after it."""
+    xs, ids, keys, rows, *_ = block = read_block(t.matrix, ids, loc.position[ids], xs)
     first = first_true(rows)
     drop = first_true(~rows & np.logical_or.accumulate(rows, axis=1))
     ext = np.append(ids, -1)
@@ -268,7 +259,7 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
     stored = [(i, v) for i in d.s_psi for v in d.buckets[i]]
-    rows = tpt_rows(t, d.loc, d.pool, [v for _, v in stored])
+    rows = tpt_rows(t, d.loc, d.ids, [v for _, v in stored])
     sub = t.matrix[np.ix_(rows.ids, rows.ids)]
     if not np.array_equal(sub, np.triu(np.ones_like(sub), 1)):
         out.append("pool arcs disagree with the localization order")
@@ -300,14 +291,9 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
 
 
 def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
-    """Demote colors that form no triangle with two pool vertices.  They join
-    the core side of the buckets at their row-test label; spine, bulk, and
-    the local sizes do not move."""
-    rows = tpt_rows(t, d.loc, d.pool, sorted(d.colors))
-    stale = ~rows.bad
-    if not stale.any():
-        return d
-    return d.advance(np.ones(d.ids.size, dtype=bool), rows.xs[stale], rows.label[stale])
+    """Demote colors that form no triangle with two pool vertices into the
+    core side of the buckets; spine, bulk, and the local sizes do not move."""
+    return clean(d, tpt_rows(t, d.loc, d.ids, sorted(d.colors)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +306,7 @@ def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
     colors and v, w in the pool, colored c; val(I) slot colors per
     positive-demand interval I, each looped onto every vertex of its window,
     a slice of the pool in position order."""
-    block = tpt_block(t, d.loc, d.pool, sorted(d.colors))
+    block = read_block(t.matrix, d.ids, d.keys, sorted(d.colors))
     positive = sorted((iv, val) for iv, val in demand.values.items() if val > 0)
     cuts = block.keys.searchsorted([iv for iv, _ in positive]).tolist()
     return build_aux(block, triangle_marks, [(("slot", iv, j), block.ids[lo:hi])
@@ -385,14 +371,14 @@ def add1(d: TptDecomp, t: Tournament, moved: frozenset[int],
     return d.advance(keep, rows.xs, rows.label, spine=d.spine | moved)
 
 
-def add2(d: TptDecomp, interval: BucketInterval) -> TptDecomp:
+def add2(d: TptDecomp, demand: Demand, interval: BucketInterval) -> TptDecomp:
     """Merge the buckets spanned by `interval` together with its window into
     the bucket at the right endpoint; the window joins the bulk.  Requires
-    |window| <= 10 * capacity(interval)."""
+    |window| <= 10 * capacity(interval), read off the round's `demand`."""
     if interval.l not in d.s_psi or interval.r not in d.s_psi:
         raise PreconditionViolated(f"{interval} endpoints must be bucket indices")
     window = d.window(interval)
-    capacity = interval_stats(d.profile, interval).capacity
+    capacity = demand.capacity(interval)
     if len(window) > 10 * capacity:
         raise PreconditionViolated(
             f"|window| = {len(window)} exceeds 10 * capacity = {10 * capacity}")
@@ -416,7 +402,7 @@ class TptKernelState:
 
 def _demand_summary(d: TptDecomp, demand: Demand) -> dict:
     return {
-        "intervals": len(demand.order),
+        "intervals": len(demand.values),
         "positive": len(demand.positive()),
         "val_total": sum(demand.values.values()),
         "bucket_total": sum(len(b) for b in d.buckets.values()),
@@ -440,19 +426,15 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
     covered = frozenset(cover.cover)
     retired, slots = aux.split(cover.colors)
     if len(slots) <= len(retired):
-        nxt = add1(d, t, covered, retired)
-        return RuleNext(nxt, "case1", notes)
+        return RuleNext(add1(d, t, covered, retired), "case1", notes)
     hit = sorted({interval for _, interval, _ in slots})
     for interval in hit:
         if not d.window(interval) <= covered:
             raise OracleContractViolation(
                 f"slot color of {interval} covered but its window is not")
     for join_interval in block_joins(hit):
-        window = d.window(join_interval)
-        capacity = interval_stats(d.profile, join_interval).capacity
-        if len(window) <= 10 * capacity:
-            nxt = add2(d, join_interval)
-            return RuleNext(nxt, "case2", notes)
+        if len(d.window(join_interval)) <= 10 * demand.capacity(join_interval):
+            return RuleNext(add2(d, demand, join_interval), "case2", notes)
     raise Case2SelectionFailed(
         "no block interval satisfies |window| <= 10 * capacity")
 

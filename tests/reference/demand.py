@@ -1,20 +1,41 @@
-"""Level-scan demand (O(B^4) `is_inside` sums), the demand-law property
-suite checked against it, the interval and demand queries only that suite
-asks, and the interval relations and greedy block partition that
-`intervals.block_joins` replaces."""
+"""Level-scan demand (O(B^4) `is_inside` sums), the per-interval capacity
+with its seed and match bounds (`interval_stats`, which `Demand.capacity`
+replaces), the demand-law property suite checked against them, the interval
+and demand queries only that suite asks, and the interval relations and
+greedy block partition that `intervals.block_joins` replaces."""
 from __future__ import annotations
 
 import random
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from rainbowkernel.demand import (BucketProfile, Demand, DemandStats,
-                                  compute_demand, interval_stats)
+from dataclasses import dataclass
+
+from rainbowkernel.demand import BucketProfile, Demand, compute_demand
 from rainbowkernel.intervals import BucketInterval, span_buckets
 
 SEED = "seed"
 MATCH = "match"
 TIE = "tie"
+
+
+def bucket_size(profile: BucketProfile, i: int) -> int:
+    return profile.seeds[i] + profile.bulk.get(i, 0)
+
+
+@dataclass(frozen=True)
+class DemandStats:
+    seed_bound: int
+    match_bound: int
+    capacity: int
+
+
+def interval_stats(profile: BucketProfile, interval: BucketInterval) -> DemandStats:
+    idx = span_buckets(interval, profile.s_psi)
+    sizes = [bucket_size(profile, i) for i in idx]
+    seed_bound = sum(profile.seeds[i] for i in idx)
+    match_bound = sum(sizes) - max(sizes)
+    return DemandStats(seed_bound, match_bound, min(seed_bound, match_bound))
 
 
 class NotProper(ValueError):
@@ -98,9 +119,11 @@ def inside_value(demand: Demand, interval: BucketInterval) -> int:
     return sum(v for i, v in demand.values.items() if is_inside(i, interval))
 
 
-def level_scan_demand(profile: BucketProfile, *, reverse_within_level: bool = False) -> Demand:
+def level_scan_demand(profile: BucketProfile, *,
+                      reverse_within_level: bool = False) -> dict[BucketInterval, int]:
     """Scan intervals level by level (level = bucket count spanned), accepting
-    I with value mu(I) - accepted value inside I whenever that is >= 0.
+    I with value mu(I) - accepted value inside I whenever that is >= 0.  The
+    accepted intervals with their values, in acceptance order.
 
     Within a level the scan is (l, r)-lexicographic; acceptance at a level
     only depends on strictly lower levels, so the flag reversing the
@@ -111,7 +134,6 @@ def level_scan_demand(profile: BucketProfile, *, reverse_within_level: bool = Fa
         level = len(span_buckets(interval, profile.s_psi))
         by_level.setdefault(level, []).append(interval)
     accepted: dict[BucketInterval, int] = {}
-    order: list[BucketInterval] = []
     for level in range(2, len(profile.s_psi) + 1):
         batch = sorted(by_level.get(level, ()), key=lambda i: (i.l, i.r),
                        reverse=reverse_within_level)
@@ -123,8 +145,7 @@ def level_scan_demand(profile: BucketProfile, *, reverse_within_level: bool = Fa
                 fresh.append((interval, cap - inside))
         for interval, value in sorted(fresh, key=lambda pair: (pair[0].l, pair[0].r)):
             accepted[interval] = value
-            order.append(interval)
-    return Demand(tuple(order), accepted)
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +186,10 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
     demand = compute_demand(profile)
     out: list[str] = []
     intervals = all_intervals(profile)
-    accepted = set(demand.order)
+    accepted = set(demand.values)
     positive = set(demand.positive())
 
-    if level_scan_demand(profile, reverse_within_level=True).values != demand.values:
+    if level_scan_demand(profile, reverse_within_level=True) != demand.values:
         out.append("demand differs from the reversed level scan")
 
     for interval in intervals:
@@ -188,7 +209,7 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
         if (interval in positive) != (strict_inside < stats.capacity):
             out.append(f"{interval}: positivity != (strict inside < capacity)")
         idx = span_buckets(interval, profile.s_psi)
-        sizes = {i: profile.bucket_size(i) for i in idx}
+        sizes = {i: bucket_size(profile, i) for i in idx}
         top = max(sizes.values())
         argmax = [i for i in idx if sizes[i] == top]
         if binding(stats) == SEED:

@@ -5,6 +5,8 @@ built on it, where the kernelizer carries the buckets from round to round
 (`P3Decomp.advance`), and the scanning `P3Decomp.bucket_of`."""
 from __future__ import annotations
 
+import numpy as np
+
 from rainbowkernel.errors import BrokenInvariant, NotNicePair
 from rainbowkernel.graphs import UndirectedGraph, clique_partition, group_by, is_induced_p3
 from rainbowkernel.p3 import P3Decomp, P3Localization, p3_rows
@@ -69,6 +71,11 @@ def clique_components(g: UndirectedGraph, rest: list[int]) -> tuple[tuple[int, .
     return tuple(sorted(comps))
 
 
+def pool_ids(pool) -> np.ndarray:
+    """The pool as sorted ids, as `P3Decomp.ids` holds it."""
+    return np.array(sorted(pool), dtype=np.intp)
+
+
 def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
                         g: UndirectedGraph, loc: P3Localization):
     """Group `bucketed` by pool neighborhood.  Each vertex must see either
@@ -76,7 +83,7 @@ def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
     and a witnessing induced 2-path with two pool vertices is raised."""
     if (loc.clique_of[list(pool)] < 0).any():
         raise BrokenInvariant("pool must lie inside the localization remainder")
-    rows = p3_rows(g, loc, pool, sorted(bucketed))
+    rows = p3_rows(g, loc, pool_ids(pool), sorted(bucketed))
     if rows.witnesses:
         raise NotNicePair(rows.witnesses[0])
     parts, buckets = group_by(rows.keys, rows.ids), group_by(rows.label, rows.xs)

@@ -1,12 +1,15 @@
 """Layer 1 of the rainbow oracle with a fresh `frozenset` of endpoints per
 edge visit, dict owners and a full snapshot per eviction swap; and the
 outcome check over `ColoredEdge` sets, as both read the multigraph when it
-held a tuple of `ColoredEdge`s."""
+held a tuple of `ColoredEdge`s.  Also layer 2's own exact vertex-cover
+branching, before it shared `exact.hitting_set_within`."""
 from __future__ import annotations
 
+from typing import Sequence
+
 from rainbowkernel.graphs import ColoredEdge, ColoredMultigraph
-from rainbowkernel.rainbow import (LAYER1_BUDGET, SWAP_DEPTH, ColorCover,
-                                   RainbowMatching)
+from rainbowkernel.rainbow import (COVER_EXACT_NODE_LIMIT, LAYER1_BUDGET, SWAP_DEPTH,
+                                   ColorCover, RainbowMatching)
 
 
 def greedy_layer1(cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int]]:
@@ -98,3 +101,31 @@ def verify_outcome(cm: ColoredMultigraph, outcome) -> tuple[bool, list[str]]:
     else:
         problems.append(f"unknown outcome type {type(outcome).__name__}")
     return (not problems, problems)
+
+
+def vertex_cover_within(edges: Sequence[tuple[int, int]], budget: int) -> set[int] | None:
+    """A vertex cover of the (u, v, ...) `edges` of size <= budget, or None.
+    Branches on the endpoints of an uncovered ordinary edge; loop vertices
+    are forced.  None also when the branching visits more than
+    COVER_EXACT_NODE_LIMIT nodes."""
+    forced = {e[0] for e in edges if e[0] == e[1]}
+    if len(forced) > budget:
+        return None
+    pairs = [e for e in edges if e[0] != e[1]]
+    nodes = COVER_EXACT_NODE_LIMIT
+
+    def rec(cover: set[int], remaining: list, slack: int) -> set[int] | None:
+        nonlocal nodes
+        nodes -= 1
+        live = [e for e in remaining if e[0] not in cover and e[1] not in cover]
+        if not live:
+            return set(cover)
+        if slack == 0 or nodes < 0:
+            return None
+        for v in live[0][:2]:
+            result = rec(cover | {v}, live, slack - 1)
+            if result is not None:
+                return result
+        return None
+
+    return rec(set(forced), pairs, budget - len(forced))

@@ -68,6 +68,11 @@ def greedy_localize_triangles_unfiltered(t: Tournament, threshold: int
     return TriangleLocalization(tuple(packing), core, order)
 
 
+def pool_ids(loc: TriangleLocalization, pool) -> np.ndarray:
+    """The pool in position order, as `TptDecomp.ids` holds it."""
+    return np.array(sorted(pool, key=loc.position.__getitem__), dtype=np.intp)
+
+
 def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
                          t: Tournament, loc: TriangleLocalization):
     """Unique bucket structure of a nice pair: each bucketed vertex lands at
@@ -76,7 +81,7 @@ def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
     witnesses a triangle with two pool vertices."""
     if not loc.position[list(pool)].all():
         raise BrokenInvariant("pool must lie inside the localization remainder")
-    rows = tpt_rows(t, loc, pool, sorted(bucketed))
+    rows = tpt_rows(t, loc, pool_ids(loc, pool), sorted(bucketed))
     if rows.witnesses:
         raise NotNicePair(rows.witnesses[0])
     buckets = group_by(rows.label, rows.xs)

@@ -10,15 +10,14 @@ from itertools import combinations
 import numpy as np
 
 from rainbowkernel.demand import BucketProfile
-from rainbowkernel.exact import exact_answer
+from rainbowkernel.exact import exact_answer, hitting_set_within
 from rainbowkernel.graphs import (Tournament, UndirectedGraph, colored_edge,
                                   enumerate_induced_p3, enumerate_triangles,
                                   make_colored_multigraph)
 from rainbowkernel.instances import (GeneratorConfig, InstanceSpec,
                                      generate_instance)
 from rainbowkernel.p3 import kernelize_p3, lift_hitting_set_p3
-from rainbowkernel.rainbow import (ColorCover, RainbowOracle, verify_outcome,
-                                   _vertex_cover_within)
+from rainbowkernel.rainbow import ColorCover, RainbowOracle, verify_outcome
 from rainbowkernel.report import Decided, KernelOutput
 from rainbowkernel.tournament import (kernelize_tournament, lift_fvs,
                                       repack_via_allocation)
@@ -189,7 +188,8 @@ def _brute_achievable_cover(cm, epsilon) -> bool:
         budget = int((4 + epsilon) * (size - 1) + 1e-9)
         for colors in combinations(range(cm.p), size):
             edges = [e for e in cm.edges if e.color in set(colors)]
-            if _vertex_cover_within(edges, budget) is not None:
+            if hitting_set_within([(e.u,) if e.is_loop else (e.u, e.v) for e in edges],
+                                  budget) is not None:
                 return True
     return False
 
@@ -339,9 +339,10 @@ def test_criterion_7_safeness_constructions():
     for t, out in tstates:
         ids = list(out.kept)
         triples = enumerate_triangles(t, ids)
-        solutions = [_min_hitting_of_kernel(triples, ids), set(ids)]
+        minimum = _min_hitting_of_kernel(triples, ids)
+        solutions = [set(minimum), set(ids)]
         for extra in range(3):
-            base = set(_min_hitting_of_kernel(triples, ids))
+            base = set(minimum)
             base |= set(rng.sample(ids, min(len(ids), extra)))
             solutions.append(base)
         for x in solutions:
@@ -365,9 +366,10 @@ def test_criterion_7_safeness_constructions():
     for g, out in gstates:
         ids = list(out.kept)
         paths = enumerate_induced_p3(g, ids)
-        solutions = [_min_hitting_of_kernel(paths, ids), set(ids)]
+        minimum = _min_hitting_of_kernel(paths, ids)
+        solutions = [set(minimum), set(ids)]
         for extra in range(3):
-            base = set(_min_hitting_of_kernel(paths, ids))
+            base = set(minimum)
             base |= set(rng.sample(ids, min(len(ids), extra)))
             solutions.append(base)
         for x in solutions:

@@ -15,6 +15,9 @@ from rainbowkernel.instances import (MAX_GRAPH_VERTICES, InstanceSpec,
                                      parse_instance, serialize_instance)
 
 
+CYCLIC_TPT = serialize_instance(InstanceSpec("TPT", Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), 1))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -294,21 +297,25 @@ class TestSolveVerify:
         # one vertex cannot hit two disjoint planted triangles
         assert code == 1 and "valid: false" in out
 
-    @pytest.mark.parametrize("body, error", [
-        ("solution packing 1\n0 1 2\n", None),
-        ("solution packing 1\n0 1 -1\n", "line 2: vertex ids must lie in 0..2"),
-        ("solution packing 1\n0 1 99\n", "line 2: vertex ids must lie in 0..2"),
-        ("solution packing x\n", "line 1: expected 'solution <packing|hitting> <count>'"),
-        ("solution packing 1\n0 1 x\n", "line 2: vertex ids must be integers"),
-    ], ids=["valid", "negative-id", "id-past-n", "non-integer-count", "non-integer-id"])
-    def test_verify_checks_solution_lines(self, tmp_path, capsys, body, error):
-        cyclic = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    @pytest.mark.parametrize("instance, body, error", [
+        (CYCLIC_TPT, "solution packing 1\n0 1 2\n", None),
+        (CYCLIC_TPT, "solution packing 1\n0 1 -1\n", "line 2: vertex ids must lie in 0..2"),
+        (CYCLIC_TPT, "solution packing 1\n0 1 99\n", "line 2: vertex ids must lie in 0..2"),
+        (CYCLIC_TPT, "solution packing x\n", "line 1: expected 'solution <packing|hitting> <count>'"),
+        (CYCLIC_TPT, "solution packing 1\n0 1 x\n", "line 2: vertex ids must be integers"),
+        # the one edge 0-1 carries no induced 2-path, however often 0 is named
+        ("problem I2PP k 1\ngraph 3 1\n0 1\n", "solution packing 1\n0 0 1\n", False),
+    ], ids=["valid", "negative-id", "id-past-n", "non-integer-count", "non-integer-id",
+            "repeated-vertex"])
+    def test_verify_checks_solution_lines(self, tmp_path, capsys, instance, body, error):
         inst, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
-        inst.write_text(serialize_instance(InstanceSpec("TPT", cyclic, 1)))
+        inst.write_text(instance)
         sol.write_text(body)
         code, out, err = run(capsys, "verify", "--input", str(inst), "--solution", str(sol))
         if error is None:
             assert code == 0 and "valid: true" in out
+        elif error is False:
+            assert code == 1 and "valid: false" in out
         else:
             assert code == 2 and err.startswith(f"error: {error}") and "valid" not in out
 
@@ -324,6 +331,24 @@ class TestSolveVerify:
             code, out, _ = run(capsys, "verify", "--input", str(inst),
                                "--kernel", str(kern))
             assert code == 0 and "equivalent: true" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernelize", "--input", "{missing}"],
+    ["kernelize", "--input", "{directory}"],
+    ["solve", "--input", "{missing}"],
+    ["verify", "--input", "{inst}", "--solution", "{missing}"],
+    ["gen", "--problem", "TPT", "--family", "uniform", "--n", "6", "--k", "1", "--output", "{missing}"],
+    ["kernelize", "--input", "{inst}", "--report", "{missing}"],
+], ids=["kernelize-missing-input", "kernelize-directory-input", "solve-missing-input",
+        "verify-missing-solution", "gen-output-in-missing-directory",
+        "kernelize-report-in-missing-directory"])
+def test_file_errors_exit_2_without_traceback(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(CYCLIC_TPT)
+    paths = {"missing": tmp_path / "absent" / "x.txt", "directory": tmp_path, "inst": inst}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
 class TestBench:

@@ -2,14 +2,18 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowkernel.errors import TooLarge
-from rainbowkernel.exact import exact_answer, optimum
+from rainbowkernel.exact import exact_answer, hitting_set_within, optimum
 from rainbowkernel.graphs import (Tournament, UndirectedGraph,
                                   enumerate_induced_p3, enumerate_triangles,
                                   is_induced_p3, is_triangle)
 from rainbowkernel.instances import InstanceSpec
+from rainbowkernel.rainbow import COVER_EXACT_NODE_LIMIT
 
+from .reference.exact import hitting_within
+from .reference.rainbow import vertex_cover_within
 from .strategies import graphs, tournaments
 
 
@@ -201,3 +205,32 @@ class TestDecision:
         for k in range(0, 4):
             assert exact_answer(InstanceSpec("I2PP", g, k)) == (pack >= k)
             assert exact_answer(InstanceSpec("I2PHS", g, k)) == (hit <= k)
+
+
+class TestSharedSearch:
+    """`hitting_set_within` returns the very set each search it replaced
+    returned: the exact solvers' triple search, and oracle layer 2's vertex
+    cover branching (loops as 1-tuples, under its node budget)."""
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3, unique=True)
+                    .map(lambda tri: tuple(sorted(tri))), max_size=14),
+           st.integers(0, 6))
+    @settings(max_examples=300)
+    def test_matches_the_triple_search(self, triples, budget):
+        assert hitting_set_within(triples, budget) == hitting_within(triples, budget)
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9))
+                    .map(lambda e: (min(e), max(e))), max_size=20),
+           st.integers(0, 8))
+    @settings(max_examples=300)
+    def test_matches_the_vertex_cover_branching(self, edges, budget):
+        sets = [(u,) if u == v else (u, v) for u, v in edges]
+        assert hitting_set_within(sets, budget, COVER_EXACT_NODE_LIMIT) == \
+            vertex_cover_within(edges, budget)
+
+    def test_node_budget_gives_up(self):
+        # 8 disjoint triangles need 16 vertices, one node per vertex chosen
+        triangles = [e for s in range(0, 24, 3) for e in ((s, s + 1), (s, s + 2), (s + 1, s + 2))]
+        assert hitting_set_within(triangles, 15) is None
+        assert hitting_set_within(triangles, 16) is not None
+        assert hitting_set_within(triangles, 16, nodes=5) is None

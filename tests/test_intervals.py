@@ -1,16 +1,18 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowkernel.demand import BucketProfile, compute_demand, interval_stats
+from rainbowkernel.demand import BucketProfile, compute_demand
 from rainbowkernel.errors import BrokenInvariant
 from rainbowkernel.intervals import BucketInterval, block_joins, span_buckets
 
 from .reference.demand import (MATCH, TIE, NotProper, UndefinedMeet, all_intervals,
                                binding, block_partition, crosses,
                                demand_property_violations, inside_of, inside_value,
-                               is_inside, join, level_scan_demand, maximal_elements,
-                               meet)
+                               interval_stats, is_inside, join, level_scan_demand,
+                               maximal_elements, meet)
 from .strategies import bucket_profiles
 
 
@@ -133,20 +135,20 @@ class TestComputeDemand:
         assert d.values[I(1, 2)] == 1
         assert d.values[I(2, 3)] == 1
         assert d.values[I(1, 3)] == 0
-        assert I(1, 3) in set(d.order) and I(1, 3) not in set(d.positive())
+        assert I(1, 3) in d.values and I(1, 3) not in set(d.positive())
 
     def test_every_interval_saturated(self):
         # four singleton buckets: the demand accepts every interval and the
         # inside value always equals the capacity
         p = profile({i: 1 for i in range(1, 5)}, {i: 0 for i in range(1, 5)})
         d = compute_demand(p)
-        assert set(d.order) == set(all_intervals(p))
+        assert set(d.values) == set(all_intervals(p))
         for interval in all_intervals(p):
             assert inside_value(d, interval) == interval_stats(p, interval).capacity
 
     def test_level_order_irrelevant(self):
         p = profile({1: 2, 5: 1, 9: 3, 11: 1}, {1: 0, 5: 4, 9: 1, 11: 2})
-        assert compute_demand(p).values == level_scan_demand(p, reverse_within_level=True).values
+        assert compute_demand(p).values == level_scan_demand(p, reverse_within_level=True)
 
 
 class TestDemandLaws:
@@ -155,3 +157,13 @@ class TestDemandLaws:
     def test_all_properties_hold(self, prof):
         violations = demand_property_violations(prof, subset_cap=128)
         assert not violations, violations
+
+    @given(bucket_profiles())
+    @settings(max_examples=200)
+    def test_capacity_matches_interval_stats(self, prof):
+        # every interval spanning a bucket, bucket indices or not at its ends
+        demand = compute_demand(prof)
+        ends = range(prof.s_psi[0] - 1, prof.s_psi[-1] + 2)
+        for l, r in combinations(ends, 2):
+            if span_buckets(I(l, r), prof.s_psi):
+                assert demand.capacity(I(l, r)) == interval_stats(prof, I(l, r)).capacity

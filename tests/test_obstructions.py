@@ -87,9 +87,11 @@ def _p3_label(g, loc, pool, x):
 
 
 ROWS = {
-    "p3": (graph_pools(), p3_rows, is_induced_p3, _p3_label,
-           ref_p3.bucket_decompose_p3, ref_p3.bucket_decompose_p3_loop),
-    "tournament": (tournament_pools(), tpt_rows, is_triangle, _tpt_label,
+    "p3": (graph_pools(), lambda g, loc, pool, xs: p3_rows(g, loc, ref_p3.pool_ids(pool), xs),
+           is_induced_p3, _p3_label, ref_p3.bucket_decompose_p3, ref_p3.bucket_decompose_p3_loop),
+    "tournament": (tournament_pools(),
+                   lambda t, loc, pool, xs: tpt_rows(t, loc, ref_tournament.pool_ids(loc, pool), xs),
+                   is_triangle, _tpt_label,
                    ref_tournament.bucket_decompose_tpt, ref_tournament.bucket_decompose_tpt_loop),
 }
 

@@ -315,6 +315,13 @@ class TestRestructuring:
             assert len(rerouted) == opt.value
 
 
+    def test_repeated_vertex_is_not_a_path(self):
+        g, out = harvest_states("I2PP", 1, seed=21)[0]
+        u, v = next(iter(g.edges()))
+        with pytest.raises(InvalidSolution, match="is not an induced 2-path"):
+            repack_packing_p3(g, out.state, [(u, u, v)])
+
+
 class TestLifting:
     def test_lift_preserves_size_and_validity(self):
         for g, out in harvest_states("I2PHS", 12, seed=5):

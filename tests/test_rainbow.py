@@ -7,10 +7,10 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from rainbowkernel.errors import InternalError, OracleExhausted
+from rainbowkernel.exact import hitting_set_within
 from rainbowkernel.graphs import colored_edge, make_colored_multigraph
 from rainbowkernel.rainbow import (ColorCover, RainbowMatching, RainbowOracle,
-                                   rainbow_or_cover, verify_outcome,
-                                   _vertex_cover_within)
+                                   rainbow_or_cover, verify_outcome)
 
 from .reference.linegraph import (NotClawFree, PartitionedGraph,
                                   build_extended_line_graph,
@@ -45,7 +45,8 @@ def brute_force_small_cover_exists(cm, epsilon):
         budget = int((4 + epsilon) * (size - 1) + 1e-9)
         for colors in combinations(range(cm.p), size):
             edges = [e for e in cm.edges if e.color in set(colors)]
-            if _vertex_cover_within(edges, budget) is not None:
+            if hitting_set_within([(e.u,) if e.is_loop else (e.u, e.v) for e in edges],
+                                  budget) is not None:
                 return True
     return False
 

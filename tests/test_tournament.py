@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowkernel.demand import compute_demand, interval_stats
+from rainbowkernel.demand import compute_demand
 from rainbowkernel.errors import (InvalidSolution, NotNicePair,
                                   PreconditionViolated)
 from rainbowkernel.exact import exact_answer, optimum
@@ -234,7 +234,7 @@ class TestAddOperations:
     def test_add2_merges_span(self):
         t, d = decomp_with_extras(8, [3, 6])
         interval = BucketInterval(3, 6)
-        nxt = add2(d, interval)
+        nxt = add2(d, compute_demand(d.profile), interval)
         assert nxt.s_psi == (6,)
         assert nxt.buckets[6] == d.buckets[3] | d.buckets[6] | d.window(interval)
         assert nxt.bulk == d.window(interval)
@@ -242,24 +242,23 @@ class TestAddOperations:
 
     def test_add2_seed_count_accumulates(self):
         t, d = decomp_with_extras(8, [3, 3, 6, 6])
-        nxt = add2(d, BucketInterval(3, 6))
+        nxt = add2(d, compute_demand(d.profile), BucketInterval(3, 6))
         assert len(nxt.seeds(6)) >= 2
 
     def test_add2_rejects_oversized_window(self):
         t, d = decomp_with_extras(60, [3, 55])
         with pytest.raises(PreconditionViolated):
-            add2(d, BucketInterval(3, 55))
+            add2(d, compute_demand(d.profile), BucketInterval(3, 55))
 
     def test_repeated_unit_merges_keep_local_size(self):
         # pairwise merges of singleton buckets never break the law at delta=2
         t, d = decomp_with_extras(12, [2, 4, 6, 8, 10])
         while len(d.s_psi) >= 2:
             interval = BucketInterval(d.s_psi[0], d.s_psi[1])
-            window = d.window(interval)
-            cap = interval_stats(d.profile, interval).capacity
-            if len(window) > 10 * cap:
+            demand = compute_demand(d.profile)
+            if len(d.window(interval)) > 10 * demand.capacity(interval):
                 break
-            d = add2(d, interval)
+            d = add2(d, demand, interval)
             assert check_tpt_decomp(d, t) == []
 
 
