@@ -20,6 +20,8 @@ random search has produced such a multigraph.
 
 Every layer and `verify_outcome` read the multigraph's edge arrays over vertex
 positions; layer 1 takes back a failed eviction swap through an undo log.
+A failed search so leaves the matching as it was: until a color is placed, a later color with
+the same edges (a twin) is missed unsearched and charged its visits, if the budget covers them.
 """
 from __future__ import annotations
 
@@ -118,6 +120,7 @@ class OracleStats:
     n_edges: int = 0
     layer: str = ""
     layer1_missing: int = 0
+    layer1_visits: int = 0  # edge visits layer 1 charged to its budget
 
 
 class RainbowOracle:
@@ -139,7 +142,7 @@ class RainbowOracle:
         incident = np.flatnonzero(np.bincount(np.concatenate((cm.u, cm.v))))
         if cm.p > len(incident):  # pigeonhole: p disjoint edges need p distinct vertices
             return "dense-cover", ColorCover(frozenset(range(cm.p)), _ids(cm, incident), epsilon)
-        assign, missing = self._greedy(cm)
+        assign, missing, stats.layer1_visits = self._greedy(cm)
         if not missing:
             return "greedy", RainbowMatching(tuple(assign[c] for c in range(cm.p)))
         stats.layer1_missing = len(missing)
@@ -150,26 +153,26 @@ class RainbowOracle:
 
     # -- layer 1 ------------------------------------------------------------
 
-    def _greedy(self, cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int]]:
+    def _greedy(self, cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int], int]:
         # edges are (u, v) position pairs; a loop names its vertex twice
         cuts = cm.offsets.tolist()
         by_color = [cm.pairs[cuts[c]:cuts[c + 1]] for c in range(cm.p)]
-        order = sorted(range(cm.p), key=lambda c: (len(by_color[c]), c))
+        order = np.argsort(np.diff(cm.offsets), kind="stable").tolist()  # by size, then color
         assign: list[tuple[int, int] | None] = [None] * cm.p
         owner = [-1] * len(cm.vertices)
         log: list[tuple[int, tuple[int, int] | None]] = []  # (color, its previous edge)
         budget = LAYER1_BUDGET
 
         def undo(mark: int) -> None:
-            for c, e in reversed(log[mark:]):
+            while len(log) > mark:
+                c, e = log.pop()
                 if assign[c]:
                     owner[assign[c][0]] = owner[assign[c][1]] = -1
                 if e:
                     owner[e[0]] = owner[e[1]] = c
                 assign[c] = e
-            del log[mark:]
 
-        def try_color(c: int, depth: int, banned: frozenset[int]) -> bool:
+        def try_color(c: int, depth: int, banned: tuple[int, ...]) -> bool:
             nonlocal budget
             edges = by_color[c]
             for a, b in edges:
@@ -182,7 +185,7 @@ class RainbowOracle:
                     return True
             if depth == 0:
                 return False
-            inner = banned | {c}
+            inner = (*banned, c)
             for e in edges:
                 budget -= 1
                 if budget < 0:
@@ -208,10 +211,20 @@ class RainbowOracle:
                     return True
             return False
 
-        missing = [c for c in order if not try_color(c, SWAP_DEPTH, frozenset({c}))]
+        failed: dict[tuple, int] = {}  # a failed color's edges -> the visits it charged
+        missing = []
+        for c in order:
+            edges, before = by_color[c], budget
+            if failed.get(edges, before + 1) <= before:  # a twin failed: c fails alike
+                budget -= failed[edges]
+            elif try_color(c, SWAP_DEPTH, (c,)):
+                failed.clear()
+                continue
+            failed.setdefault(edges, before - budget)  # if set, the budget is spent
+            missing.append(c)
         ids = cm.vertices.tolist()
         return ({c: ColoredEdge(ids[e[0]], ids[e[1]], c) for c, e in enumerate(assign) if e},
-                sorted(missing))
+                sorted(missing), LAYER1_BUDGET - budget)
 
     # -- layer 2 ------------------------------------------------------------
 

@@ -122,11 +122,10 @@ def tpt_rows(t: Tournament, loc: TriangleLocalization, ids: np.ndarray, xs) -> P
     when it has none); its witness is x, the pool vertex of that 1 and the
     first 0 after it."""
     xs, ids, keys, rows, *_ = block = read_block(t.matrix, ids, loc.position[ids], xs)
-    first = first_true(rows)
-    drop = first_true(~rows & np.logical_or.accumulate(rows, axis=1))
-    ext = np.append(ids, -1)
+    seen = np.logical_or.accumulate(rows, axis=1)
+    first, drop = ids.size - seen.sum(axis=1), first_true(~rows & seen)
     bad = drop < ids.size
-    witnesses = list(map(tuple, np.column_stack((xs, ext[first], ext[drop]))[bad].tolist()))
+    witnesses = list(zip(xs[bad].tolist(), ids[first[bad]].tolist(), ids[drop[bad]].tolist()))
     return block._replace(label=np.append(keys, len(loc.order) + 1)[first], bad=bad,
                           witnesses=witnesses)
 
@@ -259,22 +258,24 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     if not d.colors <= d.loc.core:
         out.append("colors must come from the localization core")
     stored = [(i, v) for i in d.s_psi for v in d.buckets[i]]
-    rows = tpt_rows(t, d.loc, d.ids, [v for _, v in stored])
-    sub = t.matrix[np.ix_(rows.ids, rows.ids)]
-    if not np.array_equal(sub, np.triu(np.ones_like(sub), 1)):
+    rows = tpt_rows(t, d.loc, d.ids, [v for _, v in stored] + d.ids.tolist())  # then the pool
+    cells, keys = rows.rows[:len(stored)], rows.keys
+    # the pool is transitive in position order: each vertex beats the later ones
+    if not np.array_equal(rows.rows[len(stored):], keys > keys[:, None]):
         out.append("pool arcs disagree with the localization order")
-    if rows.witnesses:
+    if rows.bad[:len(stored)].any():
         out.append(f"triangle {rows.witnesses[0]} has two pool vertices")
+    positions = set(keys.tolist())
     for i in d.s_psi:
         if not d.buckets[i]:
             out.append(f"bucket {i} is empty")
-        if i != d.infinity and i not in rows.keys:
+        if i != d.infinity and i not in positions:
             out.append(f"bucket index {i} is not a pool position")
     # a member of bucket i beats exactly the pool vertices at positions >= i
     cuts = np.array([i for i, _ in stored], dtype=np.intp)
-    for r, j in zip(*np.nonzero(rows.rows != (rows.keys >= cuts[:, None]))):
+    for r, j in zip(*np.nonzero(cells != (keys >= cuts[:, None]))):
         (i, v), w = stored[r], rows.ids[j]
-        out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}" if rows.keys[j] < i
+        out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}" if keys[j] < i
                    else f"bucket {i} vertex {v} dominated by later pool vertex {w}")
     if frozenset().union(*d.buckets.values()) != d.bucketed:
         out.append("buckets do not partition the bucketed set")

@@ -1,5 +1,6 @@
 """Layer 1 of the rainbow oracle with a fresh `frozenset` of endpoints per
-edge visit, dict owners and a full snapshot per eviction swap; and the
+edge visit, dict owners, a full snapshot per eviction swap and a full search
+for every color, twins of a failed one included; and the
 outcome check over `ColoredEdge` sets, as both read the multigraph when it
 held a tuple of `ColoredEdge`s.  Also layer 2's own exact vertex-cover
 branching, before it shared `exact.hitting_set_within`."""
@@ -12,7 +13,8 @@ from rainbowkernel.rainbow import (COVER_EXACT_NODE_LIMIT, LAYER1_BUDGET, SWAP_D
                                    ColorCover, RainbowMatching)
 
 
-def greedy_layer1(cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int]]:
+def greedy_layer1(cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[int], int]:
+    """The matching, the missed colors and the edge visits charged."""
     by_color: list[list[ColoredEdge]] = [[] for _ in range(cm.p)]
     for e in sorted(cm.edges):
         by_color[e.color].append(e)
@@ -62,7 +64,7 @@ def greedy_layer1(cm: ColoredMultigraph) -> tuple[dict[int, ColoredEdge], list[i
     for c in order:
         if not try_color(c, SWAP_DEPTH, frozenset({c})):
             missing.append(c)
-    return assign, sorted(missing)
+    return assign, sorted(missing), LAYER1_BUDGET - budget[0]
 
 
 def verify_outcome(cm: ColoredMultigraph, outcome) -> tuple[bool, list[str]]:

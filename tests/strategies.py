@@ -59,6 +59,24 @@ def colored_multigraphs(draw, max_vertices=12, max_colors=6):
 
 
 @st.composite
+def twin_color_multigraphs(draw, max_vertices=12, max_colors=6, max_copies=4):
+    """`colored_multigraphs` with each color's edge set copied into a run of
+    consecutive colors, as an interval's slot colors are built; sometimes
+    the colors are then shuffled, so that twins lie apart in layer 1's
+    order."""
+    cm = draw(colored_multigraphs(max_vertices, max_colors))
+    cuts = cm.offsets.tolist()
+    runs = []
+    for c in range(cm.p):
+        edges = [cm.edge(i) for i in range(cuts[c], cuts[c + 1])]
+        runs += [edges] * draw(st.integers(min_value=1, max_value=max_copies))
+    if draw(st.booleans()):
+        runs = draw(st.permutations(runs))
+    return make_colored_multigraph(cm.vertices.tolist(), [colored_edge(e.u, e.v, c)
+                                   for c, edges in enumerate(runs) for e in edges], len(runs))
+
+
+@st.composite
 def bucket_profiles(draw, max_buckets=8, max_seed=4, max_bulk=6):
     count = draw(st.integers(min_value=1, max_value=max_buckets))
     indices = tuple(sorted(draw(st.sets(

@@ -229,6 +229,7 @@ class TestDichotomyProperties:
         ok, problems = verify_outcome(cm, out)
         assert ok, problems
         target(float(stats.layer1_missing), label="colors layer 1 missed")
+        target(float(stats.layer1_visits), label="edge visits layer 1 charged")
         if isinstance(out, ColorCover):
             target(len(out.cover) - (4 + epsilon) * len(out.colors), label="cover slack, negated")
 

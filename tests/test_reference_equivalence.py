@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 from rainbowkernel import instances, rainbow
 from rainbowkernel.demand import BucketProfile, compute_demand
 from rainbowkernel.errors import ParseError
-from rainbowkernel.graphs import ColoredEdge, Tournament, UndirectedGraph, colored_edge
+from rainbowkernel.graphs import (ColoredEdge, Tournament, UndirectedGraph, colored_edge,
+                                  make_colored_multigraph)
 from rainbowkernel.p3 import greedy_localize_p3
 from rainbowkernel.rainbow import (ColorCover, RainbowMatching, RainbowOracle,
                                    rainbow_or_cover, verify_outcome)
@@ -43,7 +44,7 @@ from .reference import p3 as ref_p3
 from .reference import rainbow as ref_rainbow
 from .reference import text as ref_text
 from .reference import tournament as ref_tournament
-from .strategies import colored_multigraphs, graphs, tournaments
+from .strategies import colored_multigraphs, graphs, tournaments, twin_color_multigraphs
 from .test_acceptance import _near_transitive
 
 # the benchmark's generators build the named scale graphs
@@ -329,6 +330,30 @@ def test_layer1_matches_reference(cm, budget):
     with mock.patch.object(rainbow, "LAYER1_BUDGET", budget), \
             mock.patch.object(ref_rainbow, "LAYER1_BUDGET", budget):
         assert RainbowOracle()._greedy(cm) == ref_rainbow.greedy_layer1(cm)
+
+
+#: colors 0 and 3 are twins, and color 2 is placed between their searches
+#: (layer 1's order is 1, 4, 0, 2, 3), so color 3 costs other visits than 0
+TWINS_APART = make_colored_multigraph([1, 2, 3], [colored_edge(u, v, c) for u, v, c in (
+    (1, 2, 0), (1, 3, 0), (2, 2, 1), (1, 1, 2), (2, 2, 2), (1, 2, 3), (1, 3, 3), (3, 3, 4))], 5)
+
+
+@given(twin_color_multigraphs(max_vertices=10, max_colors=8),
+       st.one_of(st.just(rainbow.LAYER1_BUDGET), st.integers(min_value=0, max_value=80)))
+@example(TWINS_APART, rainbow.LAYER1_BUDGET)
+@settings(max_examples=300)
+def test_layer1_matches_reference_on_twin_colors(cm, budget):
+    """Colors with equal edge sets, which layer 1 misses without a search
+    after a twin failed: the same matching, missed colors and visits
+    charged, also where the budget runs out among the twins."""
+    with mock.patch.object(rainbow, "LAYER1_BUDGET", budget), \
+            mock.patch.object(ref_rainbow, "LAYER1_BUDGET", budget):
+        reference = ref_rainbow.greedy_layer1(cm)
+        assert RainbowOracle()._greedy(cm) == reference
+        if budget == rainbow.LAYER1_BUDGET:
+            _, stats = RainbowOracle().solve(cm, 1.0)
+            ran = stats.layer in ("greedy", "blocked-cover")
+            assert stats.layer1_visits == (reference[2] if ran else 0)
 
 
 # -- the oracle outcome check ------------------------------------------------------

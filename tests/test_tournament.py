@@ -519,6 +519,32 @@ class TestValidator:
         assert "bucket index 4 is not a pool position" in check_tpt_decomp(bad, t)
         assert "bucket index 7 is not a pool position" not in check_tpt_decomp(bad, t)
 
+    @staticmethod
+    def _flipped(t, arcs):
+        m = t.matrix.copy()
+        for a, b in arcs:
+            m[a, b], m[b, a] = m[b, a], m[a, b]
+        return Tournament(m)
+
+    def test_messages_on_a_flipped_pool_arc(self):
+        """The exact problem lists, in order: one pool arc flipped (vertex
+        6 now beats vertex 2), then also a bucket arc (bucket 4's vertex 10
+        now loses to pool vertex 8), then also vertex 3 gone from the pool."""
+        t, d = decomp_with_extras(10, [4, 4, 7])
+        assert check_tpt_decomp(d, self._flipped(t, [(2, 6)])) == [
+            "pool arcs disagree with the localization order"]
+        both = self._flipped(t, [(2, 6), (10, 8)])
+        assert check_tpt_decomp(d, both) == [
+            "pool arcs disagree with the localization order",
+            "triangle (10, 3, 8) has two pool vertices",
+            "bucket 4 vertex 10 dominated by later pool vertex 8"]
+        assert check_tpt_decomp(dataclasses.replace(d, pool=d.pool - {3}), both) == [
+            "pool/bucketed/colors do not partition the vertex set",
+            "pool arcs disagree with the localization order",
+            "triangle (10, 4, 8) has two pool vertices",
+            "bucket index 4 is not a pool position",
+            "bucket 4 vertex 10 dominated by later pool vertex 8"]
+
 
 class TestBucketIndex:
     def test_index_matches_scan_on_acceptance_corpus(self):
