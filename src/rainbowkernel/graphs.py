@@ -13,6 +13,11 @@ import numpy as np
 from .errors import NotAcyclic, ParseError
 
 
+def take_block(matrix: np.ndarray, rows, cols) -> np.ndarray:
+    """`matrix[rows][:, cols]` by two `take`s, 3-5x faster than `np.ix_`."""
+    return matrix.take(rows, 0).take(cols, 1)
+
+
 class UndirectedGraph:
     """Finite simple graph held as its read-only boolean adjacency matrix."""
 
@@ -54,7 +59,7 @@ class UndirectedGraph:
     def induced(self, keep: Iterable[int]) -> "UndirectedGraph":
         """Induced subgraph on `keep`, relabeled to 0..|keep|-1 in sorted id order."""
         ids = sorted(set(keep))
-        return UndirectedGraph(len(ids), np.argwhere(self._matrix[np.ix_(ids, ids)]))
+        return UndirectedGraph(len(ids), np.argwhere(take_block(self._matrix, ids, ids)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UndirectedGraph) and np.array_equal(self._matrix, other._matrix)
@@ -104,7 +109,7 @@ class Tournament:
 
     def induced(self, keep: Iterable[int]) -> "Tournament":
         ids = sorted(set(keep))
-        return Tournament(self._m[np.ix_(ids, ids)])
+        return Tournament(take_block(self._m, ids, ids))
 
     def __eq__(self, other) -> bool:
         return (
@@ -121,24 +126,18 @@ class Tournament:
 
 
 def enumerate_triangles(t: Tournament, scope: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
-    """All 3-sets inside `scope` that induce a directed 3-cycle, as sorted triples."""
-    ids = sorted(set(scope)) if scope is not None else list(range(t.n))
-    m = t.matrix
+    """All 3-sets inside `scope` that induce a directed 3-cycle, as sorted
+    triples; the list is sorted.  Through its least vertex a, a 3-cycle
+    runs a -> x -> y -> a with x and y later."""
+    ids = np.array(sorted(set(scope)) if scope is not None else range(t.n), dtype=np.intp)
+    sub = take_block(t.matrix, ids, ids)
     out = []
-    for ia, a in enumerate(ids):
-        for ib in range(ia + 1, len(ids)):
-            b = ids[ib]
-            ab = m[a, b]
-            for ic in range(ib + 1, len(ids)):
-                c = ids[ic]
-                # cyclic iff the three arcs do not all leave a common source
-                if ab:
-                    if m[b, c] and m[c, a]:
-                        out.append((a, b, c))
-                else:
-                    if m[c, b] and m[a, c]:
-                        out.append((a, b, c))
-    return out
+    for a in range(ids.size):
+        xs, ys = (np.flatnonzero(line[a + 1:]) + a + 1 for line in (sub[a], sub[:, a]))
+        i, j = np.nonzero(take_block(sub, xs, ys))
+        b, c = ids[xs[i]], ids[ys[j]]
+        out += zip([int(ids[a])] * i.size, np.minimum(b, c).tolist(), np.maximum(b, c).tolist())
+    return sorted(out)
 
 
 def is_triangle(t: Tournament, tri: Iterable[int]) -> bool:
@@ -161,10 +160,10 @@ def topological_order(t: Tournament, scope: Iterable[int]) -> tuple[int, ...]:
     ids = sorted(set(scope))
     if len(ids) <= 1:
         return tuple(ids)
-    sub = t.matrix[np.ix_(ids, ids)]
+    sub = take_block(t.matrix, ids, ids)
     scores = sub.sum(axis=1)
     perm = sorted(range(len(ids)), key=lambda i: (-int(scores[i]), ids[i]))
-    reordered = sub[np.ix_(perm, perm)]
+    reordered = take_block(sub, perm, perm)
     backward = np.flatnonzero(np.triu(~reordered, 1))
     if backward.size:
         p, q = divmod(int(backward[0]), len(ids))
@@ -179,7 +178,7 @@ def is_acyclic(t: Tournament, scope: Iterable[int]) -> bool:
     is acyclic exactly when its scores are pairwise distinct, so this is one
     O(n^2) pass with no witness search."""
     ids = sorted(set(scope))
-    scores = t.matrix[np.ix_(ids, ids)].sum(axis=1)
+    scores = take_block(t.matrix, ids, ids).sum(axis=1)
     return len(np.unique(scores)) == len(ids)
 
 
@@ -188,11 +187,11 @@ def enumerate_induced_p3(g: UndirectedGraph, scope: Iterable[int] | None = None)
     endpoints sorted; the list is sorted.  A triple {u,v,w} qualifies iff
     exactly two of the three pairs are edges and they share the center."""
     ids = np.array(sorted(set(scope)) if scope is not None else range(g.n), dtype=np.intp)
-    sub = g.matrix()[np.ix_(ids, ids)]
+    sub = take_block(g.matrix(), ids, ids)
     out = []
     for v in range(ids.size):
         nb = np.flatnonzero(sub[v])
-        i, j = np.nonzero(np.triu(~sub[np.ix_(nb, nb)], 1))
+        i, j = np.nonzero(np.triu(~take_block(sub, nb, nb), 1))
         out += zip(ids[nb[i]].tolist(), [int(ids[v])] * i.size, ids[nb[j]].tolist())
     return sorted(out)
 
@@ -207,7 +206,7 @@ def clique_partition(g: UndirectedGraph, scope: Iterable[int]) -> tuple[tuple[in
     ids = np.array(sorted(set(scope)), dtype=np.intp)
     if not ids.size:
         return ()
-    closed = g.matrix()[np.ix_(ids, ids)]
+    closed = take_block(g.matrix(), ids, ids)
     np.fill_diagonal(closed, True)
     name = closed.argmax(axis=1)
     # the largest name a vertex sees; an edge across names shows at one end
@@ -216,15 +215,17 @@ def clique_partition(g: UndirectedGraph, scope: Iterable[int]) -> tuple[tuple[in
     sizes = np.bincount(name, minlength=ids.size)
     if (seen != name).any() or (closed.sum(axis=1) != sizes[name]).any():
         return None
-    return tuple(tuple(sorted(c)) for c in group_by(name, ids).values())
+    return tuple(group_by(name, ids, tuple).values())
 
 
-def group_by(label: np.ndarray, xs: np.ndarray) -> dict[int, frozenset[int]]:
-    """The vertices `xs` grouped by their `label`, in increasing label order."""
+def group_by(label: np.ndarray, xs, into=frozenset) -> dict:
+    """The `xs` grouped by their `label`, in increasing label order; `into`
+    builds each group from its members in the order of `xs`."""
     order = np.argsort(label, kind="stable")
-    keys, starts = np.unique(label[order], return_index=True)
-    groups = np.split(np.asarray(xs)[order], starts[1:])
-    return {k: frozenset(grp.tolist()) for k, grp in zip(keys.tolist(), groups)}
+    label, members = label[order], np.asarray(xs)[order].tolist()
+    starts = np.flatnonzero(np.diff(label, prepend=label[:1] - 1)).tolist()
+    return {k: into(members[a:b]) for k, a, b in
+            zip(label[starts].tolist(), starts, starts[1:] + [len(members)])}
 
 
 def is_induced_p3(g: UndirectedGraph, triple: Iterable[int]) -> bool:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (BrokenInvariant, InvalidSolution, NotNicePair,
                      OracleContractViolation, RepackFailed)
 from .graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
-                     group_by, is_induced_p3)
+                     group_by, is_induced_p3, take_block)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
 from .rounds import (BLOCK_PAIRS, Aux, PackingFound, PoolRows, RuleNext, RuleStop,
@@ -135,12 +135,15 @@ def p3_rows(g: UndirectedGraph, loc: P3Localization, ids: np.ndarray, xs) -> Poo
     return block._replace(label=label, bad=crosses | misses, witnesses=list(map(tuple, witnesses)))
 
 
-def p3_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per `p3_rows` row r of a color c, the pool pairs (i, j) forming an
-    induced 2-path with c: two of r[i], r[j] and the pool edge ij, which is
-    there exactly when keys[i] == keys[j]."""
-    r = block.view(np.int8)
-    return r[:, :, None] + r[:, None, :] + (keys[:, None] == keys) == 2
+def p3_pairs(rows: PoolRows, r: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `rounds.color_edges` emitter of 2-paths: per 1 p at (r[p], i[p]) of a
+    `p3_rows` block, the j with exactly one of cj (c the color of row r) and
+    the pool edge ij, which is there exactly when keys[i] == keys[j].  A pair
+    seen from both ends is kept at j > i."""
+    cells = rows.rows[r]
+    marks = cells != (rows.keys[i, None] == rows.keys)
+    marks &= ~cells | (np.arange(rows.ids.size) > i[:, None])
+    return np.nonzero(marks)
 
 
 @dataclass(frozen=True)
@@ -242,12 +245,11 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
         out.append("colors must come from the localization core")
     stored = [(i, v) for i, b in enumerate(d.buckets) for v in b] + [(-1, v) for v in d.detached]
     rows = p3_rows(g, d.loc, d.ids, [v for _, v in stored])
-    # in row blocks: no pool edge across slices, and each pool vertex sees its whole slice
-    sizes, step = np.bincount(rows.keys), max(1, BLOCK_PAIRS // max(1, rows.ids.size))
+    # in row blocks: the row of a pool vertex differs from its clique slice only at itself
+    step = max(1, BLOCK_PAIRS // max(1, rows.ids.size))
     for lo in range(0, rows.ids.size, step):
-        block, keys = g.matrix()[np.ix_(rows.ids[lo:lo + step], rows.ids)], rows.keys[lo:lo + step]
-        if (block & (keys[:, None] != rows.keys)).any() or \
-                (np.count_nonzero(block, axis=1) != sizes[keys] - 1).any():
+        same = rows.keys[lo:lo + step, None] == rows.keys
+        if np.count_nonzero(take_block(g.matrix(), rows.ids[lo:lo + step], rows.ids) != same) != len(same):
             out.append("pool edges disagree with the clique slices")
             break
     if rows.witnesses:
@@ -278,7 +280,7 @@ def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
     """Vertex set = pool.  An ordinary edge per induced 2-path {c, v, w}
     with c in colors and v, w in the pool, colored c; a loop per (bucket
     vertex u, clique vertex v) pair, colored u."""
-    return build_aux(read_block(g.matrix(), d.ids, d.keys, sorted(d.colors)), p3_marks,
+    return build_aux(read_block(g.matrix(), d.ids, d.keys, sorted(d.colors)), p3_pairs,
                      [(("bucket", u), sorted(d.pool_parts[i]))
                       for i, bucket in enumerate(d.buckets) for u in sorted(bucket)])
 

@@ -22,12 +22,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BrokenInvariant, OracleContractViolation
-from .graphs import ColoredEdge, ColoredMultigraph
+from .graphs import ColoredEdge, ColoredMultigraph, take_block
 from .instances import PACKING_PROBLEMS
 from .rainbow import RainbowMatching
 from .report import Decided, KernelOutput, KernelReport, RoundRecord
 
-#: pool pairs `color_edges` marks at once, summed over a block of color rows
+#: cells a sparse emitter tests at once: (color row, 1) pairs of a chunk times the pool
 BLOCK_PAIRS = 1 << 22
 
 
@@ -76,9 +76,9 @@ class PoolRows(NamedTuple):
 
 def read_block(matrix: np.ndarray, ids: np.ndarray, keys: np.ndarray, xs) -> PoolRows:
     """The block `matrix[xs, ids]` against a pool in its decomposition's order `ids` (or a
-    `keep` subset), columns keyed by `keys`; two `take`s beat a broadcast index 3-5x."""
+    `keep` subset), columns keyed by `keys`."""
     xs = np.array(xs, dtype=np.intp)
-    return PoolRows(xs, ids, keys, matrix.take(xs, 0).take(ids, 1))
+    return PoolRows(xs, ids, keys, take_block(matrix, xs, ids))
 
 
 def clean(d, rows: PoolRows):
@@ -127,26 +127,26 @@ class Aux:
                          **notes}
 
 
-def color_edges(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                ) -> list[np.ndarray]:
-    """The arrays [r, ids[i], ids[j]] of every pair i < j in column order
-    that `marks(block, rows.keys)` marks in row r; `marks` maps a block of
-    rows to one pool-by-pool matrix per row."""
-    ids, step = rows.ids, max(1, BLOCK_PAIRS // max(1, rows.ids.size ** 2))
-    parts = [(np.empty(0, dtype=np.intp),) * 3]
-    for lo in range(0, rows.xs.size, step):
-        c, i, j = np.nonzero(marks(rows.rows[lo:lo + step], rows.keys))
-        keep = i < j
-        parts.append((c[keep] + lo, ids[i[keep]], ids[j[keep]]))
+def color_edges(rows: PoolRows, emit: Callable) -> list[np.ndarray]:
+    """The arrays [r, ids[i], ids[j]] of every pool pair {i, j} forming an
+    obstruction with the color of row r, each pair once.  The family's sparse
+    `emit(rows, r, i)` reads them off a chunk of at most BLOCK_PAIRS // |pool|
+    of the block's 1s (r, i) as (p, j): the chunk index p of a 1, the end j."""
+    r, i = np.nonzero(rows.rows)
+    ids, step = rows.ids, max(1, BLOCK_PAIRS // max(1, rows.ids.size))
+    parts = [(r[:0], ids[:0], ids[:0])]
+    for lo in range(0, r.size, step):
+        p, j = emit(rows, r[lo:lo + step], i[lo:lo + step])
+        parts.append((r[lo + p], ids[i[lo + p]], ids[j]))
     return [np.concatenate(part) for part in zip(*parts)]
 
 
-def build_aux(rows: PoolRows, marks: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def build_aux(rows: PoolRows, emit: Callable,
               loops: list[tuple[tuple, list[int] | np.ndarray]]) -> Aux:
     """The auxiliary multigraph on the pool `rows.ids`: color i is the core
     vertex rows.xs[i] and carries its `color_edges`, then each (meaning,
     vertices) of `loops` adds a color with a loop on each of its vertices."""
-    colors, us, vs = color_edges(rows, marks)
+    colors, us, vs = color_edges(rows, emit)
     meanings = [("color", x) for x in rows.xs.tolist()] + [m for m, _ in loops]
     looped = np.concatenate([us[:0], *(vertices for _, vertices in loops)])
     colors = np.concatenate((colors, np.repeat(np.arange(rows.xs.size, len(meanings)),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,7 @@ import numpy as np
 from .demand import BucketProfile, Demand, compute_demand
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution, NotAcyclic,
                      OracleContractViolation, PreconditionViolated, RepackFailed)
-from .graphs import Tournament, is_acyclic, is_triangle, topological_order
+from .graphs import Tournament, is_acyclic, is_triangle, take_block, topological_order
 from .intervals import BucketInterval, block_joins, span_buckets
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
@@ -100,7 +101,7 @@ def _first_triangle(m: np.ndarray, a: int, free: np.ndarray) -> tuple[int, int] 
     later[:a + 1] = False
     head, tail = m[a] & later, m[:, a] & later
     # every arc x -> y with a -> x and y -> a closes a triangle
-    if not m[np.flatnonzero(head)[:, None], np.flatnonzero(tail)].any():
+    if not take_block(m, np.flatnonzero(head), np.flatnonzero(tail)).any():
         return None
     rows = np.flatnonzero(later)
     lo, size = 1, 2
@@ -130,11 +131,18 @@ def tpt_rows(t: Tournament, loc: TriangleLocalization, ids: np.ndarray, xs) -> P
                           witnesses=witnesses)
 
 
-def triangle_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per `tpt_rows` row r of a color c, the pool pairs (i, j) forming a
-    triangle with c: for i < j, ids[i] -> ids[j] -> c -> ids[i] exactly
-    when r[i] and not r[j]."""
-    return block[:, :, None] & ~block[:, None, :]
+def triangle_pairs(rows: PoolRows, r: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `rounds.color_edges` emitter of triangles: per 1 p at (r[p], i[p]) of a
+    `tpt_rows` block, the 0s j > i of row r, as ids[i] -> ids[j] -> c -> ids[i]
+    exactly then.  In the flat 0s of the rows spanned they run from the 1's
+    cell to its row's end: two `searchsorted`s and one `repeat`."""
+    size, top = rows.ids.size, r[0]
+    zeros = np.flatnonzero(~rows.rows[top:r[-1] + 1])
+    cell = (r - top) * size + i
+    lo = zeros.searchsorted(cell)
+    count = zeros.searchsorted(cell - i + size) - lo
+    p = np.repeat(np.arange(r.size), count)
+    return p, zeros[np.arange(p.size) + (lo - count.cumsum() + count)[p]] % size
 
 
 @dataclass(frozen=True)
@@ -209,10 +217,17 @@ class TptDecomp:
     def potential(self) -> int:
         return len(self.pool) + len(self.colors)
 
+    @cached_property
+    def key_list(self) -> list[int]:
+        return self.keys.tolist()  # bisect reads a list without a conversion
+
+    def span(self, interval: BucketInterval) -> slice:
+        """The slice of `ids` whose positions lie in [l, r)."""
+        return slice(bisect_left(self.key_list, interval.l), bisect_left(self.key_list, interval.r))
+
     def window(self, interval: BucketInterval) -> frozenset[int]:
         """Pool vertices whose position lies in [l, r): a slice of `ids`."""
-        lo, hi = np.searchsorted(self.keys, interval).tolist()
-        return frozenset(self.ids[lo:hi].tolist())
+        return frozenset(self.ids[self.span(interval)].tolist())
 
     @cached_property
     def profile(self) -> BucketProfile:
@@ -307,12 +322,10 @@ def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
     colors and v, w in the pool, colored c; val(I) slot colors per
     positive-demand interval I, each looped onto every vertex of its window,
     a slice of the pool in position order."""
-    block = read_block(t.matrix, d.ids, d.keys, sorted(d.colors))
     positive = sorted((iv, val) for iv, val in demand.values.items() if val > 0)
-    cuts = block.keys.searchsorted([iv for iv, _ in positive]).tolist()
-    return build_aux(block, triangle_marks, [(("slot", iv, j), block.ids[lo:hi])
-                                             for (iv, val), (lo, hi) in zip(positive, cuts)
-                                             for j in range(val)])
+    return build_aux(read_block(t.matrix, d.ids, d.keys, sorted(d.colors)), triangle_pairs,
+                     [(("slot", iv, j), d.ids[d.span(iv)]) for iv, val in positive
+                      for j in range(val)])
 
 
 @dataclass(frozen=True)
@@ -589,7 +602,7 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
     live = np.array(sorted(d.bucketed - x_b), dtype=np.intp)
     idx = np.array([d.bucket_of(v) for v in live.tolist()], dtype=np.intp)
     # a backward bucket arc: a vertex of a later bucket beats one of an earlier one
-    later, earlier = np.nonzero(t.matrix[np.ix_(live, live)] & (idx[:, None] > idx))
+    later, earlier = np.nonzero(take_block(t.matrix, live, live) & (idx[:, None] > idx))
     intervals = {BucketInterval(int(idx[b]), int(idx[a])) for a, b in zip(later, earlier)}
     chosen: set[int] = set()
     for join_interval in block_joins(intervals):

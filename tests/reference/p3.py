@@ -2,7 +2,8 @@
 2-path-free remainder into cliques, the from-scratch bucket decomposition
 (by the row test, and the per-vertex loop before it) and the decomposition
 built on it, where the kernelizer carries the buckets from round to round
-(`P3Decomp.advance`), and the scanning `P3Decomp.bucket_of`."""
+(`P3Decomp.advance`), the scanning `P3Decomp.bucket_of`, and the dense
+marks of the color edges (`reference.rounds.color_edges`)."""
 from __future__ import annotations
 
 import numpy as np
@@ -138,3 +139,11 @@ def bucket_of_scan(d: P3Decomp, v: int) -> int:
         if v in b:
             return i
     raise KeyError(v)
+
+
+def p3_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per `p3_rows` row r of a color c, the pool pairs (i, j) forming an
+    induced 2-path with c: two of r[i], r[j] and the pool edge ij, which is
+    there exactly when keys[i] == keys[j]."""
+    r = block.view(np.int8)
+    return r[:, :, None] + r[:, None, :] + (keys[:, None] == keys) == 2

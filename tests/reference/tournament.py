@@ -3,7 +3,8 @@ localization without its later-beater filter; the from-scratch bucket
 decomposition (by the row test, and the per-vertex loop before it) and the
 decomposition built on it, where the kernelizer carries the buckets from
 round to round (`TptDecomp.advance`); the validator's per-pair
-bucket-membership loop and the scanning `bucket_of`."""
+bucket-membership loop, the scanning `bucket_of`, and the dense marks of
+the color edges (`reference.rounds.color_edges`)."""
 from __future__ import annotations
 
 import numpy as np
@@ -154,3 +155,10 @@ def bucket_of_scan(d: TptDecomp, v: int) -> int:
         if v in b:
             return i
     raise KeyError(v)
+
+
+def triangle_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per `tpt_rows` row r of a color c, the pool pairs (i, j) forming a
+    triangle with c: for i < j, ids[i] -> ids[j] -> c -> ids[i] exactly
+    when r[i] and not r[j]."""
+    return block[:, :, None] & ~block[:, None, :]

@@ -137,6 +137,12 @@ class TestEnumeration:
                         naive.append((a, b, c))
         assert enumerate_triangles(t) == sorted(naive)
 
+    @given(tournaments(max_n=12), st.sets(st.integers(min_value=0, max_value=11)))
+    def test_triangles_in_a_scope_match_naive(self, t, scope):
+        scope = {v for v in scope if v < t.n}
+        assert enumerate_triangles(t, scope) == \
+            [tri for tri in combinations(sorted(scope), 3) if is_triangle(t, tri)]
+
     @given(tournaments(max_n=9), st.sets(st.integers(min_value=0, max_value=8)))
     def test_acyclic_iff_no_triangle(self, t, scope):
         scope = {v for v in scope if v < t.n}

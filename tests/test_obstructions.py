@@ -1,9 +1,10 @@
 """The per-family nice-pair row test (`tpt_rows`, `p3_rows`) and the color
-edges the auxiliary multigraphs read off it (`rounds.color_edges` with
-`triangle_marks`, `p3_marks`), checked against per-triple brute force; the
-bucket decompositions against the per-vertex loops in `tests/reference/`,
-and the buckets both families' rounds carry forward against a fresh read;
-and the validators on valid decompositions corrupted once."""
+edges the auxiliary multigraphs read off it (`rounds.color_edges` with the
+sparse `triangle_pairs`, `p3_pairs`), checked against per-triple brute force
+and the dense marks in `tests/reference/`; the bucket decompositions against
+the per-vertex loops there, and the buckets and color edges of every
+golden-corpus round against a fresh read and the dense marks; and the
+validators on valid decompositions corrupted once."""
 import dataclasses
 import random
 from collections import Counter
@@ -20,12 +21,13 @@ from rainbowkernel.errors import NotNicePair
 from rainbowkernel.graphs import (Tournament, UndirectedGraph, colored_edge,
                                   is_induced_p3, is_triangle)
 from rainbowkernel.p3 import (P3Localization, check_p3_decomp, kernelize_p3,
-                              p3_marks, p3_rows)
+                              p3_pairs, p3_rows)
 from rainbowkernel.tournament import (TriangleLocalization,
                                       check_tpt_decomp, kernelize_tournament,
-                                      tpt_rows, triangle_marks)
+                                      tpt_rows, triangle_pairs)
 
 from .reference import p3 as ref_p3
+from .reference import rounds as ref_rounds
 from .reference import tournament as ref_tournament
 from .strategies import graphs, tournaments
 from .test_acceptance import _near_transitive
@@ -115,7 +117,16 @@ def test_row_test_matches_brute_force(family, data):
     assert next(witnesses, None) is None
 
 
-MARKS = {"p3": p3_marks, "tournament": triangle_marks}
+#: each family's sparse emitter and the dense marks it replaced
+EMITTERS = {"p3": (p3_pairs, ref_p3.p3_marks),
+            "tournament": (triangle_pairs, ref_tournament.triangle_marks)}
+DENSE = dict(EMITTERS.values())
+
+
+def _edge_list(arrays):
+    """The sorted `ColoredEdge`s of `color_edges`' arrays [colors, us, vs]."""
+    colors, us, vs = (a.tolist() for a in arrays)
+    return sorted(map(colored_edge, us, vs, colors))
 
 
 @pytest.mark.parametrize("family", sorted(ROWS))
@@ -123,17 +134,18 @@ MARKS = {"p3": p3_marks, "tournament": triangle_marks}
 @settings(max_examples=200)
 def test_color_edges_mark_each_obstruction_once(family, data):
     strategy, rows_of, is_obstruction, _, _, _ = ROWS[family]
+    emit, marks = EMITTERS[family]
     g, loc, pool = data.draw(strategy)
     xs = [v for v in range(g.n) if v not in pool]
     rows = rows_of(g, loc, pool, xs)
-    # small blocks make the color rows span several of them
+    # a small bound makes the 1s of the block span several chunks
     with mock.patch.object(rounds, "BLOCK_PAIRS", data.draw(st.integers(1, 200))):
-        colors, us, vs = rounds.color_edges(rows, MARKS[family])
-    edges = list(map(colored_edge, us.tolist(), vs.tolist(), colors.tolist()))
+        edges = _edge_list(rounds.color_edges(rows, emit))
+    assert edges == _edge_list(ref_rounds.color_edges(rows, marks))
     ids = rows.ids.tolist()
     for r, x in enumerate(xs):
         upper = np.triu(_brute_matrix(g, x, ids, is_obstruction), 1)
-        assert sorted(e for e in edges if e.color == r) == \
+        assert [e for e in edges if e.color == r] == \
             sorted(colored_edge(ids[i], ids[j], r) for i, j in np.argwhere(upper))
     assert all(e.color < len(xs) for e in edges)
 
@@ -158,15 +170,23 @@ def test_bucket_decompose_matches_per_vertex_loop(family, data):
 
 def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
     """Run `runs` with `fresh(d, g)` asserted on every decomposition the
-    validator `module.name` sees, and require that the runs reach case 1,
-    case 2, a matching and a clean that demotes a color."""
-    real, steps = getattr(module, name), Counter()
+    validator `module.name` sees and the sparse color edges of every
+    auxiliary multigraph asserted equal to the dense marks' edges, and
+    require that the runs reach case 1, case 2, a matching and a clean that
+    demotes a color."""
+    real, real_edges, steps = getattr(module, name), rounds.color_edges, Counter()
 
     def check(d, g):
         fresh(d, g)
         return real(d, g)
 
+    def edges(rows, emit):
+        out = real_edges(rows, emit)
+        assert _edge_list(out) == _edge_list(ref_rounds.color_edges(rows, DENSE[emit]))
+        return out
+
     monkeypatch.setattr(module, name, check)
+    monkeypatch.setattr(rounds, "color_edges", edges)
     for _, _, report in runs():
         steps.update(r.case for r in report.rounds)
         steps["stale colors"] += bool(report.rounds) and report.rounds[0].colors_size < report.core_size
@@ -176,7 +196,8 @@ def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
 def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
     """The tournament rounds carry the buckets forward (`TptDecomp.advance`);
     every decomposition a golden-corpus run validates holds the buckets that
-    a fresh read of the tournament gives."""
+    a fresh read of the tournament gives, and every round's sparse color
+    edges are the dense marks' edges."""
     def fresh(d, t):
         assert (d.s_psi, d.buckets) == ref_tournament.bucket_decompose_tpt(
             d.pool, d.bucketed, t, d.loc)
@@ -187,7 +208,8 @@ def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
 def test_carried_p3_buckets_match_a_fresh_decomposition(monkeypatch):
     """The 2-path rounds carry the buckets forward (`P3Decomp.advance`);
     every decomposition a golden-corpus run validates holds the pool parts,
-    buckets and detached vertices of the per-vertex read of the graph."""
+    buckets and detached vertices of the per-vertex read of the graph, and
+    every round's sparse color edges are the dense marks' edges."""
     def fresh(d, g):
         assert (d.pool_parts, d.buckets, d.detached) == ref_p3.bucket_decompose_p3_loop(
             d.pool, d.bucketed, g, d.loc)
