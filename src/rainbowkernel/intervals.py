@@ -1,9 +1,9 @@
-"""Bucket intervals, the buckets they span, and the joins of the blocks of
-crossing maximal intervals."""
+"""Bucket intervals and the joins of the blocks of crossing maximal
+intervals."""
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BrokenInvariant
 
@@ -18,11 +18,6 @@ class BucketInterval(namedtuple("BucketInterval", "l r")):
         if not l < r:
             raise BrokenInvariant(f"interval needs l < r, got ({l}, {r})")
         return tuple.__new__(cls, (l, r))
-
-
-def span_buckets(interval: BucketInterval, s_psi: Sequence[int]) -> tuple[int, ...]:
-    """Bucket indices of s_psi falling inside the closed interval."""
-    return tuple(i for i in s_psi if interval.l <= i <= interval.r)
 
 
 def block_joins(family: Iterable[BucketInterval]) -> list[BucketInterval]:

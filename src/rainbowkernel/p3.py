@@ -15,13 +15,12 @@ the pool and its third vertex in `colors`.  A rainbow matching pins down the
 few pool vertices worth keeping and the run stops; a color cover moves a
 small slice of the pool (or whole cliques) into the buckets and the round
 potential #live cliques + #colors drops.  The rounds carry the buckets
-forward (`P3Decomp.advance`) and read only rows of colors; the validator is
-the one fresh read.  The loop itself lives in `rounds.py`; this module
+forward (`rounds.Decomp.advance`) and read only rows of colors; the validator
+is the one fresh read.  The loop itself lives in `rounds.py`; this module
 supplies the decomposition, its stages and the rule.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +33,8 @@ from .graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
                      group_by, is_induced_p3, take_block)
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (BLOCK_PAIRS, Aux, PackingFound, PoolRows, RuleNext, RuleStop,
-                     build_aux, clean, finite, first_true, read_block, run_rounds)
+from .rounds import (BLOCK_PAIRS, COLOR, POOL, Aux, Decomp, PackingFound, PoolRows, RuleNext,
+                     RuleStop, build_aux, clean, finite, first_true, read_block, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -146,105 +145,61 @@ def p3_pairs(rows: PoolRows, r: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, 
     return np.nonzero(marks)
 
 
-@dataclass(frozen=True)
-class P3Decomp:
-    """Partial decomposition for the 2-path problems.
-
-    `buckets[i]` holds the bucketed vertices whose pool neighborhood is
-    exactly `pool_parts[i]`, the surviving slice of clique i, and `detached`
+@dataclass(frozen=True, eq=False)
+class P3Decomp(Decomp):
+    """Partial decomposition for the 2-path problems: the pool as sorted
+    ids, keyed by clique, and a bucket named by the clique whose surviving
+    slice (`pool_parts`) its members see exactly; -1 (`detached`) names
     those with no pool neighbor at all.
     """
 
     loc: P3Localization
-    pool: frozenset[int]
-    bucketed: frozenset[int]
-    colors: frozenset[int]
     epsilon: float
-    buckets: tuple[frozenset[int], ...]
-    detached: frozenset[int]
 
     def __post_init__(self):
+        super().__post_init__()
         if (self.keys < 0).any():
             raise BrokenInvariant("pool must lie inside the localization remainder")
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """The pool as sorted ids."""
-        return np.sort(np.fromiter(self.pool, dtype=np.intp, count=len(self.pool)))
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        """The cliques of `ids`."""
-        return self.loc.clique_of[self.ids]
+    def relabel(self, kept: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """No edge is read: the pool is a union of clique slices with no edge
+        between them, so a bucket stays with its clique while the slice keeps
+        a vertex, else it is detached (-1 reads the last count, always 0)."""
+        return np.where(np.bincount(kept, minlength=len(self.loc.cliques) + 1)[labels] > 0, labels, -1)
 
     @cached_property
     def pool_parts(self) -> tuple[frozenset[int], ...]:
         parts = group_by(self.keys, self.ids)
         return tuple(parts.get(i, frozenset()) for i in range(len(self.loc.cliques)))
 
-    @property
-    def c1(self) -> float:
-        return 4.0 + self.epsilon
+    @cached_property
+    def buckets(self) -> tuple[frozenset[int], ...]:
+        parts = group_by(self.label[self.members], self.members)
+        return tuple(parts.get(i, frozenset()) for i in range(len(self.loc.cliques)))
 
-    @property
-    def attached(self) -> frozenset[int]:
-        return frozenset().union(*self.buckets)
+    @cached_property
+    def detached(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.label == -1).tolist())
 
-    @property
+    @cached_property
     def live(self) -> tuple[int, ...]:
-        return tuple(i for i, part in enumerate(self.pool_parts) if part)
+        return tuple(sorted(set(self.keys.tolist())))
 
     @property
     def potential(self) -> int:
-        return len(self.live) + len(self.colors)
-
-    @property
-    def treated(self) -> frozenset[int]:
-        return self.loc.core - self.colors
-
-    def size(self) -> float:
-        return len(self.detached) / (1.0 + 2.0 * self.c1) + len(self.attached)
-
-    @cached_property
-    def bucket_index(self) -> dict[int, int]:
-        """The bucket index of every attached vertex."""
-        return {v: i for i, b in enumerate(self.buckets) for v in b}
-
-    def bucket_of(self, v: int) -> int:
-        return self.bucket_index[v]
-
-    def advance(self, keep: np.ndarray, xs: np.ndarray, labels: np.ndarray) -> P3Decomp:
-        """The decomposition once the pool keeps the `ids` that `keep` marks
-        and the colors `xs` join the buckets at their row-test `labels` (-1:
-        detached).  No edge is read: a pool vertex that leaves and an old
-        bucket stay with their clique while its slice keeps a vertex, and
-        are detached once it is empty."""
-        live = np.zeros(len(self.loc.cliques) + 1, dtype=bool)  # the last one stands for -1
-        live[self.keys[keep]] = True
-        labels = np.concatenate((self.keys[~keep], labels))
-        joined = group_by(np.where(live[labels], labels, -1),
-                          np.concatenate((self.ids[~keep], xs)))
-        lost = [b for i, b in enumerate(self.buckets) if not live[i]]
-        return dataclasses.replace(
-            self, pool=frozenset(self.ids[keep].tolist()),
-            bucketed=self.bucketed.union(*joined.values()), colors=self.colors - set(xs.tolist()),
-            buckets=tuple(b | joined.get(i, frozenset()) if live[i] else frozenset()
-                          for i, b in enumerate(self.buckets)),
-            detached=self.detached.union(joined.get(-1, ()), *lost))
+        return len(self.live) + self.color_ids.size
 
 
 def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     """Full validator, and the one fresh read of the graph in a round:
-    partition, pool shape, nice pair, bucket membership and the size budget
-    (empty list = all hold); the constructor holds the pool in the remainder."""
+    colors, pool shape, nice pair, bucket membership and the size budget
+    (empty list = all hold).  The labels partition the vertices; the
+    constructors hold the pool ids to the POOL labels and in the remainder."""
     out: list[str] = []
-    everything = d.pool | d.bucketed | d.colors
-    if everything != frozenset(range(g.n)) or len(d.pool) + len(d.bucketed) + len(d.colors) != g.n:
-        out.append("pool/bucketed/colors do not partition the vertex set")
-    if not d.colors <= d.loc.core:
+    if (d.loc.clique_of[d.color_ids] >= 0).any():
         out.append("colors must come from the localization core")
-    stored = [(i, v) for i, b in enumerate(d.buckets) for v in b] + [(-1, v) for v in d.detached]
-    rows = p3_rows(g, d.loc, d.ids, [v for _, v in stored])
+    xs, cuts = d.members, d.label[d.members]
+    rows = p3_rows(g, d.loc, d.ids, xs)
     # in row blocks: the row of a pool vertex differs from its clique slice only at itself
     step = max(1, BLOCK_PAIRS // max(1, rows.ids.size))
     for lo in range(0, rows.ids.size, step):
@@ -255,34 +210,33 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     if rows.witnesses:
         out.append(f"induced 2-path {rows.witnesses[0]} has two pool vertices")
     out += [f"bucket {i} non-empty although its clique slice is empty"
-            for i, part in enumerate(d.pool_parts) if not part and d.buckets[i]]
+            for i in sorted(set(cuts.tolist()) - set(d.live) - {-1})]
     # a member of bucket i sees exactly slice i; a detached vertex sees nothing
-    cuts = np.array([i for i, _ in stored], dtype=np.intp)
     for r in np.flatnonzero((rows.rows != (rows.keys == cuts[:, None])).any(axis=1)):
-        i, v = stored[r]
-        out.append(f"detached vertex {v} has pool neighbors" if i < 0 else
-                   f"bucket vertex {v} has the wrong pool neighborhood")
-    if d.attached | d.detached != d.bucketed:
-        out.append("buckets plus detached do not partition the bucketed set")
-    budget = (1.0 + 2.0 * d.c1) * len(d.treated)
-    if d.size() > budget + 1e-9:
-        out.append(f"size {d.size():.3f} exceeds budget {budget:.3f}")
+        out.append(f"detached vertex {xs[r]} has pool neighbors" if cuts[r] < 0 else
+                   f"bucket vertex {xs[r]} has the wrong pool neighborhood")
+    per_treated = 1.0 + 2.0 * (4.0 + d.epsilon)  # 1 + 2 c1
+    budget = per_treated * len(d.loc.core - d.colors)
+    size = len(d.detached) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|
+    if size > budget + 1e-9:
+        out.append(f"size {size:.3f} exceeds budget {budget:.3f}")
     return out
 
 
 def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
     """Demote colors that no longer form an induced 2-path with two pool
     vertices into the buckets; the result is clean and still within budget."""
-    return clean(d, p3_rows(g, d.loc, d.ids, sorted(d.colors)))
+    return clean(d, p3_rows(g, d.loc, d.ids, d.color_ids))
 
 
 def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
     """Vertex set = pool.  An ordinary edge per induced 2-path {c, v, w}
     with c in colors and v, w in the pool, colored c; a loop per (bucket
     vertex u, clique vertex v) pair, colored u."""
-    return build_aux(read_block(g.matrix(), d.ids, d.keys, sorted(d.colors)), p3_pairs,
-                     [(("bucket", u), sorted(d.pool_parts[i]))
-                      for i, bucket in enumerate(d.buckets) for u in sorted(bucket)])
+    parts = group_by(d.keys, d.ids, list)
+    return build_aux(read_block(g.matrix(), d.ids, d.keys, d.color_ids), p3_pairs,
+                     [(("bucket", u), parts.get(i, [])) for u, i in
+                      zip(d.members.tolist(), d.label[d.members].tolist()) if i >= 0])
 
 
 @dataclass
@@ -308,18 +262,18 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
         kept = frozenset(outcome.vertices()) | d.bucketed | d.colors
         return RuleStop(kept, P3KernelState(d, outcome, aux), notes)
     cover: ColorCover = outcome
-    tc = frozenset(cover.cover)
+    covered = np.zeros(d.label.size, dtype=bool)
+    covered[list(cover.cover)] = True
     xc, buckets = aux.split(cover.colors)
     xb = [u for _, u in buckets]
     if len(xb) <= len(xc):
-        keep = ~np.isin(d.ids, list(tc))
-        rows = p3_rows(g, d.loc, d.ids[keep], sorted(xc))
+        rows = p3_rows(g, d.loc, d.ids[~covered[d.ids]], sorted(xc))
         if rows.witnesses:
             raise NotNicePair(rows.witnesses[0])
-        return RuleNext(d.advance(keep, rows.xs, rows.label), "case1", notes)
-    hit_cliques = sorted({d.bucket_of(u) for u in xb})
+        return RuleNext(d.advance(~covered[d.ids], rows.xs, rows.label), "case1", notes)
+    hit_cliques = sorted(set(d.label[xb].tolist()))
     for i in hit_cliques:
-        if not d.pool_parts[i] <= tc:
+        if not covered[d.ids[d.keys == i]].all():
             raise OracleContractViolation(
                 f"bucket color in bucket {i} but its clique slice is not covered")
     return RuleNext(d.advance(~np.isin(d.keys, hit_cliques), d.ids[:0], d.keys[:0]),
@@ -350,9 +304,9 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
     oracle = RainbowOracle()
     # stages are looked up at call time, so wrapping the module names traces them
     return run_rounds(report, localize=lambda threshold: greedy_localize_p3(g, threshold),
-                      start=lambda loc: P3Decomp(loc, frozenset(range(g.n)) - loc.core,
-                                                 frozenset(), loc.core, epsilon,
-                                                 (frozenset(),) * len(loc.cliques), frozenset()),
+                      start=lambda loc: P3Decomp(
+                          np.where(loc.clique_of >= 0, POOL, COLOR), np.flatnonzero(loc.clique_of >= 0),
+                          loc.clique_of[loc.clique_of >= 0], loc, epsilon),
                       clean=lambda d: clean_p3(d, g),
                       check=lambda d: check_p3_decomp(d, g),
                       apply_rule=lambda d: apply_rule_p3(d, g, oracle),
@@ -430,10 +384,9 @@ def lift_hitting_set_p3(g: UndirectedGraph, state: P3KernelState,
         trial = x - {v}
         if all(set(tri) & trial for tri in kernel_paths):
             x = trial
-    hit_cliques = {i for i, part in enumerate(d.pool_parts) if x & part}
+    hit_cliques = d.keys[np.isin(d.ids, list(x))]
     lifted = set(d.colors) | (x & d.bucketed)
-    for i in hit_cliques:
-        lifted |= d.buckets[i]
+    lifted |= set(np.flatnonzero(np.isin(d.label, hit_cliques)).tolist())
     if len(lifted) > len(hitting):
         raise AssertionError("lifted hitting set grew; exchange argument violated")
     if clique_partition(g, [v for v in range(g.n) if v not in lifted]) is None:

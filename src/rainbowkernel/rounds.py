@@ -6,17 +6,21 @@ decided.  Otherwise rounds run on a partial decomposition (`run_rounds`):
 each asks the rainbow-matching-or-cover dichotomy on an auxiliary
 multigraph (`build_aux`), and either stops on a matching (`RuleStop`) or
 demotes a cover and drops the round potential (`RuleNext`).  The families
-supply the localization, the decomposition and the stages; a decomposition
-exposes `pool` (cached in its order as `ids`, keyed by `keys`), `bucketed`,
-`colors` and `potential`.  Every question about obstructions with two pool
-vertices is a read of one row block `m[xs, ids]` (`read_block`): each
-family's row test (`tpt_rows`, `p3_rows`) returns a `PoolRows`, which the
-`clean`, add-1, case 1, the validator and the auxiliary multigraph consume.
+supply the localization, the stages and the bucket names.  A decomposition
+(`Decomp`) is one label per vertex id, POOL, COLOR or the vertex's bucket,
+plus the pool as `ids` in the family's order keyed by `keys`; `advance`
+carries it from round to round through the family's `relabel`.  Every
+question about obstructions with two pool vertices is a read of one row
+block `m[xs, ids]` (`read_block`): each family's row test (`tpt_rows`,
+`p3_rows`) returns a `PoolRows`, which the `clean`, add-1, case 1, the
+validator and the auxiliary multigraph consume.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +33,9 @@ from .report import Decided, KernelOutput, KernelReport, RoundRecord
 
 #: cells a sparse emitter tests at once: (color row, 1) pairs of a chunk times the pool
 BLOCK_PAIRS = 1 << 22
+
+#: the labels of a decomposition that name no bucket; every bucket label is larger
+POOL, COLOR = -3, -2
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,62 @@ class RuleNext:
     decomp: object
     case: str  # "case1" | "case2"
     notes: dict
+
+
+@dataclass(frozen=True, eq=False)
+class Decomp:
+    """A partition of the vertex ids shared by both families: `label[v]` is
+    POOL, COLOR or the bucket of v (any label above COLOR), and the pool is
+    `ids` in the family's order, keyed by `keys`.  A family names its
+    buckets and supplies `relabel(kept, labels)`: where the bucket `labels`
+    go once the pool keeps the vertices keyed `kept`.  The frozenset views
+    are built from the arrays on first use."""
+
+    label: np.ndarray
+    ids: np.ndarray
+    keys: np.ndarray
+
+    def __post_init__(self):
+        # the one law the label array does not hold by itself
+        if np.count_nonzero(self.label == POOL) != self.ids.size or \
+                (self.label[self.ids] != POOL).any():
+            raise BrokenInvariant("the pool ids must be the vertices labelled POOL")
+
+    @cached_property
+    def color_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.label == COLOR)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """The bucketed vertices by bucket label, then by id: POOL and COLOR
+        sort first."""
+        return self.label.argsort(kind="stable")[np.count_nonzero(self.label <= COLOR):]
+
+    @cached_property
+    def pool(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
+
+    @cached_property
+    def colors(self) -> frozenset[int]:
+        return frozenset(self.color_ids.tolist())
+
+    @cached_property
+    def bucketed(self) -> frozenset[int]:
+        return frozenset(self.members.tolist())
+
+    def advance(self, keep: np.ndarray, xs: np.ndarray, labels: np.ndarray, **changes):
+        """The decomposition once the pool keeps the `ids` that `keep` marks
+        and the colors `xs` join the buckets at their `labels`, read by the
+        row test against the kept pool; `changes` sets the family's other
+        fields.  A pool vertex that leaves becomes the bucket of its own
+        key, and then every bucket label passes through `relabel`."""
+        label = self.label.copy()
+        label[self.ids[~keep]] = self.keys[~keep]
+        bucketed = label > COLOR
+        label[bucketed] = self.relabel(self.keys[keep], label[bucketed])
+        label[xs] = labels
+        return dataclasses.replace(self, label=label, ids=self.ids[keep], keys=self.keys[keep],
+                                   **changes)
 
 
 class PoolRows(NamedTuple):
@@ -187,7 +250,7 @@ def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean:
         report.witness = [list(tri) for tri in loc.packing]
         return Decided(packing, loc.packing, report)
     d = start(loc)
-    report.core_size, report.rest_size = len(d.colors), len(d.pool)
+    report.core_size, report.rest_size = d.color_ids.size, d.ids.size
     d = clean(d)
     max_rounds = d.potential
     prev_potential = None
@@ -203,8 +266,8 @@ def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean:
         stop = isinstance(step, RuleStop)
         report.rounds.append(RoundRecord(
             index=len(report.rounds), case="matching" if stop else step.case,
-            pool_size=len(d.pool), bucketed_size=len(d.bucketed),
-            colors_size=len(d.colors), potential=d.potential, **step.notes))
+            pool_size=d.ids.size, bucketed_size=d.members.size,
+            colors_size=d.color_ids.size, potential=d.potential, **step.notes))
         if stop:
             kept = tuple(sorted(step.kept))
             report.kept = list(kept)

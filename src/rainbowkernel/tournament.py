@@ -23,7 +23,6 @@ its stages and the rule.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -34,12 +33,12 @@ import numpy as np
 from .demand import BucketProfile, Demand, compute_demand
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution, NotAcyclic,
                      OracleContractViolation, PreconditionViolated, RepackFailed)
-from .graphs import Tournament, is_acyclic, is_triangle, take_block, topological_order
-from .intervals import BucketInterval, block_joins, span_buckets
+from .graphs import Tournament, group_by, is_acyclic, is_triangle, take_block, topological_order
+from .intervals import BucketInterval, block_joins
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (Aux, PackingFound, PoolRows, RuleNext, RuleStop, build_aux, clean,
-                     finite, first_true, read_block, run_rounds)
+from .rounds import (COLOR, POOL, Aux, Decomp, PackingFound, PoolRows, RuleNext, RuleStop,
+                     build_aux, clean, finite, first_true, read_block, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -145,77 +144,65 @@ def triangle_pairs(rows: PoolRows, r: np.ndarray, i: np.ndarray) -> tuple[np.nda
     return p, zeros[np.arange(p.size) + (lo - count.cumsum() + count)[p]] % size
 
 
-@dataclass(frozen=True)
-class TptDecomp:
-    """Partial decomposition for the tournament problems.
+@dataclass(frozen=True, eq=False)
+class TptDecomp(Decomp):
+    """Partial decomposition for the tournament problems: the pool in
+    position order, keyed by position, and a bucket named by the pool
+    position its members first beat (t0 + 1, infinity, when none).
 
-    `spine` and `bulk` split the bucketed remainder vertices: spine vertices
-    count as seeds next to the core, bulk vertices are the merge products
-    only bounded by the local-size law.  `buckets` maps each bucket index to
-    its members; the rounds carry it forward (`advance`) without reading
-    the tournament.
+    `in_bulk` marks the bulk, the merge products only bounded by the
+    local-size law; the other bucketed remainder vertices are the spine,
+    which count as seeds next to the core.
     """
 
     loc: TriangleLocalization
-    pool: frozenset[int]
-    bucketed: frozenset[int]
-    colors: frozenset[int]
-    spine: frozenset[int]
-    bulk: frozenset[int]
+    in_bulk: np.ndarray
     delta: float
     c_delta: float
-    buckets: dict[int, frozenset[int]]
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.keys.all():
             raise BrokenInvariant("pool must lie inside the localization remainder")
-        if self.spine | self.bulk != self.bucketed - self.loc.core or self.spine & self.bulk:
-            raise BrokenInvariant("spine and bulk must partition the bucketed remainder part")
+        if (self.in_bulk & ((self.label <= COLOR) | (self.loc.position == 0))).any():
+            raise BrokenInvariant("bulk must lie inside the bucketed remainder part")
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """The pool in position order."""
-        ids = np.fromiter(self.pool, dtype=np.intp, count=len(self.pool))
-        return ids[self.loc.position[ids].argsort()]
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        """The positions of `ids`."""
-        return self.loc.position[self.ids]
+    def relabel(self, kept: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """No arc is read: the pool is transitive in position order, so a
+        bucket moves to the least kept position at or after its own, or to
+        infinity when there is none."""
+        return np.append(kept, self.infinity)[kept.searchsorted(labels)]
 
     @cached_property
     def s_psi(self) -> tuple[int, ...]:
-        return tuple(sorted(self.buckets))
+        return tuple(sorted(set(self.label[self.members].tolist())))
+
+    @cached_property
+    def buckets(self) -> dict[int, frozenset[int]]:
+        return group_by(self.label[self.members], self.members)
+
+    @cached_property
+    def bulk(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.in_bulk).tolist())
+
+    @cached_property
+    def spine(self) -> frozenset[int]:
+        return self.bucketed - self.loc.core - self.bulk
 
     @property
     def infinity(self) -> int:
         return len(self.loc.order) + 1
 
-    @property
-    def core_side(self) -> frozenset[int]:
-        return self.bucketed & self.loc.core
-
     @cached_property
-    def seed_set(self) -> frozenset[int]:
-        return self.loc.core | self.spine
-
-    def seeds(self, i: int) -> frozenset[int]:
-        return self.buckets[i] & self.seed_set
-
-    def bulk_of(self, i: int) -> frozenset[int]:
-        return self.buckets[i] & self.bulk
-
-    @cached_property
-    def bucket_index(self) -> dict[int, int]:
-        """The bucket index of every bucketed vertex."""
-        return {v: i for i, b in self.buckets.items() for v in b}
-
-    def bucket_of(self, v: int) -> int:
-        return self.bucket_index[v]
+    def sizes(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Per bucket, its seed count (core side and spine) and its bulk count."""
+        bulk = np.bincount(self.label[self.in_bulk], minlength=self.infinity + 1).tolist()
+        total = np.bincount(self.label[self.members], minlength=self.infinity + 1).tolist()
+        return {i: total[i] - bulk[i] for i in self.s_psi}, {i: bulk[i] for i in self.s_psi}
 
     @property
     def potential(self) -> int:
-        return len(self.pool) + len(self.colors)
+        return self.ids.size + self.color_ids.size
 
     @cached_property
     def key_list(self) -> list[int]:
@@ -225,91 +212,54 @@ class TptDecomp:
         """The slice of `ids` whose positions lie in [l, r)."""
         return slice(bisect_left(self.key_list, interval.l), bisect_left(self.key_list, interval.r))
 
-    def window(self, interval: BucketInterval) -> frozenset[int]:
-        """Pool vertices whose position lies in [l, r): a slice of `ids`."""
-        return frozenset(self.ids[self.span(interval)].tolist())
-
     @cached_property
     def profile(self) -> BucketProfile:
-        return BucketProfile(
-            self.s_psi,
-            {i: len(self.seeds(i)) for i in self.s_psi},
-            {i: len(self.bulk_of(i)) for i in self.s_psi},
-        )
-
-    def advance(self, keep: np.ndarray, xs: np.ndarray, labels: np.ndarray,
-                **changes) -> TptDecomp:
-        """The decomposition once the pool keeps the `ids` that `keep` marks
-        and the colors `xs` join the buckets at their row-test `labels`;
-        `changes` puts the pool vertices that leave in the spine or the
-        bulk.  No arc is read: the pool is transitive in position order, so
-        a leaving pool vertex goes to the least surviving position after its
-        own and an old bucket i to the least one >= i, or to infinity when
-        there is none."""
-        keys, left = self.keys[keep], self.ids[~keep]
-        ext = np.append(keys, self.infinity)
-        grouped: dict[int, set[int]] = {}
-        for v, j in zip(left.tolist() + xs.tolist(),
-                        ext[keys.searchsorted(self.keys[~keep], "right")].tolist() + labels.tolist()):
-            grouped.setdefault(j, set()).add(v)
-        for i, j in zip(self.s_psi, ext[keys.searchsorted(self.s_psi)].tolist()):
-            grouped.setdefault(j, set()).update(self.buckets[i])
-        joined = frozenset(xs.tolist())
-        return dataclasses.replace(
-            self, pool=frozenset(self.ids[keep].tolist()),
-            bucketed=self.bucketed | joined | set(left.tolist()), colors=self.colors - joined,
-            buckets={j: frozenset(grouped[j]) for j in sorted(grouped)}, **changes)
+        return BucketProfile(self.s_psi, *self.sizes)
 
 
 def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     """Full validator, and the one fresh read of the tournament in a round:
-    partition, nice pair, bucket membership, seeds, the spine budget and the
-    local-size law.  Empty list = everything holds.  The constructor holds
-    the pool inside the remainder and spine and bulk apart."""
+    colors, nice pair, bucket membership, seeds, the spine budget and the
+    local-size law.  Empty list = everything holds.  The labels partition
+    the vertices; the constructors hold the pool ids to the POOL labels and
+    inside the remainder, and the bulk inside the bucketed remainder."""
     out: list[str] = []
-    if d.pool | d.bucketed | d.colors != frozenset(range(t.n)) or \
-            len(d.pool) + len(d.bucketed) + len(d.colors) != t.n:
-        out.append("pool/bucketed/colors do not partition the vertex set")
-    if not d.colors <= d.loc.core:
+    if d.loc.position[d.color_ids].any():
         out.append("colors must come from the localization core")
-    stored = [(i, v) for i in d.s_psi for v in d.buckets[i]]
-    rows = tpt_rows(t, d.loc, d.ids, [v for _, v in stored] + d.ids.tolist())  # then the pool
-    cells, keys = rows.rows[:len(stored)], rows.keys
+    xs = d.members
+    rows = tpt_rows(t, d.loc, d.ids, np.concatenate((xs, d.ids)))  # then the pool
+    cells, keys = rows.rows[:xs.size], rows.keys
     # the pool is transitive in position order: each vertex beats the later ones
-    if not np.array_equal(rows.rows[len(stored):], keys > keys[:, None]):
+    if not np.array_equal(rows.rows[xs.size:], keys > keys[:, None]):
         out.append("pool arcs disagree with the localization order")
-    if rows.bad[:len(stored)].any():
+    if rows.bad[:xs.size].any():
         out.append(f"triangle {rows.witnesses[0]} has two pool vertices")
     positions = set(keys.tolist())
-    for i in d.s_psi:
-        if not d.buckets[i]:
-            out.append(f"bucket {i} is empty")
-        if i != d.infinity and i not in positions:
-            out.append(f"bucket index {i} is not a pool position")
+    out += [f"bucket index {i} is not a pool position" for i in d.s_psi
+            if i != d.infinity and i not in positions]
     # a member of bucket i beats exactly the pool vertices at positions >= i
-    cuts = np.array([i for i, _ in stored], dtype=np.intp)
+    cuts = d.label[xs]
     for r, j in zip(*np.nonzero(cells != (keys >= cuts[:, None]))):
-        (i, v), w = stored[r], rows.ids[j]
+        i, v, w = cuts[r], xs[r], rows.ids[j]
         out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}" if keys[j] < i
                    else f"bucket {i} vertex {v} dominated by later pool vertex {w}")
-    if frozenset().union(*d.buckets.values()) != d.bucketed:
-        out.append("buckets do not partition the bucketed set")
+    seeds, bulk = d.sizes
+    out += [f"bucket {i} has no seed vertex" for i in d.s_psi if not seeds[i]]
+    remainder = d.loc.position[xs] > 0
+    spine, core_side = np.count_nonzero(remainder & ~d.in_bulk[xs]), np.count_nonzero(~remainder)
+    if spine > 10 * core_side:
+        out.append(f"spine size {spine} exceeds 10*|core side| = {10 * core_side}")
     for i in d.s_psi:
-        if not d.seeds(i):
-            out.append(f"bucket {i} has no seed vertex")
-    if len(d.spine) > 10 * len(d.core_side):
-        out.append(f"spine size {len(d.spine)} exceeds 10*|core side| = {10 * len(d.core_side)}")
-    for i in d.s_psi:
-        allowed = d.c_delta * len(d.seeds(i)) ** d.delta
-        if len(d.bulk_of(i)) > allowed + 1e-9:
-            out.append(f"bucket {i} bulk {len(d.bulk_of(i))} exceeds local size {allowed:.3f}")
+        allowed = d.c_delta * seeds[i] ** d.delta
+        if bulk[i] > allowed + 1e-9:
+            out.append(f"bucket {i} bulk {bulk[i]} exceeds local size {allowed:.3f}")
     return out
 
 
 def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
     """Demote colors that form no triangle with two pool vertices into the
     core side of the buckets; spine, bulk, and the local sizes do not move."""
-    return clean(d, tpt_rows(t, d.loc, d.ids, sorted(d.colors)))
+    return clean(d, tpt_rows(t, d.loc, d.ids, d.color_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +273,7 @@ def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
     positive-demand interval I, each looped onto every vertex of its window,
     a slice of the pool in position order."""
     positive = sorted((iv, val) for iv, val in demand.values.items() if val > 0)
-    return build_aux(read_block(t.matrix, d.ids, d.keys, sorted(d.colors)), triangle_pairs,
+    return build_aux(read_block(t.matrix, d.ids, d.keys, d.color_ids), triangle_pairs,
                      [(("slot", iv, j), d.ids[d.span(iv)]) for iv, val in positive
                       for j in range(val)])
 
@@ -353,7 +303,7 @@ def check_allocation(d: TptDecomp, demand: Demand, alloc: Allocation) -> list[st
         picks = alloc.picks.get(interval, frozenset())
         if len(picks) != demand.values[interval]:
             out.append(f"{interval}: {len(picks)} picks != demand {demand.values[interval]}")
-        if not picks <= d.window(interval):
+        if not picks.issubset(d.ids[d.span(interval)].tolist()):
             out.append(f"{interval}: picks leave the window")
         if picks & seen:
             out.append(f"{interval}: picks overlap another interval's")
@@ -382,7 +332,7 @@ def add1(d: TptDecomp, t: Tournament, moved: frozenset[int],
     if rows.witnesses:
         raise PreconditionViolated(f"retired color {rows.witnesses[0][0]} still forms a "
                                    "triangle with two surviving pool vertices")
-    return d.advance(keep, rows.xs, rows.label, spine=d.spine | moved)
+    return d.advance(keep, rows.xs, rows.label)
 
 
 def add2(d: TptDecomp, demand: Demand, interval: BucketInterval) -> TptDecomp:
@@ -391,13 +341,15 @@ def add2(d: TptDecomp, demand: Demand, interval: BucketInterval) -> TptDecomp:
     |window| <= 10 * capacity(interval), read off the round's `demand`."""
     if interval.l not in d.s_psi or interval.r not in d.s_psi:
         raise PreconditionViolated(f"{interval} endpoints must be bucket indices")
-    window = d.window(interval)
+    span = d.span(interval)
     capacity = demand.capacity(interval)
-    if len(window) > 10 * capacity:
+    if span.stop - span.start > 10 * capacity:
         raise PreconditionViolated(
-            f"|window| = {len(window)} exceeds 10 * capacity = {10 * capacity}")
+            f"|window| = {span.stop - span.start} exceeds 10 * capacity = {10 * capacity}")
+    in_bulk = d.in_bulk.copy()
+    in_bulk[d.ids[span]] = True
     keep = (d.keys < interval.l) | (d.keys >= interval.r)
-    return d.advance(keep, d.ids[:0], d.keys[:0], bulk=d.bulk | window)
+    return d.advance(keep, d.ids[:0], d.keys[:0], in_bulk=in_bulk)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +371,7 @@ def _demand_summary(d: TptDecomp, demand: Demand) -> dict:
         "intervals": len(demand.values),
         "positive": len(demand.positive()),
         "val_total": sum(demand.values.values()),
-        "bucket_total": sum(len(b) for b in d.buckets.values()),
+        "bucket_total": d.members.size,
     }
 
 
@@ -437,17 +389,19 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
         kept = frozenset(outcome.vertices()) | d.bucketed | d.colors
         return RuleStop(kept, TptKernelState(d, outcome, aux, demand, allocation), notes)
     cover: ColorCover = outcome
-    covered = frozenset(cover.cover)
     retired, slots = aux.split(cover.colors)
     if len(slots) <= len(retired):
-        return RuleNext(add1(d, t, covered, retired), "case1", notes)
+        return RuleNext(add1(d, t, frozenset(cover.cover), retired), "case1", notes)
     hit = sorted({interval for _, interval, _ in slots})
+    covered = np.zeros(d.label.size, dtype=bool)
+    covered[list(cover.cover)] = True
     for interval in hit:
-        if not d.window(interval) <= covered:
+        if not covered[d.ids[d.span(interval)]].all():
             raise OracleContractViolation(
                 f"slot color of {interval} covered but its window is not")
     for join_interval in block_joins(hit):
-        if len(d.window(join_interval)) <= 10 * demand.capacity(join_interval):
+        span = d.span(join_interval)
+        if span.stop - span.start <= 10 * demand.capacity(join_interval):
             return RuleNext(add2(d, demand, join_interval), "case2", notes)
     raise Case2SelectionFailed(
         "no block interval satisfies |window| <= 10 * capacity")
@@ -491,9 +445,9 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
     oracle = RainbowOracle()
     # stages are looked up at call time, so wrapping the module names traces them
     return run_rounds(report, localize=lambda threshold: greedy_localize_triangles(t, threshold),
-                      start=lambda loc: TptDecomp(loc, frozenset(loc.order), frozenset(),
-                                                  loc.core, frozenset(), frozenset(), delta,
-                                                  c_delta, {}),
+                      start=lambda loc: TptDecomp(
+                          np.where(loc.position > 0, POOL, COLOR), np.array(loc.order, np.intp),
+                          np.arange(1, len(loc.order) + 1), loc, np.zeros(t.n, bool), delta, c_delta),
                       clean=lambda d: clean_tpt(d, t),
                       check=lambda d: check_tpt_decomp(d, t),
                       apply_rule=lambda d: apply_rule_tpt(d, t, oracle),
@@ -557,14 +511,14 @@ def repack_via_allocation(state: TptKernelState, t: Tournament,
         if len(pool_part) != 1:
             raise InvalidSolution(f"{tri} has two pool vertices; pair is not nice")
         u, v = sorted(tset - set(pool_part))
-        bu, bv = d.bucket_of(u), d.bucket_of(v)
+        bu, bv = d.label[[u, v]].tolist()
         if bu == bv:
             raise RepackFailed(f"{tri}: both bucket vertices in bucket {bu}")
         interval = BucketInterval(min(bu, bv), max(bu, bv))
         crossing.append((tri, (u, v), interval))
     allocation_vertices = alloc.vertices()
     neighbors = {
-        idx: sorted(d.window(interval) & allocation_vertices)
+        idx: sorted(allocation_vertices.intersection(d.ids[d.span(interval)].tolist()))
         for idx, (_, _, interval) in enumerate(crossing)
     }
     assignment = _max_bipartite_matching(list(range(len(crossing))), neighbors)
@@ -600,23 +554,18 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
         raise InvalidSolution("input does not hit every triangle of the kernel")
     x_b = x & d.bucketed
     live = np.array(sorted(d.bucketed - x_b), dtype=np.intp)
-    idx = np.array([d.bucket_of(v) for v in live.tolist()], dtype=np.intp)
+    idx = d.label[live]
     # a backward bucket arc: a vertex of a later bucket beats one of an earlier one
     later, earlier = np.nonzero(take_block(t.matrix, live, live) & (idx[:, None] > idx))
     intervals = {BucketInterval(int(idx[b]), int(idx[a])) for a, b in zip(later, earlier)}
     chosen: set[int] = set()
     for join_interval in block_joins(intervals):
-        span = span_buckets(join_interval, d.s_psi)
-        seed_cover: set[int] = set()
-        for i in span:
-            seed_cover |= d.seeds(i)
-        sizes = {i: len(d.buckets[i]) for i in span}
-        biggest = max(span, key=lambda i: (sizes[i], -i))
-        match_cover: set[int] = set()
-        for i in span:
-            if i != biggest:
-                match_cover |= d.buckets[i]
-        chosen |= seed_cover if len(seed_cover) <= len(match_cover) else match_cover
+        span = (d.label >= join_interval.l) & (d.label <= join_interval.r)  # bucket labels are >= 1
+        seed_cover = span & ~d.in_bulk
+        # the largest bucket spanned, the first one of a tie
+        match_cover = span & (d.label != np.bincount(d.label[span]).argmax())
+        cover = seed_cover if seed_cover.sum() <= match_cover.sum() else match_cover
+        chosen |= set(np.flatnonzero(cover).tolist())
     lifted = set(d.colors) | x_b | chosen
     if len(lifted) > len(fvs):
         raise AssertionError("lifted feedback vertex set grew; exchange argument violated")

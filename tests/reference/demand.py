@@ -1,8 +1,10 @@
-"""Level-scan demand (O(B^4) `is_inside` sums), the per-interval capacity
-with its seed and match bounds (`interval_stats`, which `Demand.capacity`
-replaces), the demand-law property suite checked against them, the interval
-and demand queries only that suite asks, and the interval relations and
-greedy block partition that `intervals.block_joins` replaces."""
+"""The buckets an interval spans (`span_buckets`; the kernel reads them off
+its labels), the level-scan demand (O(B^4) `is_inside` sums), the
+per-interval capacity with its seed and match bounds (`interval_stats`,
+which `Demand.capacity` replaces), the demand-law property suite checked
+against them, the interval and demand queries only that suite asks, and the
+interval relations and greedy block partition that `intervals.block_joins`
+replaces."""
 from __future__ import annotations
 
 import random
@@ -12,11 +14,16 @@ from typing import Iterable, Sequence
 from dataclasses import dataclass
 
 from rainbowkernel.demand import BucketProfile, Demand, compute_demand
-from rainbowkernel.intervals import BucketInterval, span_buckets
+from rainbowkernel.intervals import BucketInterval
 
 SEED = "seed"
 MATCH = "match"
 TIE = "tie"
+
+
+def span_buckets(interval: BucketInterval, s_psi: Sequence[int]) -> tuple[int, ...]:
+    """Bucket indices of s_psi falling inside the closed interval."""
+    return tuple(i for i in s_psi if interval.l <= i <= interval.r)
 
 
 def bucket_size(profile: BucketProfile, i: int) -> int:

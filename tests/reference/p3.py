@@ -1,8 +1,8 @@
 """The per-triple greedy localization, the component search that split the
 2-path-free remainder into cliques, the from-scratch bucket decomposition
 (by the row test, and the per-vertex loop before it) and the decomposition
-built on it, where the kernelizer carries the buckets from round to round
-(`P3Decomp.advance`), the scanning `P3Decomp.bucket_of`, and the dense
+built on it, where the kernelizer carries the labels from round to round
+(`rounds.Decomp.advance`), a scan for a vertex's bucket, and the dense
 marks of the color edges (`reference.rounds.color_edges`)."""
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from rainbowkernel.errors import BrokenInvariant, NotNicePair
 from rainbowkernel.graphs import UndirectedGraph, clique_partition, group_by, is_induced_p3
 from rainbowkernel.p3 import P3Decomp, P3Localization, p3_rows
-from rainbowkernel.rounds import PackingFound
+from rainbowkernel.rounds import COLOR, POOL, PackingFound
 
 
 def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
@@ -95,10 +95,20 @@ def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
 
 def make_p3_decomp(loc: P3Localization, pool, bucketed, colors,
                    g: UndirectedGraph, epsilon: float) -> P3Decomp:
-    """A decomposition with its buckets read from scratch."""
+    """A decomposition of the partition (pool, bucketed, colors) with its
+    buckets read from scratch."""
     pool, bucketed, colors = map(frozenset, (pool, bucketed, colors))
+    if len(pool) + len(bucketed) + len(colors) != g.n or \
+            pool | bucketed | colors != set(range(g.n)):
+        raise ValueError("pool, bucketed and colors must partition the vertex set")
     _, buckets, detached = bucket_decompose_p3(pool, bucketed, g, loc)
-    return P3Decomp(loc, pool, bucketed, colors, epsilon, buckets, detached)
+    label = np.full(g.n, POOL, dtype=np.intp)
+    label[list(colors)] = COLOR
+    label[list(detached)] = -1
+    for i, members in enumerate(buckets):
+        label[list(members)] = i
+    ids = pool_ids(pool)
+    return P3Decomp(label, ids, loc.clique_of[ids], loc, epsilon)
 
 
 def bucket_decompose_p3_loop(pool: frozenset[int], bucketed: frozenset[int],
@@ -134,7 +144,7 @@ def bucket_decompose_p3_loop(pool: frozenset[int], bucketed: frozenset[int],
 
 
 def bucket_of_scan(d: P3Decomp, v: int) -> int:
-    """`P3Decomp.bucket_of` as a scan over every bucket."""
+    """The bucket label of an attached v as a scan over every bucket."""
     for i, b in enumerate(d.buckets):
         if v in b:
             return i

@@ -1,17 +1,17 @@
 """Per-(a, b) triangle localization (one numpy call per vertex pair) and the
 localization without its later-beater filter; the from-scratch bucket
 decomposition (by the row test, and the per-vertex loop before it) and the
-decomposition built on it, where the kernelizer carries the buckets from
-round to round (`TptDecomp.advance`); the validator's per-pair
-bucket-membership loop, the scanning `bucket_of`, and the dense marks of
-the color edges (`reference.rounds.color_edges`)."""
+decomposition built on it, where the kernelizer carries the labels from
+round to round (`rounds.Decomp.advance`), and an interval's window; the
+validator's per-pair bucket-membership loop, a scan for a vertex's bucket,
+and the dense marks of the color edges (`reference.rounds.color_edges`)."""
 from __future__ import annotations
 
 import numpy as np
 
 from rainbowkernel.errors import BrokenInvariant, NotNicePair
 from rainbowkernel.graphs import Tournament, group_by, topological_order
-from rainbowkernel.rounds import PackingFound
+from rainbowkernel.rounds import COLOR, POOL, PackingFound
 from rainbowkernel.tournament import (TptDecomp, TriangleLocalization,
                                       _first_triangle, tpt_rows)
 
@@ -91,10 +91,30 @@ def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
 
 def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
                     bulk, t: Tournament, delta: float, c_delta: float) -> TptDecomp:
-    """A decomposition with its buckets read from scratch."""
+    """A decomposition of the partition (pool, bucketed, colors) with its
+    buckets read from scratch; `spine` must be the bucketed remainder
+    vertices outside `bulk`."""
     pool, bucketed, colors, spine, bulk = map(frozenset, (pool, bucketed, colors, spine, bulk))
-    _, buckets = bucket_decompose_tpt(pool, bucketed, t, loc)
-    return TptDecomp(loc, pool, bucketed, colors, spine, bulk, delta, c_delta, buckets)
+    if len(pool) + len(bucketed) + len(colors) != t.n or \
+            pool | bucketed | colors != set(range(t.n)):
+        raise ValueError("pool, bucketed and colors must partition the vertex set")
+    label = np.full(t.n, POOL, dtype=np.intp)
+    label[list(colors)] = COLOR
+    for i, members in bucket_decompose_tpt(pool, bucketed, t, loc)[1].items():
+        label[list(members)] = i
+    in_bulk = np.zeros(t.n, dtype=bool)
+    in_bulk[list(bulk)] = True
+    ids = pool_ids(loc, pool)
+    d = TptDecomp(label, ids, loc.position[ids], loc, in_bulk, delta, c_delta)
+    if d.spine != spine:
+        raise ValueError("spine must be the bucketed remainder vertices outside the bulk")
+    return d
+
+
+def window(d: TptDecomp, interval) -> frozenset[int]:
+    """The pool vertices whose position lies in [l, r): the slice of `ids`
+    that `TptDecomp.span` cuts."""
+    return frozenset(d.ids[d.span(interval)].tolist())
 
 
 def bucket_decompose_tpt_loop(pool: frozenset[int], bucketed: frozenset[int],
@@ -150,7 +170,7 @@ def bucket_membership_problems(d: TptDecomp, t: Tournament) -> list[str]:
 
 
 def bucket_of_scan(d: TptDecomp, v: int) -> int:
-    """`TptDecomp.bucket_of` as a scan over every bucket."""
+    """The bucket label of v as a scan over every bucket."""
     for i, b in d.buckets.items():
         if v in b:
             return i

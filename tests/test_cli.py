@@ -3,6 +3,7 @@ import json
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rainbowkernel import exact, p3, rainbow, tournament
@@ -11,6 +12,7 @@ from rainbowkernel.demand import BucketProfile
 from rainbowkernel.errors import NotNicePair, ParseError
 from rainbowkernel.intervals import BucketInterval
 from rainbowkernel.graphs import Tournament
+from rainbowkernel.rounds import COLOR, POOL
 from rainbowkernel.instances import (MAX_GRAPH_VERTICES, InstanceSpec,
                                      parse_instance, serialize_instance)
 
@@ -22,6 +24,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _colors_join_pool(d, key_of):
+    """d with its colors relabelled and listed as pool vertices, keyed by `key_of`."""
+    xs = d.color_ids
+    return dataclasses.replace(d, label=np.where(d.label == COLOR, POOL, d.label),
+                               ids=np.append(d.ids, xs), keys=np.append(d.keys, key_of[xs]))
 
 
 class TestGen:
@@ -144,14 +153,20 @@ class TestKernelize:
     # each stage is replaced by one that hands an internal constructor a value
     # breaking its law; the run must end as an internal error, not bad input
     BROKEN_STAGES = {
-        "bucket_decompose_p3": ("I2PP", p3, "clean_p3", lambda d, g: dataclasses.replace(
-            d, pool=d.pool | d.colors, colors=frozenset()),
-            "pool must lie inside the localization remainder"),
-        "bucket_decompose_tpt": ("TPT", tournament, "clean_tpt", lambda d, t: dataclasses.replace(
-            d, pool=d.pool | d.colors, colors=frozenset()),
-            "pool must lie inside the localization remainder"),
-        "make_tpt_decomp": ("TPT", tournament, "clean_tpt", lambda d, t: dataclasses.replace(
-            d, spine=d.pool), "spine and bulk must partition the bucketed remainder part"),
+        "pool_inside_remainder_p3": ("I2PP", p3, "clean_p3",
+                                     lambda d, g: _colors_join_pool(d, d.loc.clique_of),
+                                     "pool must lie inside the localization remainder"),
+        "pool_inside_remainder_tpt": ("TPT", tournament, "clean_tpt",
+                                      lambda d, t: _colors_join_pool(d, d.loc.position),
+                                      "pool must lie inside the localization remainder"),
+        "pool_ids_labelled_pool": ("TPT", tournament, "clean_tpt",
+                                   lambda d, t: dataclasses.replace(
+                                       d, label=np.where(d.label == POOL, COLOR, d.label)),
+                                   "the pool ids must be the vertices labelled POOL"),
+        "bulk_inside_bucketed_remainder": ("TPT", tournament, "clean_tpt",
+                                           lambda d, t: dataclasses.replace(
+                                               d, in_bulk=d.label == POOL),
+                                           "bulk must lie inside the bucketed remainder part"),
         "BucketInterval": ("TPT", tournament, "compute_demand", lambda profile: BucketInterval(3, 3),
                            "interval needs l < r, got (3, 3)"),
         "BucketProfile": ("TPT", tournament, "compute_demand",

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from rainbowkernel.demand import BucketProfile, compute_demand
 from rainbowkernel.errors import BrokenInvariant
-from rainbowkernel.intervals import BucketInterval, block_joins, span_buckets
+from rainbowkernel.intervals import BucketInterval, block_joins
 
 from .reference.demand import (MATCH, TIE, NotProper, UndefinedMeet, all_intervals,
                                binding, block_partition, crosses,
                                demand_property_violations, inside_of, inside_value,
                                interval_stats, is_inside, join, level_scan_demand,
-                               maximal_elements, meet)
+                               maximal_elements, meet, span_buckets)
 from .strategies import bucket_profiles
 
 

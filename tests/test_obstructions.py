@@ -2,9 +2,10 @@
 edges the auxiliary multigraphs read off it (`rounds.color_edges` with the
 sparse `triangle_pairs`, `p3_pairs`), checked against per-triple brute force
 and the dense marks in `tests/reference/`; the bucket decompositions against
-the per-vertex loops there, and the buckets and color edges of every
-golden-corpus round against a fresh read and the dense marks; and the
-validators on valid decompositions corrupted once."""
+the per-vertex loops there, the buckets and color edges of every
+golden-corpus round against a fresh read and the dense marks, and the
+shared `rounds.Decomp.advance` under random keep masks against a fresh
+decomposition; and the validators on valid decompositions corrupted once."""
 import dataclasses
 import random
 from collections import Counter
@@ -168,6 +169,19 @@ def test_bucket_decompose_matches_per_vertex_loop(family, data):
         _outcome(reference, pool, bucketed, g, loc)
 
 
+def _fresh_tpt(d, t, pool, bucketed, colors):
+    """The decomposition of (pool, bucketed, colors) with d's bulk, read from
+    scratch."""
+    return ref_tournament.make_tpt_decomp(d.loc, pool, bucketed, colors,
+                                          bucketed - d.loc.core - d.bulk, d.bulk, t,
+                                          d.delta, d.c_delta)
+
+
+def _fresh_p3(d, g, pool, bucketed, colors):
+    """The decomposition of (pool, bucketed, colors), read from scratch."""
+    return ref_p3.make_p3_decomp(d.loc, pool, bucketed, colors, g, d.epsilon)
+
+
 def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
     """Run `runs` with `fresh(d, g)` asserted on every decomposition the
     validator `module.name` sees and the sparse color edges of every
@@ -194,10 +208,10 @@ def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
 
 
 def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
-    """The tournament rounds carry the buckets forward (`TptDecomp.advance`);
-    every decomposition a golden-corpus run validates holds the buckets that
-    a fresh read of the tournament gives, and every round's sparse color
-    edges are the dense marks' edges."""
+    """The tournament rounds carry the labels forward (`rounds.Decomp.advance`);
+    every decomposition a golden-corpus run validates holds the buckets (read
+    off its labels) that a fresh read of the tournament gives, and every
+    round's sparse color edges are the dense marks' edges."""
     def fresh(d, t):
         assert (d.s_psi, d.buckets) == ref_tournament.bucket_decompose_tpt(
             d.pool, d.bucketed, t, d.loc)
@@ -206,15 +220,53 @@ def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
 
 
 def test_carried_p3_buckets_match_a_fresh_decomposition(monkeypatch):
-    """The 2-path rounds carry the buckets forward (`P3Decomp.advance`);
+    """The 2-path rounds carry the labels forward (`rounds.Decomp.advance`);
     every decomposition a golden-corpus run validates holds the pool parts,
-    buckets and detached vertices of the per-vertex read of the graph, and
-    every round's sparse color edges are the dense marks' edges."""
+    buckets and detached vertices (read off its labels) of the per-vertex
+    read of the graph, and every round's sparse color edges are the dense
+    marks' edges."""
     def fresh(d, g):
         assert (d.pool_parts, d.buckets, d.detached) == ref_p3.bucket_decompose_p3_loop(
             d.pool, d.bucketed, g, d.loc)
 
     _carried_against_fresh(monkeypatch, p3, "check_p3_decomp", fresh, p3_runs)
+
+
+#: per family: the validator, the row test, the fresh decomposition and one seeded run
+ADVANCE = {"p3": (p3, "check_p3_decomp", p3_rows, _fresh_p3,
+                  lambda rng: kernelize_p3(load("inputs").cliques_core(3, 6, 3, rng), 4)),
+           "tournament": (tournament, "check_tpt_decomp", tpt_rows, _fresh_tpt,
+                          lambda rng: kernelize_tournament(_near_transitive(60, 18, rng), 20))}
+
+
+@pytest.mark.parametrize("family", sorted(ADVANCE))
+def test_advance_matches_a_fresh_decomposition(family):
+    """`rounds.Decomp.advance` under random `keep` masks, with a random
+    subset of the colors that are fine against the kept pool joining at
+    their row-test labels, holds the labels and pool of a fresh
+    decomposition.  The masks reach states the golden rounds do not, such
+    as a bucket's position leaving together with its pool neighbours."""
+    module, name, rows_of, fresh, run = ADVANCE[family]
+    runs = random.Random(23)
+    seen = _validated(module, name, lambda: [run(runs) for _ in range(3)])
+    rng = np.random.default_rng(5)
+    checked = dropped = joins = 0
+    for d, g in seen:
+        for _ in range(8):
+            keep = rng.random(d.ids.size) < rng.random()
+            rows = rows_of(g, d.loc, d.ids[keep], d.color_ids)
+            join = ~rows.bad & (rng.random(rows.xs.size) < 0.5)
+            carried = d.advance(keep, rows.xs[join], rows.label[join])
+            joined = frozenset(rows.xs[join].tolist())
+            ref = fresh(d, g, frozenset(d.ids[keep].tolist()),
+                        d.bucketed | joined | set(d.ids[~keep].tolist()), d.colors - joined)
+            assert np.array_equal(carried.label, ref.label)
+            assert np.array_equal(carried.ids, ref.ids) and np.array_equal(carried.keys, ref.keys)
+            gone = np.setdiff1d(d.keys[~keep], d.keys[keep])
+            dropped += bool(np.isin(d.label[d.members], gone).any())
+            joins += bool(joined)
+            checked += 1
+    assert checked >= 40 and dropped >= 10 and joins >= 10
 
 
 # -- the validators on corrupted decompositions ------------------------------------
@@ -243,15 +295,15 @@ def _flip(g, u, w):
     return UndirectedGraph(g.n, edges)
 
 
-def _tpt_move(d, v, target):
-    buckets = {i: b - {v} for i, b in d.buckets.items()}
-    buckets[target] = buckets.get(target, frozenset()) | {v}
-    return dataclasses.replace(d, buckets=buckets)
+def _move(d, v, target):
+    """d with bucketed vertex v relabelled to bucket `target`."""
+    label = d.label.copy()
+    label[v] = target
+    return dataclasses.replace(d, label=label)
 
 
 def _tpt_targets(d, v):
-    positions = set(d.loc.position[list(d.pool)].tolist())
-    return sorted((set(d.buckets) | positions | {d.infinity}) - {d.bucket_of(v)})
+    return sorted((set(d.s_psi) | set(d.keys.tolist()) | {d.infinity}) - {d.label[v]})
 
 
 def _tpt_sound(d, t):
@@ -261,22 +313,12 @@ def _tpt_sound(d, t):
     pool = sorted(d.pool, key=d.loc.position.__getitem__)
     if not all(t.has_arc(u, w) for u, w in combinations(pool, 2)):
         return False
-    stored = {v: i for i, b in d.buckets.items() for v in b}
     return all(not any(is_triangle(t, (x, u, w)) for u, w in combinations(pool, 2))
-               and stored[x] == _tpt_label(t, d.loc, d.pool, x) for x in d.bucketed)
-
-
-def _p3_move(d, v, target):
-    buckets = [b - {v} for b in d.buckets]
-    if target >= 0:
-        buckets[target] |= {v}
-    detached = d.detached - {v} | ({v} if target < 0 else set())
-    return dataclasses.replace(d, buckets=tuple(buckets), detached=frozenset(detached))
+               and d.label[x] == _tpt_label(t, d.loc, d.pool, x) for x in d.bucketed)
 
 
 def _p3_targets(d, v):
-    current = d.bucket_index.get(v, -1)
-    return [i for i in range(-1, len(d.loc.cliques)) if i != current]
+    return [i for i in range(-1, len(d.loc.cliques)) if i != d.label[v]]
 
 
 def _p3_sound(d, g):
@@ -287,9 +329,8 @@ def _p3_sound(d, g):
     clique = {v: i for i, cl in enumerate(d.loc.cliques) for v in cl}
     if any(g.has_edge(u, w) != (clique[u] == clique[w]) for u, w in combinations(d.pool, 2)):
         return False
-    stored = {v: -1 for v in d.detached} | {v: i for i, b in enumerate(d.buckets) for v in b}
     return all(not any(is_induced_p3(g, (x, u, w)) for u, w in combinations(d.pool, 2))
-               and stored[x] == _p3_label(g, d.loc, d.pool, x) for x in d.bucketed)
+               and d.label[x] == _p3_label(g, d.loc, d.pool, x) for x in d.bucketed)
 
 
 def _tpt_runs(seed, n):
@@ -306,9 +347,8 @@ def _p3_runs(seed, n):
 
 
 CORRUPT = {
-    "p3": (p3, "check_p3_decomp", _p3_runs, _p3_move, _p3_targets, _p3_sound),
-    "tournament": (tournament, "check_tpt_decomp", _tpt_runs, _tpt_move, _tpt_targets,
-                   _tpt_sound),
+    "p3": (p3, "check_p3_decomp", _p3_runs, _p3_targets, _p3_sound),
+    "tournament": (tournament, "check_tpt_decomp", _tpt_runs, _tpt_targets, _tpt_sound),
 }
 
 
@@ -317,7 +357,7 @@ CORRUPT = {
        n=st.integers(min_value=8, max_value=30), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_validator_is_exact_on_corrupted_decompositions(family, seed, n, data):
-    module, name, runs, move, targets, sound = CORRUPT[family]
+    module, name, runs, targets, sound = CORRUPT[family]
     seen = _validated(module, name, runs(seed, n))
     assume(seen)
     d, g = data.draw(st.sampled_from(seen))
@@ -327,7 +367,7 @@ def test_validator_is_exact_on_corrupted_decompositions(family, seed, n, data):
         assume(d.bucketed)
         v = data.draw(st.sampled_from(sorted(d.bucketed)))
         assume(targets(d, v))
-        d = move(d, v, data.draw(st.sampled_from(targets(d, v))))
+        d = _move(d, v, data.draw(st.sampled_from(targets(d, v))))
     else:
         # one arc or edge between a pool vertex and a vertex of `kind`
         u = data.draw(st.sampled_from(sorted(d.pool) or [None]))

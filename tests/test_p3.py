@@ -122,7 +122,8 @@ class TestAuxGraph:
     def test_empty_pool_gives_empty_graph(self):
         g = UndirectedGraph(3, [(0, 1), (1, 2)])
         loc = P3Localization(((0, 1, 2),), frozenset({0, 1, 2}), ())
-        d = make_p3_decomp(loc, frozenset(), frozenset(), frozenset(), g, 1.0)
+        # the treated core sits detached: no color, no loop
+        d = make_p3_decomp(loc, frozenset(), frozenset({0, 1, 2}), frozenset(), g, 1.0)
         aux = build_p3_aux(d, g)
         assert aux.cm.p == 0 and aux.cm.edges == ()
 
@@ -221,9 +222,9 @@ class TestRule:
             if not isinstance(out, KernelOutput):
                 continue
             d = out.state.final
-            matched = out.state.matching.vertices()
-            assert len(matched) == 2 * len(d.colors) + len(d.attached)
-            assert len(out.kept) == len(d.bucketed) + 3 * len(d.colors) + len(d.attached)
+            matched, attached = out.state.matching.vertices(), d.bucketed - d.detached
+            assert len(matched) == 2 * len(d.colors) + len(attached)
+            assert len(out.kept) == len(d.bucketed) + 3 * len(d.colors) + len(attached)
             found += 1
         assert found >= 3
 
@@ -394,9 +395,13 @@ class TestBucketIndex:
                 if not isinstance(out, KernelOutput):
                     continue
                 d = out.state.final
-                # detached bucketed vertices sit in no bucket, so in no key
-                assert d.bucket_index == {v: bucket_of_scan(d, v) for v in d.attached}
-                checked += len(d.attached)
-                with pytest.raises(KeyError):
-                    d.bucket_of(g.n)
+                attached = d.bucketed - d.detached
+                assert {v: d.label[v] for v in attached} == \
+                    {v: bucket_of_scan(d, v) for v in attached}
+                checked += len(attached)
+                # detached bucketed vertices sit in no bucket
+                for v in d.detached:
+                    assert d.label[v] == -1
+                    with pytest.raises(KeyError):
+                        bucket_of_scan(d, v)
         assert checked > 100

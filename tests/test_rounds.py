@@ -2,6 +2,7 @@
 decomposition that only carries a potential."""
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from rainbowkernel.report import KernelOutput, KernelReport
@@ -11,9 +12,7 @@ from rainbowkernel.rounds import RuleNext, RuleStop, run_rounds
 @dataclass(frozen=True)
 class FakeDecomp:
     potential: int
-    pool: frozenset = frozenset()
-    bucketed: frozenset = frozenset()
-    colors: frozenset = frozenset()
+    ids = members = color_ids = np.empty(0, dtype=np.intp)  # no pool, bucketed or colors
 
 
 def countdown(d):

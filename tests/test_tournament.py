@@ -17,7 +17,7 @@ from rainbowkernel.instances import InstanceSpec
 from rainbowkernel.intervals import BucketInterval
 from rainbowkernel.rainbow import RainbowOracle
 from rainbowkernel.report import Decided, KernelOutput
-from rainbowkernel.rounds import PackingFound, RuleStop
+from rainbowkernel.rounds import COLOR, POOL, PackingFound, RuleStop
 from rainbowkernel.tournament import (TriangleLocalization, add1,
                                       add2, apply_rule_tpt, build_tpt_aux,
                                       check_tpt_decomp, choose_delta,
@@ -28,7 +28,7 @@ from rainbowkernel.tournament import (TriangleLocalization, add1,
 
 from .reference.tournament import (bucket_decompose_tpt,
                                    bucket_membership_problems, bucket_of_scan,
-                                   make_tpt_decomp)
+                                   make_tpt_decomp, window)
 from .strategies import tournaments
 from .test_acceptance import _tournament_corpus
 
@@ -146,8 +146,7 @@ class TestDemandOnDecompositions:
 
     def test_window_contains_left_index_vertex(self):
         t, d = decomp_with_extras(10, [4, 7])
-        window = d.window(BucketInterval(4, 7))
-        assert {v for v in window} == {3, 4, 5}  # positions 4, 5, 6
+        assert window(d, BucketInterval(4, 7)) == {3, 4, 5}  # positions 4, 5, 6
 
 
 class TestAuxGraph:
@@ -164,9 +163,9 @@ class TestAuxGraph:
         assert demand.values[interval] == 2
         aux = build_tpt_aux(d, t, demand)
         loops = [e for e in aux.cm.edges if e.is_loop]
-        window = d.window(interval)
-        assert len(loops) == 2 * len(window)
-        assert {e.u for e in loops} == window
+        vertices = window(d, interval)
+        assert len(loops) == 2 * len(vertices)
+        assert {e.u for e in loops} == vertices
 
     def test_color_edge_per_pool_triangle(self):
         # one color cut at 4: dominated by positions < 4, dominates >= 4:
@@ -236,14 +235,14 @@ class TestAddOperations:
         interval = BucketInterval(3, 6)
         nxt = add2(d, compute_demand(d.profile), interval)
         assert nxt.s_psi == (6,)
-        assert nxt.buckets[6] == d.buckets[3] | d.buckets[6] | d.window(interval)
-        assert nxt.bulk == d.window(interval)
+        assert nxt.buckets[6] == d.buckets[3] | d.buckets[6] | window(d, interval)
+        assert nxt.bulk == window(d, interval)
         assert check_tpt_decomp(nxt, t) == []
 
     def test_add2_seed_count_accumulates(self):
         t, d = decomp_with_extras(8, [3, 3, 6, 6])
         nxt = add2(d, compute_demand(d.profile), BucketInterval(3, 6))
-        assert len(nxt.seeds(6)) >= 2
+        assert nxt.profile.seeds[6] >= 2
 
     def test_add2_rejects_oversized_window(self):
         t, d = decomp_with_extras(60, [3, 55])
@@ -256,7 +255,7 @@ class TestAddOperations:
         while len(d.s_psi) >= 2:
             interval = BucketInterval(d.s_psi[0], d.s_psi[1])
             demand = compute_demand(d.profile)
-            if len(d.window(interval)) > 10 * demand.capacity(interval):
+            if len(window(d, interval)) > 10 * demand.capacity(interval):
                 break
             d = add2(d, demand, interval)
             assert check_tpt_decomp(d, t) == []
@@ -296,7 +295,7 @@ class TestRuleCases:
         assert demand.values[BucketInterval(1, 2)] == 2
         step = apply_rule_tpt(d, t, RainbowOracle())
         assert step.case == "case2"
-        assert step.decomp.pool == d.pool - d.window(BucketInterval(1, 2))
+        assert step.decomp.pool == d.pool - window(d, BucketInterval(1, 2))
         assert len(step.decomp.pool) < len(d.pool)
 
     def test_empty_everything_stops_with_buckets(self):
@@ -506,16 +505,25 @@ class TestValidator:
     def test_membership_lines_match_pair_loop(self):
         t, d = decomp_with_extras(10, [4, 4, 7, 2])
         assert check_tpt_decomp(d, t) == []
-        # move each bucket's vertices into the wrong buckets, both ways
-        wrong = {i: d.buckets[j] for i, j in zip(sorted(d.buckets), sorted(d.buckets)[::-1])}
-        bad = dataclasses.replace(d, buckets=wrong)
+        # relabel each bucket's vertices to the wrong buckets, both ways
+        label = d.label.copy()
+        for i, j in zip(d.s_psi, d.s_psi[::-1]):
+            label[d.label == j] = i
+        bad = dataclasses.replace(d, label=label)
         lines = [x for x in check_tpt_decomp(bad, t) if "pool vertex" in x]
         assert lines and lines == bucket_membership_problems(bad, t)
 
+    @staticmethod
+    def _leaves_alone(d, v, bucket):
+        """d with pool vertex v moved to `bucket` and no other label moved."""
+        label, keep = d.label.copy(), d.ids != v
+        label[v] = bucket
+        return dataclasses.replace(d, label=label, ids=d.ids[keep], keys=d.keys[keep])
+
     def test_bucket_index_must_be_a_pool_position(self):
         t, d = decomp_with_extras(10, [4, 4, 7])
-        # vertex 3 keeps its position 4 in the order but leaves the pool
-        bad = dataclasses.replace(d, pool=d.pool - {3})
+        # vertex 3 leaves its position 4 for bucket 5, but bucket 4 stays
+        bad = self._leaves_alone(d, 3, 5)
         assert "bucket index 4 is not a pool position" in check_tpt_decomp(bad, t)
         assert "bucket index 7 is not a pool position" not in check_tpt_decomp(bad, t)
 
@@ -529,7 +537,8 @@ class TestValidator:
     def test_messages_on_a_flipped_pool_arc(self):
         """The exact problem lists, in order: one pool arc flipped (vertex
         6 now beats vertex 2), then also a bucket arc (bucket 4's vertex 10
-        now loses to pool vertex 8), then also vertex 3 gone from the pool."""
+        now loses to pool vertex 8), then also vertex 3 gone from the pool
+        to bucket 5 without bucket 4."""
         t, d = decomp_with_extras(10, [4, 4, 7])
         assert check_tpt_decomp(d, self._flipped(t, [(2, 6)])) == [
             "pool arcs disagree with the localization order"]
@@ -538,8 +547,7 @@ class TestValidator:
             "pool arcs disagree with the localization order",
             "triangle (10, 3, 8) has two pool vertices",
             "bucket 4 vertex 10 dominated by later pool vertex 8"]
-        assert check_tpt_decomp(dataclasses.replace(d, pool=d.pool - {3}), both) == [
-            "pool/bucketed/colors do not partition the vertex set",
+        assert check_tpt_decomp(self._leaves_alone(d, 3, 5), both) == [
             "pool arcs disagree with the localization order",
             "triangle (10, 4, 8) has two pool vertices",
             "bucket index 4 is not a pool position",
@@ -555,9 +563,12 @@ class TestBucketIndex:
                 if not isinstance(out, KernelOutput):
                     continue
                 d = out.state.final
-                for v in d.bucketed:
-                    assert d.bucket_of(v) == bucket_of_scan(d, v)
-                    checked += 1
-                with pytest.raises(KeyError):
-                    d.bucket_of(t.n)
+                for v in range(t.n):
+                    if v in d.bucketed:
+                        assert d.label[v] == bucket_of_scan(d, v)
+                        checked += 1
+                    else:
+                        assert d.label[v] == (POOL if v in d.pool else COLOR)
+                        with pytest.raises(KeyError):
+                            bucket_of_scan(d, v)
         assert checked > 1000
