@@ -43,15 +43,16 @@ class BucketProfile:
 
 @dataclass(frozen=True)
 class Demand:
-    """The accepted intervals with their values, in acceptance order, and
-    `cap[x][y]`, mu of the buckets of ranks x..y in `s_psi`."""
+    """The positive intervals with their values, in acceptance order; the
+    count of `accepted` intervals, zero-valued ones too; and over the buckets
+    of ranks x..y in `s_psi`, `cap[x][y]`, their mu, and `inside[x][y]`, the
+    accepted value inside, which equals mu exactly when x..y is accepted."""
 
     values: dict[BucketInterval, int]
+    accepted: int
     s_psi: tuple[int, ...]
     cap: list[list[int]]
-
-    def positive(self) -> tuple[BucketInterval, ...]:
-        return tuple(i for i, v in self.values.items() if v > 0)
+    inside: list[list[int]]
 
     def capacity(self, interval: BucketInterval) -> int:
         """mu(interval), over the buckets it spans (at least one)."""
@@ -67,30 +68,35 @@ def compute_demand(profile: BucketProfile) -> Demand:
     (x, y) is the inclusion-exclusion of the two one-shorter intervals,
     inside[x+1][y] + inside[x][y-1] - inside[x+1][y-1], plus its own value,
     and mu comes from prefix sums and a running max: O(B^2) in all.  A level
-    only reads strictly lower ones, so its (l, r)-lexicographic scan order
-    does not matter.
+    only reads strictly lower ones, so any order that fills (x, y) after
+    those three does: the table is filled a row at a time, from the last
+    rank up, and the positive values are put in level order at the end.
     """
     idx = profile.s_psi
     b = len(idx)
     seeds = [profile.seeds[i] for i in idx]
     sizes = [s + profile.bulk.get(i, 0) for s, i in zip(seeds, idx)]
-    cap = [[0] * b for _ in range(b)]
+    cap = []
     for x in range(b):
-        seed_sum = size_sum = top = 0
+        row, seed_sum, size_sum, top = [0] * b, 0, 0, 0
         for y in range(x, b):
             seed_sum += seeds[y]
             size_sum += sizes[y]
-            top = max(top, sizes[y])
-            cap[x][y] = min(seed_sum, size_sum - top)
+            if sizes[y] > top:
+                top = sizes[y]
+            row[y] = seed_sum if seed_sum < size_sum - top else size_sum - top
+        cap.append(row)
     inside = [[0] * b for _ in range(b)]
-    values: dict[BucketInterval, int] = {}
-    for span in range(1, b):
-        for x in range(b - span):
-            y = x + span
-            below = inside[x + 1][y] + inside[x][y - 1] - inside[x + 1][y - 1]
-            value = cap[x][y] - below
-            if value >= 0:
-                values[BucketInterval(idx[x], idx[y])] = value
-                below += value
-            inside[x][y] = below
-    return Demand(values, idx, cap)
+    found, accepted = [], 0
+    for x in range(b - 2, -1, -1):
+        row, right, mus = inside[x], inside[x + 1], cap[x]
+        for y in range(x + 1, b):
+            below = right[y] + row[y - 1] - right[y - 1]
+            if below <= mus[y]:
+                accepted += 1
+                if below < mus[y]:
+                    found.append((y - x, x, mus[y] - below))
+                below = mus[y]
+            row[y] = below
+    values = {BucketInterval(idx[x], idx[x + span]): value for span, x, value in sorted(found)}
+    return Demand(values, accepted, idx, cap, inside)

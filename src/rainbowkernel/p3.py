@@ -194,27 +194,33 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     """Full validator, and the one fresh read of the graph in a round:
     colors, pool shape, nice pair, bucket membership and the size budget
     (empty list = all hold).  The labels partition the vertices; the
-    constructors hold the pool ids to the POOL labels and in the remainder."""
+    constructors hold the pool ids to the POOL labels and in the remainder.
+    A member of bucket i must see exactly slice i (a detached one nothing),
+    a pool vertex its slice but itself; only the rows that do not are read
+    for witnesses and messages."""
     out: list[str] = []
     if (d.loc.clique_of[d.color_ids] >= 0).any():
         out.append("colors must come from the localization core")
-    xs, cuts = d.members, d.label[d.members]
-    rows = p3_rows(g, d.loc, d.ids, xs)
-    # in row blocks: the row of a pool vertex differs from its clique slice only at itself
-    step = max(1, BLOCK_PAIRS // max(1, rows.ids.size))
-    for lo in range(0, rows.ids.size, step):
-        same = rows.keys[lo:lo + step, None] == rows.keys
-        if np.count_nonzero(take_block(g.matrix(), rows.ids[lo:lo + step], rows.ids) != same) != len(same):
-            out.append("pool edges disagree with the clique slices")
-            break
-    if rows.witnesses:
-        out.append(f"induced 2-path {rows.witnesses[0]} has two pool vertices")
+    xs, ids, keys, m = d.members, d.ids, d.keys, g.matrix()
+    cuts = d.label[xs]
+    both, cut = np.concatenate((xs, ids)), np.concatenate((cuts, keys))
+    step = max(1, BLOCK_PAIRS // max(1, ids.size))
+    # per row in row blocks, its cells off the pattern; a pool row's own cell always is
+    wrong = np.concatenate([xs[:0]] + [np.count_nonzero(
+        take_block(m, both[lo:lo + step], ids) != (keys == cut[lo:lo + step, None]), axis=1)
+        for lo in range(0, both.size, step)])
+    wrong[xs.size:] -= 1
+    flagged = np.flatnonzero(wrong)
+    rows = flagged[flagged < xs.size]
+    if rows.size < flagged.size:
+        out.append("pool edges disagree with the clique slices")
+    witnesses = p3_rows(g, d.loc, ids, xs[rows]).witnesses if rows.size else []
+    if witnesses:
+        out.append(f"induced 2-path {witnesses[0]} has two pool vertices")
     out += [f"bucket {i} non-empty although its clique slice is empty"
             for i in sorted(set(cuts.tolist()) - set(d.live) - {-1})]
-    # a member of bucket i sees exactly slice i; a detached vertex sees nothing
-    for r in np.flatnonzero((rows.rows != (rows.keys == cuts[:, None])).any(axis=1)):
-        out.append(f"detached vertex {xs[r]} has pool neighbors" if cuts[r] < 0 else
-                   f"bucket vertex {xs[r]} has the wrong pool neighborhood")
+    out += [f"detached vertex {xs[r]} has pool neighbors" if cuts[r] < 0 else
+            f"bucket vertex {xs[r]} has the wrong pool neighborhood" for r in rows]
     per_treated = 1.0 + 2.0 * (4.0 + d.epsilon)  # 1 + 2 c1
     budget = per_treated * len(d.loc.core - d.colors)
     size = len(d.detached) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|
@@ -271,13 +277,13 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
         if rows.witnesses:
             raise NotNicePair(rows.witnesses[0])
         return RuleNext(d.advance(~covered[d.ids], rows.xs, rows.label), "case1", notes)
-    hit_cliques = sorted(set(d.label[xb].tolist()))
-    for i in hit_cliques:
-        if not covered[d.ids[d.keys == i]].all():
-            raise OracleContractViolation(
-                f"bucket color in bucket {i} but its clique slice is not covered")
-    return RuleNext(d.advance(~np.isin(d.keys, hit_cliques), d.ids[:0], d.keys[:0]),
-                    "case2", notes)
+    hit = np.zeros(len(d.loc.cliques), dtype=bool)
+    hit[d.label[xb]] = True
+    open_slices = d.keys[hit[d.keys] & ~covered[d.ids]]
+    if open_slices.size:
+        raise OracleContractViolation(
+            f"bucket color in bucket {open_slices.min()} but its clique slice is not covered")
+    return RuleNext(d.advance(~hit[d.keys], d.ids[:0], d.keys[:0]), "case2", notes)
 
 
 def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
@@ -384,9 +390,10 @@ def lift_hitting_set_p3(g: UndirectedGraph, state: P3KernelState,
         trial = x - {v}
         if all(set(tri) & trial for tri in kernel_paths):
             x = trial
-    hit_cliques = d.keys[np.isin(d.ids, list(x))]
+    hit = np.zeros(len(d.loc.cliques) + 1, dtype=bool)  # detached, -1, reads the last mark
+    hit[d.loc.clique_of[sorted(x & d.pool)]] = True
     lifted = set(d.colors) | (x & d.bucketed)
-    lifted |= set(np.flatnonzero(np.isin(d.label, hit_cliques)).tolist())
+    lifted |= set(d.members[hit[d.label[d.members]]].tolist())
     if len(lifted) > len(hitting):
         raise AssertionError("lifted hitting set grew; exchange argument violated")
     if clique_partition(g, [v for v in range(g.n) if v not in lifted]) is None:

@@ -36,7 +36,8 @@ class KernelReport:
     equivalent: bool | None = None
 
     def to_json(self) -> str:
-        return json.dumps(self, default=vars, indent=2, sort_keys=True)
+        """One line, by the C encoder (an `indent` falls back to the pure-Python one)."""
+        return json.dumps(self, default=vars, sort_keys=True)
 
 
 @dataclass

@@ -222,27 +222,33 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     colors, nice pair, bucket membership, seeds, the spine budget and the
     local-size law.  Empty list = everything holds.  The labels partition
     the vertices; the constructors hold the pool ids to the POOL labels and
-    inside the remainder, and the bulk inside the bucketed remainder."""
+    inside the remainder, and the bulk inside the bucketed remainder.
+    A member of bucket i must beat exactly the pool positions >= i, a pool
+    vertex the later ones; a row that does has no 1 before a 0, so only the
+    rows that do not are read for witnesses and messages."""
     out: list[str] = []
     if d.loc.position[d.color_ids].any():
         out.append("colors must come from the localization core")
-    xs = d.members
-    rows = tpt_rows(t, d.loc, d.ids, np.concatenate((xs, d.ids)))  # then the pool
-    cells, keys = rows.rows[:xs.size], rows.keys
-    # the pool is transitive in position order: each vertex beats the later ones
-    if not np.array_equal(rows.rows[xs.size:], keys > keys[:, None]):
-        out.append("pool arcs disagree with the localization order")
-    if rows.bad[:xs.size].any():
-        out.append(f"triangle {rows.witnesses[0]} has two pool vertices")
-    positions = set(keys.tolist())
-    out += [f"bucket index {i} is not a pool position" for i in d.s_psi
-            if i != d.infinity and i not in positions]
-    # a member of bucket i beats exactly the pool vertices at positions >= i
+    xs, ids, keys = d.members, d.ids, d.keys
     cuts = d.label[xs]
-    for r, j in zip(*np.nonzero(cells != (keys >= cuts[:, None]))):
-        i, v, w = cuts[r], xs[r], rows.ids[j]
-        out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}" if keys[j] < i
-                   else f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+    wrong = take_block(t.matrix, np.concatenate((xs, ids)), ids) != \
+        (keys >= np.concatenate((cuts, keys + 1))[:, None])
+    # a sound decomposition flags no row: then one reduction is all the reading
+    flagged = np.flatnonzero(wrong.any(axis=1)) if wrong.any() else xs[:0]
+    rows = flagged[flagged < xs.size].tolist()
+    if len(rows) < flagged.size:
+        out.append("pool arcs disagree with the localization order")
+    witnesses = tpt_rows(t, d.loc, ids, xs[rows]).witnesses if rows else []
+    if witnesses:
+        out.append(f"triangle {witnesses[0]} has two pool vertices")
+    positions = set(keys.tolist())
+    positions.add(d.infinity)
+    out += [f"bucket index {i} is not a pool position" for i in d.s_psi if i not in positions]
+    for r in rows:
+        i, v = cuts[r], xs[r]
+        out += [f"bucket {i} vertex {v} dominates earlier pool vertex {ids[j]}" if keys[j] < i
+                else f"bucket {i} vertex {v} dominated by later pool vertex {ids[j]}"
+                for j in np.flatnonzero(wrong[r])]
     seeds, bulk = d.sizes
     out += [f"bucket {i} has no seed vertex" for i in d.s_psi if not seeds[i]]
     remainder = d.loc.position[xs] > 0
@@ -272,10 +278,9 @@ def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
     colors and v, w in the pool, colored c; val(I) slot colors per
     positive-demand interval I, each looped onto every vertex of its window,
     a slice of the pool in position order."""
-    positive = sorted((iv, val) for iv, val in demand.values.items() if val > 0)
     return build_aux(read_block(t.matrix, d.ids, d.keys, d.color_ids), triangle_pairs,
-                     [(("slot", iv, j), d.ids[d.span(iv)]) for iv, val in positive
-                      for j in range(val)])
+                     [(("slot", iv, j), d.ids[d.span(iv)])
+                      for iv, val in sorted(demand.values.items()) for j in range(val)])
 
 
 @dataclass(frozen=True)
@@ -299,10 +304,10 @@ def extract_allocation(aux: Aux, matching: RainbowMatching) -> Allocation:
 def check_allocation(d: TptDecomp, demand: Demand, alloc: Allocation) -> list[str]:
     out = []
     seen: set[int] = set()
-    for interval in demand.positive():
+    for interval, value in demand.values.items():
         picks = alloc.picks.get(interval, frozenset())
-        if len(picks) != demand.values[interval]:
-            out.append(f"{interval}: {len(picks)} picks != demand {demand.values[interval]}")
+        if len(picks) != value:
+            out.append(f"{interval}: {len(picks)} picks != demand {value}")
         if not picks.issubset(d.ids[d.span(interval)].tolist()):
             out.append(f"{interval}: picks leave the window")
         if picks & seen:
@@ -368,8 +373,8 @@ class TptKernelState:
 
 def _demand_summary(d: TptDecomp, demand: Demand) -> dict:
     return {
-        "intervals": len(demand.values),
-        "positive": len(demand.positive()),
+        "intervals": demand.accepted,
+        "positive": len(demand.values),
         "val_total": sum(demand.values.values()),
         "bucket_total": d.members.size,
     }

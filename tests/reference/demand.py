@@ -118,6 +118,13 @@ def binding(stats: DemandStats) -> str:
     return TIE
 
 
+def is_accepted(demand: Demand, interval: BucketInterval) -> bool:
+    """Whether the demand accepted `interval`, read off its tables: the
+    accepted value inside equals the capacity."""
+    x, y = demand.s_psi.index(interval.l), demand.s_psi.index(interval.r)
+    return demand.inside[x][y] == demand.cap[x][y]
+
+
 def value_of(demand: Demand, family: Iterable[BucketInterval]) -> int:
     return sum(demand.values[i] for i in family)
 
@@ -185,7 +192,9 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
     """Check the demand's structural laws on one profile; returns readable
     violations (empty list = all hold).
 
-    Covered: monotone value identities and membership criteria of the demand,
+    Covered: monotone value identities and membership criteria of the demand
+    (membership read off its `inside` and `cap` tables, which must agree with
+    the sums of the positive values),
     the crossing-intersection property, closure of crossing chains under join,
     the small-total-demand bound for sub-families, and agreement with the
     level scan run in reversed within-level order.
@@ -193,19 +202,22 @@ def demand_property_violations(profile: BucketProfile, *, subset_cap: int = 512,
     demand = compute_demand(profile)
     out: list[str] = []
     intervals = all_intervals(profile)
-    accepted = set(demand.values)
-    positive = set(demand.positive())
+    accepted = {i for i in intervals if is_accepted(demand, i)}
+    positive = set(demand.values)
 
-    if level_scan_demand(profile, reverse_within_level=True) != demand.values:
-        out.append("demand differs from the reversed level scan")
+    slow = level_scan_demand(profile, reverse_within_level=True)
+    if {i: v for i, v in slow.items() if v} != demand.values:
+        out.append("positive demand differs from the reversed level scan")
+    if set(slow) != accepted or len(slow) != demand.accepted:
+        out.append("accepted intervals differ from the reversed level scan")
 
     for interval in intervals:
         stats = interval_stats(profile, interval)
         inside_all = inside_value(demand, interval)
-        inside_pos = sum(demand.values[i] for i in positive if is_inside(i, interval))
         strict_inside = inside_all - demand.values.get(interval, 0)
-        if inside_all != inside_pos:
-            out.append(f"{interval}: zero-valued members change the inside value")
+        x, y = profile.s_psi.index(interval.l), profile.s_psi.index(interval.r)
+        if inside_all != demand.inside[x][y]:
+            out.append(f"{interval}: inside value {inside_all} != inside table {demand.inside[x][y]}")
         if inside_all < stats.capacity:
             out.append(f"{interval}: inside value {inside_all} < capacity {stats.capacity}")
         member = interval in accepted

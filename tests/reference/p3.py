@@ -2,16 +2,19 @@
 2-path-free remainder into cliques, the from-scratch bucket decomposition
 (by the row test, and the per-vertex loop before it) and the decomposition
 built on it, where the kernelizer carries the labels from round to round
-(`rounds.Decomp.advance`), a scan for a vertex's bucket, and the dense
-marks of the color edges (`reference.rounds.color_edges`)."""
+(`rounds.Decomp.advance`), a scan for a vertex's bucket, the dense marks
+of the color edges (`reference.rounds.color_edges`), and the validator that
+ran the row test on every bucketed row before `p3.check_p3_decomp` compared
+the blocks with their expected pattern."""
 from __future__ import annotations
 
 import numpy as np
 
 from rainbowkernel.errors import BrokenInvariant, NotNicePair
-from rainbowkernel.graphs import UndirectedGraph, clique_partition, group_by, is_induced_p3
+from rainbowkernel.graphs import (UndirectedGraph, clique_partition, group_by, is_induced_p3,
+                                  take_block)
 from rainbowkernel.p3 import P3Decomp, P3Localization, p3_rows
-from rainbowkernel.rounds import COLOR, POOL, PackingFound
+from rainbowkernel.rounds import BLOCK_PAIRS, COLOR, POOL, PackingFound
 
 
 def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
@@ -157,3 +160,36 @@ def p3_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
     there exactly when keys[i] == keys[j]."""
     r = block.view(np.int8)
     return r[:, :, None] + r[:, None, :] + (keys[:, None] == keys) == 2
+
+
+def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
+    """Full validator, and the one fresh read of the graph in a round:
+    colors, pool shape, nice pair, bucket membership and the size budget
+    (empty list = all hold).  The labels partition the vertices; the
+    constructors hold the pool ids to the POOL labels and in the remainder."""
+    out: list[str] = []
+    if (d.loc.clique_of[d.color_ids] >= 0).any():
+        out.append("colors must come from the localization core")
+    xs, cuts = d.members, d.label[d.members]
+    rows = p3_rows(g, d.loc, d.ids, xs)
+    # in row blocks: the row of a pool vertex differs from its clique slice only at itself
+    step = max(1, BLOCK_PAIRS // max(1, rows.ids.size))
+    for lo in range(0, rows.ids.size, step):
+        same = rows.keys[lo:lo + step, None] == rows.keys
+        if np.count_nonzero(take_block(g.matrix(), rows.ids[lo:lo + step], rows.ids) != same) != len(same):
+            out.append("pool edges disagree with the clique slices")
+            break
+    if rows.witnesses:
+        out.append(f"induced 2-path {rows.witnesses[0]} has two pool vertices")
+    out += [f"bucket {i} non-empty although its clique slice is empty"
+            for i in sorted(set(cuts.tolist()) - set(d.live) - {-1})]
+    # a member of bucket i sees exactly slice i; a detached vertex sees nothing
+    for r in np.flatnonzero((rows.rows != (rows.keys == cuts[:, None])).any(axis=1)):
+        out.append(f"detached vertex {xs[r]} has pool neighbors" if cuts[r] < 0 else
+                   f"bucket vertex {xs[r]} has the wrong pool neighborhood")
+    per_treated = 1.0 + 2.0 * (4.0 + d.epsilon)  # 1 + 2 c1
+    budget = per_treated * len(d.loc.core - d.colors)
+    size = len(d.detached) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|
+    if size > budget + 1e-9:
+        out.append(f"size {size:.3f} exceeds budget {budget:.3f}")
+    return out

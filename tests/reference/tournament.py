@@ -4,7 +4,9 @@ decomposition (by the row test, and the per-vertex loop before it) and the
 decomposition built on it, where the kernelizer carries the labels from
 round to round (`rounds.Decomp.advance`), and an interval's window; the
 validator's per-pair bucket-membership loop, a scan for a vertex's bucket,
-and the dense marks of the color edges (`reference.rounds.color_edges`)."""
+the dense marks of the color edges (`reference.rounds.color_edges`), and
+the validator that ran the row test on every bucketed and pool row before
+`tournament.check_tpt_decomp` compared the block with its expected pattern."""
 from __future__ import annotations
 
 import numpy as np
@@ -182,3 +184,42 @@ def triangle_marks(block: np.ndarray, keys: np.ndarray) -> np.ndarray:
     triangle with c: for i < j, ids[i] -> ids[j] -> c -> ids[i] exactly
     when r[i] and not r[j]."""
     return block[:, :, None] & ~block[:, None, :]
+
+
+def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
+    """Full validator, and the one fresh read of the tournament in a round:
+    colors, nice pair, bucket membership, seeds, the spine budget and the
+    local-size law.  Empty list = everything holds.  The labels partition
+    the vertices; the constructors hold the pool ids to the POOL labels and
+    inside the remainder, and the bulk inside the bucketed remainder."""
+    out: list[str] = []
+    if d.loc.position[d.color_ids].any():
+        out.append("colors must come from the localization core")
+    xs = d.members
+    rows = tpt_rows(t, d.loc, d.ids, np.concatenate((xs, d.ids)))  # then the pool
+    cells, keys = rows.rows[:xs.size], rows.keys
+    # the pool is transitive in position order: each vertex beats the later ones
+    if not np.array_equal(rows.rows[xs.size:], keys > keys[:, None]):
+        out.append("pool arcs disagree with the localization order")
+    if rows.bad[:xs.size].any():
+        out.append(f"triangle {rows.witnesses[0]} has two pool vertices")
+    positions = set(keys.tolist())
+    out += [f"bucket index {i} is not a pool position" for i in d.s_psi
+            if i != d.infinity and i not in positions]
+    # a member of bucket i beats exactly the pool vertices at positions >= i
+    cuts = d.label[xs]
+    for r, j in zip(*np.nonzero(cells != (keys >= cuts[:, None]))):
+        i, v, w = cuts[r], xs[r], rows.ids[j]
+        out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}" if keys[j] < i
+                   else f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+    seeds, bulk = d.sizes
+    out += [f"bucket {i} has no seed vertex" for i in d.s_psi if not seeds[i]]
+    remainder = d.loc.position[xs] > 0
+    spine, core_side = np.count_nonzero(remainder & ~d.in_bulk[xs]), np.count_nonzero(~remainder)
+    if spine > 10 * core_side:
+        out.append(f"spine size {spine} exceeds 10*|core side| = {10 * core_side}")
+    for i in d.s_psi:
+        allowed = d.c_delta * seeds[i] ** d.delta
+        if bulk[i] > allowed + 1e-9:
+            out.append(f"bucket {i} bulk {bulk[i]} exceeds local size {allowed:.3f}")
+    return out

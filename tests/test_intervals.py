@@ -11,8 +11,8 @@ from rainbowkernel.intervals import BucketInterval, block_joins
 from .reference.demand import (MATCH, TIE, NotProper, UndefinedMeet, all_intervals,
                                binding, block_partition, crosses,
                                demand_property_violations, inside_of, inside_value,
-                               interval_stats, is_inside, join, level_scan_demand,
-                               maximal_elements, meet, span_buckets)
+                               interval_stats, is_accepted, is_inside, join,
+                               level_scan_demand, maximal_elements, meet, span_buckets)
 from .strategies import bucket_profiles
 
 
@@ -132,23 +132,24 @@ class TestComputeDemand:
     def test_three_singletons_zero_tail(self):
         p = profile({1: 1, 2: 1, 3: 1}, {1: 0, 2: 0, 3: 0})
         d = compute_demand(p)
-        assert d.values[I(1, 2)] == 1
-        assert d.values[I(2, 3)] == 1
-        assert d.values[I(1, 3)] == 0
-        assert I(1, 3) in d.values and I(1, 3) not in set(d.positive())
+        # (1, 3) is accepted at value 0: counted, and its inside value is its capacity
+        assert d.values == {I(1, 2): 1, I(2, 3): 1}
+        assert d.accepted == 3 and d.inside[0][2] == d.cap[0][2] == 2
 
     def test_every_interval_saturated(self):
         # four singleton buckets: the demand accepts every interval and the
         # inside value always equals the capacity
         p = profile({i: 1 for i in range(1, 5)}, {i: 0 for i in range(1, 5)})
         d = compute_demand(p)
-        assert set(d.values) == set(all_intervals(p))
+        assert d.accepted == len(all_intervals(p))
         for interval in all_intervals(p):
+            assert is_accepted(d, interval)
             assert inside_value(d, interval) == interval_stats(p, interval).capacity
 
     def test_level_order_irrelevant(self):
         p = profile({1: 2, 5: 1, 9: 3, 11: 1}, {1: 0, 5: 4, 9: 1, 11: 2})
-        assert compute_demand(p).values == level_scan_demand(p, reverse_within_level=True)
+        d, slow = compute_demand(p), level_scan_demand(p, reverse_within_level=True)
+        assert d.values == {i: v for i, v in slow.items() if v} and d.accepted == len(slow)
 
 
 class TestDemandLaws:

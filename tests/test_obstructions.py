@@ -5,7 +5,9 @@ and the dense marks in `tests/reference/`; the bucket decompositions against
 the per-vertex loops there, the buckets and color edges of every
 golden-corpus round against a fresh read and the dense marks, and the
 shared `rounds.Decomp.advance` under random keep masks against a fresh
-decomposition; and the validators on valid decompositions corrupted once."""
+decomposition; and the validators on valid decompositions corrupted once,
+and on every golden-corpus round, against brute force and the reference
+validators."""
 import dataclasses
 import random
 from collections import Counter
@@ -182,17 +184,25 @@ def _fresh_p3(d, g, pool, bucketed, colors):
     return ref_p3.make_p3_decomp(d.loc, pool, bucketed, colors, g, d.epsilon)
 
 
+#: each family's validator before it compared blocks with their expected pattern
+REFERENCE_CHECKS = {"check_p3_decomp": ref_p3.check_p3_decomp,
+                    "check_tpt_decomp": ref_tournament.check_tpt_decomp}
+
+
 def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
     """Run `runs` with `fresh(d, g)` asserted on every decomposition the
-    validator `module.name` sees and the sparse color edges of every
-    auxiliary multigraph asserted equal to the dense marks' edges, and
-    require that the runs reach case 1, case 2, a matching and a clean that
-    demotes a color."""
+    validator `module.name` sees, its messages asserted equal to the
+    reference validator's, and the sparse color edges of every auxiliary
+    multigraph asserted equal to the dense marks' edges, and require that
+    the runs reach case 1, case 2, a matching and a clean that demotes a
+    color."""
     real, real_edges, steps = getattr(module, name), rounds.color_edges, Counter()
 
     def check(d, g):
         fresh(d, g)
-        return real(d, g)
+        out = real(d, g)
+        assert out == REFERENCE_CHECKS[name](d, g)
+        return out
 
     def edges(rows, emit):
         out = real_edges(rows, emit)
@@ -352,6 +362,22 @@ CORRUPT = {
 }
 
 
+def _corrupt(data, d, g, targets):
+    """d and g with one bucketed vertex moved to another bucket, or one arc
+    or edge flipped between a pool vertex u and a bucketed, color or pool
+    vertex."""
+    u = data.draw(st.sampled_from(sorted(d.pool))) if d.pool else None
+    kinds = [kind for kind in ("bucketed", "colors", "pool")
+             if u is not None and getattr(d, kind) - {u}]
+    movable = [v for v in sorted(d.bucketed) if targets(d, v)]
+    kind = data.draw(st.sampled_from(kinds + ["move"] * bool(movable) or [None]))
+    assume(kind)
+    if kind == "move":
+        v = data.draw(st.sampled_from(movable))
+        return _move(d, v, data.draw(st.sampled_from(targets(d, v)))), g
+    return d, _flip(g, u, data.draw(st.sampled_from(sorted(getattr(d, kind) - {u}))))
+
+
 @pytest.mark.parametrize("family", sorted(CORRUPT))
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=8, max_value=30), data=st.data())
@@ -362,19 +388,26 @@ def test_validator_is_exact_on_corrupted_decompositions(family, seed, n, data):
     assume(seen)
     d, g = data.draw(st.sampled_from(seen))
     assert getattr(module, name)(d, g) == [] and sound(d, g)
-    kind = data.draw(st.sampled_from(["bucketed", "colors", "pool", "move"]))
-    if kind == "move":
-        assume(d.bucketed)
-        v = data.draw(st.sampled_from(sorted(d.bucketed)))
-        assume(targets(d, v))
-        d = _move(d, v, data.draw(st.sampled_from(targets(d, v))))
-    else:
-        # one arc or edge between a pool vertex and a vertex of `kind`
-        u = data.draw(st.sampled_from(sorted(d.pool) or [None]))
-        ends = sorted(getattr(d, kind) - {u})
-        assume(u is not None and ends)
-        g = _flip(g, u, data.draw(st.sampled_from(ends)))
-    assert (getattr(module, name)(d, g) == []) == sound(d, g)
+    d, g = _corrupt(data, d, g, targets)
+    problems = getattr(module, name)(d, g)
+    assert (problems == []) == sound(d, g)
+    assert problems == REFERENCE_CHECKS[name](d, g)
+
+
+@pytest.mark.parametrize("family", sorted(CORRUPT))
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=8, max_value=30), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_validator_matches_reference_on_repeatedly_corrupted_decompositions(family, seed, n, data):
+    """Several corruptions at once give several kinds of message: the
+    validator and the reference one list the same, in the same order."""
+    module, name, runs, targets, _ = CORRUPT[family]
+    seen = _validated(module, name, runs(seed, n))
+    assume(seen)
+    d, g = data.draw(st.sampled_from(seen))
+    for _ in range(data.draw(st.integers(min_value=2, max_value=6))):
+        d, g = _corrupt(data, d, g, targets)
+    assert getattr(module, name)(d, g) == REFERENCE_CHECKS[name](d, g)
 
 
 def _aux_calls(monkeypatch, module, name, run):

@@ -358,7 +358,7 @@ class TestKernelize:
             d = state.final
             demand = state.demand
             vertices = state.matching.vertices()
-            total = sum(demand.values[i] for i in demand.positive())
+            total = sum(demand.values.values())
             assert len(vertices) == total + 2 * len(d.colors)
             assert total + 2 * len(d.colors) <= \
                 2 * sum(len(b) for b in d.buckets.values()) + 2 * len(d.colors)
