@@ -10,8 +10,7 @@ from pathlib import Path
 
 from . import exact
 from .errors import InternalError, InvalidSolution, ParseError, TooLarge
-from .graphs import (Tournament, clique_partition, is_acyclic, is_induced_p3,
-                     is_triangle)
+from .graphs import Tournament, clique_partition, is_acyclic, packing_fault
 from .instances import (GRAPH_PROBLEMS, PACKING_PROBLEMS, PROBLEMS,
                         GeneratorConfig, InstanceSpec, generate_instance,
                         parse_instance, serialize_instance)
@@ -24,15 +23,14 @@ def _read_instance(path: str) -> InstanceSpec:
     return parse_instance(Path(path).read_text())
 
 
-def _kernelize(spec: InstanceSpec, epsilon, delta, validate_run: bool):
+def _kernelize(spec: InstanceSpec, epsilon, delta):
     graph = spec.problem in GRAPH_PROBLEMS
     if (delta if graph else epsilon) is not None:
         raise ValueError(f"{'--delta' if graph else '--epsilon'} does not apply to {spec.problem}")
     if graph:
         return kernelize_p3(spec.payload, spec.k, epsilon=1.0 if epsilon is None else epsilon,
-                            problem=spec.problem, validate=validate_run)
-    return kernelize_tournament(spec.payload, spec.k, delta=delta,
-                                problem=spec.problem, validate=validate_run)
+                            problem=spec.problem)
+    return kernelize_tournament(spec.payload, spec.k, delta=delta, problem=spec.problem)
 
 
 def _generator_from_args(args, k: int) -> GeneratorConfig:
@@ -62,7 +60,7 @@ def _equivalent(spec: InstanceSpec, kept, limit: int | None) -> bool | None:
 
 def cmd_kernelize(args) -> int:
     spec = _load_or_generate(args)
-    result = _kernelize(spec, args.epsilon, args.delta, not args.no_validate)
+    result = _kernelize(spec, args.epsilon, args.delta)
     report = result.report
     if isinstance(result, KernelOutput) and args.verify:
         report.equivalent = _equivalent(spec, result.kept, args.oracle_limit)
@@ -135,17 +133,7 @@ def _parse_solution(text: str, n: int):
 def _check_solution(spec: InstanceSpec, kind: str, items) -> bool:
     payload = spec.payload
     if kind == "packing":
-        used: set[int] = set()
-        for tri in items:
-            if set(tri) & used:
-                return False
-            used.update(tri)
-            if isinstance(payload, Tournament):
-                if not is_triangle(payload, tri):
-                    return False
-            elif not is_induced_p3(payload, tri):
-                return False
-        return len(items) >= spec.k
+        return packing_fault(payload, items) is None and len(items) >= spec.k
     removed = set(items)
     if len(removed) > spec.k:
         return False
@@ -201,7 +189,7 @@ def cmd_bench(args) -> int:
             seed = args.seed + 1000 * k + i
             spec = generate_instance(_generator_from_args(args, k), seed)
             start = time.perf_counter()
-            result = _kernelize(spec, args.epsilon, args.delta, not args.no_validate)
+            result = _kernelize(spec, args.epsilon, args.delta)
             wall = time.perf_counter() - start
             report = result.report
             cases = Counter(rec.case for rec in report.rounds)
@@ -248,8 +236,6 @@ def _add_kernel_args(sub):
                      help="oracle slack of the 2-path problems; omit for 1")
     sub.add_argument("--delta", type=float, default=None,
                      help="exponent in (1,2]; omit for the k-dependent choice")
-    sub.add_argument("--no-validate", dest="no_validate", action="store_true",
-                     help="skip per-round invariant validation")
     _add_oracle_limit(sub)
 
 

@@ -234,6 +234,25 @@ def is_induced_p3(g: UndirectedGraph, triple: Iterable[int]) -> bool:
     return e == 2 and a < b < c
 
 
+def packing_fault(payload: Tournament | UndirectedGraph, packing, scope=None) -> str | None:
+    """Why `packing` is not a vertex-disjoint packing of obstructions of
+    `payload` (triangles of a tournament, induced 2-paths of a graph) inside
+    the vertex set `scope` (default: all of them); None when it is one."""
+    tournament = isinstance(payload, Tournament)
+    used: set[int] = set()
+    for tri in packing:
+        if scope is not None and not scope.issuperset(tri):
+            return f"{tri} leaves the scope"
+        if tournament and not is_triangle(payload, tri):
+            return f"{tri} is not a triangle"
+        if not tournament and not is_induced_p3(payload, tri):
+            return f"{tri} is not an induced 2-path"
+        if not used.isdisjoint(tri):
+            return "packing is not vertex-disjoint"
+        used.update(tri)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Edge-colored multigraphs
 # ---------------------------------------------------------------------------

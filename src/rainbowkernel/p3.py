@@ -27,14 +27,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BrokenInvariant, InvalidSolution, NotNicePair,
-                     OracleContractViolation, RepackFailed)
-from .graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
-                     group_by, is_induced_p3, take_block)
+from .errors import BrokenInvariant, InvalidSolution, OracleContractViolation, RepackFailed
+from .graphs import UndirectedGraph, clique_partition, group_by, packing_fault, take_block
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (BLOCK_PAIRS, COLOR, POOL, Aux, Decomp, PackingFound, PoolRows, RuleNext,
-                     RuleStop, build_aux, clean, finite, first_true, read_block, run_rounds)
+from .rounds import (BLOCK_PAIRS, COLOR, POOL, Aux, Decomp, KernelState, PackingFound, PoolRows,
+                     RuleNext, RuleStop, build_aux, clean, demote, finite, first_true,
+                     read_block, run_rounds)
 
 
 @dataclass(frozen=True)
@@ -245,38 +244,25 @@ def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
                       zip(d.members.tolist(), d.label[d.members].tolist()) if i >= 0])
 
 
-@dataclass
-class P3KernelState:
-    """Everything the lifting and repacking constructions need."""
-
-    final: P3Decomp
-    matching: RainbowMatching
-    aux: Aux
-
-
 def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> RuleStop | RuleNext:
     """One round: build the auxiliary multigraph and consume the oracle
-    outcome.  A rainbow matching stops the run with kept = matched vertices
-    plus bucketed plus colors.  A color cover either demotes the cover (and
-    retires the covered colors) or, when bucket colors dominate, demotes the
-    whole clique slices those buckets point at.  Only the retired colors'
+    outcome.  A rainbow matching stops the run.  A color cover either
+    demotes the cover (and retires the covered colors) or, when bucket
+    colors dominate, demotes the whole clique slices those buckets point at.  Only the retired colors'
     rows are read, against the surviving pool: none may form an induced
     2-path with two of its vertices."""
     aux = build_p3_aux(d, g)
     outcome, notes = aux.ask(oracle, d.epsilon, verify_outcome, live_cliques=len(d.live))
     if isinstance(outcome, RainbowMatching):
-        kept = frozenset(outcome.vertices()) | d.bucketed | d.colors
-        return RuleStop(kept, P3KernelState(d, outcome, aux), notes)
+        return RuleStop(KernelState(d, outcome, aux), notes)
     cover: ColorCover = outcome
     covered = np.zeros(d.label.size, dtype=bool)
     covered[list(cover.cover)] = True
     xc, buckets = aux.split(cover.colors)
     xb = [u for _, u in buckets]
     if len(xb) <= len(xc):
-        rows = p3_rows(g, d.loc, d.ids[~covered[d.ids]], sorted(xc))
-        if rows.witnesses:
-            raise NotNicePair(rows.witnesses[0])
-        return RuleNext(d.advance(~covered[d.ids], rows.xs, rows.label), "case1", notes)
+        keep = ~covered[d.ids]
+        return RuleNext(demote(d, keep, p3_rows(g, d.loc, d.ids[keep], sorted(xc))), "case1", notes)
     hit = np.zeros(len(d.loc.cliques), dtype=bool)
     hit[d.label[xb]] = True
     open_slices = d.keys[hit[d.keys] & ~covered[d.ids]]
@@ -287,7 +273,7 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
 
 
 def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
-                 problem: str = "I2PP", validate: bool = True) -> Decided | KernelOutput:
+                 problem: str = "I2PP") -> Decided | KernelOutput:
     """Shrink (g, k) to an equivalent induced sub-instance.
 
     The same rounds serve both problems; only the greedy threshold differs:
@@ -315,8 +301,7 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
                           loc.clique_of[loc.clique_of >= 0], loc, epsilon),
                       clean=lambda d: clean_p3(d, g),
                       check=lambda d: check_p3_decomp(d, g),
-                      apply_rule=lambda d: apply_rule_p3(d, g, oracle),
-                      validate=validate)
+                      apply_rule=lambda d: apply_rule_p3(d, g, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +309,7 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def repack_packing_p3(g: UndirectedGraph, state: P3KernelState,
+def repack_packing_p3(g: UndirectedGraph, state: KernelState,
                       packing: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Rebuild an equal-size induced-2-path packing inside the kernel.
 
@@ -333,17 +318,14 @@ def repack_packing_p3(g: UndirectedGraph, state: P3KernelState,
     enters some bucket i; its pool vertex is swapped for the loop vertex
     matched to its bucket neighbor, which stays an induced 2-path because all
     of clique slice i looks the same from that bucket."""
-    d, matching = state.final, state.matching
-    matched = state.aux.matched(matching)
+    d = state.final
+    fault = packing_fault(g, packing)
+    if fault:
+        raise InvalidSolution(fault)
+    matched = state.aux.matched(state.matching)
     out: list[tuple[int, int, int]] = []
-    used: set[int] = set()
     for tri in packing:
         tset = set(tri)
-        if not is_induced_p3(g, tri):
-            raise InvalidSolution(f"{tri} is not an induced 2-path")
-        if tset & used:
-            raise InvalidSolution("packing is not vertex-disjoint")
-        used |= tset
         if not tset & d.pool:
             out.append(tuple(sorted(tset)))
             continue
@@ -362,34 +344,27 @@ def repack_packing_p3(g: UndirectedGraph, state: P3KernelState,
         neighbor = next(v for v in rest if g.has_edge(v, w))
         e = matched[("bucket", neighbor)]
         out.append(tuple(sorted((rest[0], rest[1], e.u))))
-    final_used: set[int] = set()
-    kernel = set(matching.vertices()) | d.bucketed | d.colors
-    for tri in out:
-        if not is_induced_p3(g, tri):
-            raise RepackFailed(f"rerouted triple {tri} is not an induced 2-path")
-        if set(tri) & final_used or not set(tri) <= kernel:
-            raise RepackFailed(f"rerouted triple {tri} collides or leaves the kernel")
-        final_used |= set(tri)
+    fault = packing_fault(g, out, state.kept)
+    if fault:
+        raise RepackFailed(f"rerouted packing: {fault}")
     return out
 
 
-def lift_hitting_set_p3(g: UndirectedGraph, state: P3KernelState,
+def lift_hitting_set_p3(g: UndirectedGraph, state: KernelState,
                         hitting: set[int]) -> frozenset[int]:
     """Turn a hitting set of the kernel into one of g, no larger.
 
     After inclusion-minimizing the input, every clique slice it touches is
     swapped for the corresponding bucket, and all colors enter; counting the
-    disjoint matched paths shows the exchange never grows the set."""
-    d, matching, aux = state.final, state.matching, state.aux
-    kept = set(matching.vertices()) | d.bucketed | d.colors
-    kernel_paths = [tri for tri in enumerate_induced_p3(g, kept)]
+    disjoint matched paths shows the exchange never grows the set.  A set hits
+    every induced 2-path of the kernel exactly when the rest splits into cliques."""
+    d, kept = state.final, state.kept
     x = set(hitting)
-    if any(not set(tri) & x for tri in kernel_paths):
+    if clique_partition(g, kept - x) is None:
         raise InvalidSolution("input does not hit every induced 2-path of the kernel")
     for v in sorted(x):
-        trial = x - {v}
-        if all(set(tri) & trial for tri in kernel_paths):
-            x = trial
+        if clique_partition(g, kept - (x - {v})) is not None:
+            x.discard(v)
     hit = np.zeros(len(d.loc.cliques) + 1, dtype=bool)  # detached, -1, reads the last mark
     hit[d.loc.clique_of[sorted(x & d.pool)]] = True
     lifted = set(d.colors) | (x & d.bucketed)

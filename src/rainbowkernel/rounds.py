@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BrokenInvariant, OracleContractViolation
+from .errors import BrokenInvariant, NotNicePair, OracleContractViolation
 from .graphs import ColoredEdge, ColoredMultigraph, take_block
 from .instances import PACKING_PROBLEMS
 from .rainbow import RainbowMatching
@@ -47,12 +47,11 @@ class PackingFound:
 
 @dataclass(frozen=True)
 class RuleStop:
-    """A rainbow matching ended the run.  `state` is the family's final
-    state that lifting consumes; `notes` are the round record's extra
-    fields."""
+    """A rainbow matching ended the run.  `state` is the family's
+    `KernelState`, which names the kept set and which lifting consumes;
+    `notes` are the round record's extra fields."""
 
-    kept: frozenset[int]
-    state: object
+    state: KernelState
     notes: dict
 
 
@@ -137,6 +136,16 @@ class PoolRows(NamedTuple):
     witnesses: list[tuple[int, int, int]] | None = None
 
 
+def demote(d, keep: np.ndarray, rows: PoolRows):
+    """Case 1: the decomposition `d` once the pool keeps the `ids` that `keep`
+    marks and the retired colors `rows.xs`, read by the row test against the
+    kept pool, join the buckets.  A retired color that still forms an
+    obstruction with two kept pool vertices raises NotNicePair."""
+    if rows.witnesses:
+        raise NotNicePair(rows.witnesses[0])
+    return d.advance(keep, rows.xs, rows.label)
+
+
 def read_block(matrix: np.ndarray, ids: np.ndarray, keys: np.ndarray, xs) -> PoolRows:
     """The block `matrix[xs, ids]` against a pool in its decomposition's order `ids` (or a
     `keep` subset), columns keyed by `keys`."""
@@ -190,6 +199,21 @@ class Aux:
                          **notes}
 
 
+@dataclass
+class KernelState:
+    """What a finished run hands lifting and repacking: the final
+    decomposition, the rainbow matching that stopped the run, its multigraph."""
+
+    final: Decomp
+    matching: RainbowMatching
+    aux: Aux
+
+    @cached_property
+    def kept(self) -> frozenset[int]:
+        """The kernel: the matched vertices, the bucketed vertices and the colors."""
+        return frozenset(self.matching.vertices()) | self.final.bucketed | self.final.colors
+
+
 def color_edges(rows: PoolRows, emit: Callable) -> list[np.ndarray]:
     """The arrays [r, ids[i], ids[j]] of every pool pair {i, j} forming an
     obstruction with the color of row r, each pair once.  The family's sparse
@@ -235,14 +259,14 @@ def finite(name: str, compute: Callable[[], float]) -> float:
 
 
 def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean: Callable,
-               check: Callable, apply_rule: Callable, validate: bool) -> Decided | KernelOutput:
+               check: Callable, apply_rule: Callable) -> Decided | KernelOutput:
     """Localize greedily at the problem's threshold: k disjoint obstructions
     answer a packing problem with yes, k + 1 rule out a hitting set of size
     k.  Otherwise clean the initial decomposition `start(loc)`, whose colors
     are the localization core and whose pool is the rest, and run rounds
-    until a rule stops.  Every round is recorded in `report`; the potential
-    must drop each round, the round count stays within the initial
-    potential, and the kept set within `report.bound`."""
+    until a rule stops.  Every round is recorded in `report` and validated by
+    `check`; the potential must drop each round, the round count stays within
+    the initial potential, and the kept set within `report.bound`."""
     packing = report.problem in PACKING_PROBLEMS
     loc = localize(report.k if packing else report.k + 1)
     if isinstance(loc, PackingFound):
@@ -255,10 +279,9 @@ def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean:
     max_rounds = d.potential
     prev_potential = None
     while True:
-        if validate:
-            problems = check(d)
-            if problems:
-                raise AssertionError("invariants broken: " + "; ".join(problems))
+        problems = check(d)
+        if problems:
+            raise AssertionError("invariants broken: " + "; ".join(problems))
         if prev_potential is not None and d.potential >= prev_potential:
             raise AssertionError("round potential did not decrease")
         prev_potential = d.potential
@@ -269,7 +292,7 @@ def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean:
             pool_size=d.ids.size, bucketed_size=d.members.size,
             colors_size=d.color_ids.size, potential=d.potential, **step.notes))
         if stop:
-            kept = tuple(sorted(step.kept))
+            kept = tuple(sorted(step.state.kept))
             report.kept = list(kept)
             report.kernel_size = len(kept)
             if len(kept) > report.bound + 1e-9:

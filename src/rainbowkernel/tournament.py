@@ -33,12 +33,13 @@ import numpy as np
 from .demand import BucketProfile, Demand, compute_demand
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution, NotAcyclic,
                      OracleContractViolation, PreconditionViolated, RepackFailed)
-from .graphs import Tournament, group_by, is_acyclic, is_triangle, take_block, topological_order
+from .graphs import Tournament, group_by, is_acyclic, packing_fault, take_block, topological_order
 from .intervals import BucketInterval, block_joins
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (COLOR, POOL, Aux, Decomp, PackingFound, PoolRows, RuleNext, RuleStop,
-                     build_aux, clean, finite, first_true, read_block, run_rounds)
+from .rounds import (COLOR, POOL, Aux, Decomp, KernelState, PackingFound, PoolRows, RuleNext,
+                     RuleStop, build_aux, clean, demote, finite, first_true, read_block,
+                     run_rounds)
 
 
 @dataclass(frozen=True)
@@ -326,18 +327,14 @@ def add1(d: TptDecomp, t: Tournament, moved: frozenset[int],
     """Demote `moved` pool vertices into the spine and retire `retired`
     colors into the buckets.  Requires |moved| <= 10 |retired| and that no
     triangle through a retired color keeps two pool vertices outside
-    `moved` (this is what the vertex cover guarantees)."""
+    `moved` (this is what the vertex cover guarantees; `demote` checks it)."""
     if not moved <= d.pool or not retired <= d.colors:
         raise PreconditionViolated("moved/retired must come from pool/colors")
     if len(moved) > 10 * len(retired):
         raise PreconditionViolated(
             f"|moved| = {len(moved)} exceeds 10 * |retired| = {10 * len(retired)}")
     keep = np.array([v not in moved for v in d.ids.tolist()], dtype=bool)
-    rows = tpt_rows(t, d.loc, d.ids[keep], sorted(retired))
-    if rows.witnesses:
-        raise PreconditionViolated(f"retired color {rows.witnesses[0][0]} still forms a "
-                                   "triangle with two surviving pool vertices")
-    return d.advance(keep, rows.xs, rows.label)
+    return demote(d, keep, tpt_rows(t, d.loc, d.ids[keep], sorted(retired)))
 
 
 def add2(d: TptDecomp, demand: Demand, interval: BucketInterval) -> TptDecomp:
@@ -363,10 +360,9 @@ def add2(d: TptDecomp, demand: Demand, interval: BucketInterval) -> TptDecomp:
 
 
 @dataclass
-class TptKernelState:
-    final: TptDecomp
-    matching: RainbowMatching
-    aux: Aux
+class TptKernelState(KernelState):
+    """The shared final state plus the last demand and its allocation."""
+
     demand: Demand
     allocation: Allocation
 
@@ -391,8 +387,7 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
         bad = check_allocation(d, demand, allocation)
         if bad:
             raise OracleContractViolation("; ".join(bad))
-        kept = frozenset(outcome.vertices()) | d.bucketed | d.colors
-        return RuleStop(kept, TptKernelState(d, outcome, aux, demand, allocation), notes)
+        return RuleStop(TptKernelState(d, outcome, aux, demand, allocation), notes)
     cover: ColorCover = outcome
     retired, slots = aux.split(cover.colors)
     if len(slots) <= len(retired):
@@ -430,7 +425,7 @@ def local_size_constant(delta: float) -> float:
 
 
 def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
-                         problem: str = "TPT", validate: bool = True) -> Decided | KernelOutput:
+                         problem: str = "TPT") -> Decided | KernelOutput:
     """Shrink (t, k) to an equivalent induced sub-tournament on at most
     6534 * c(delta) * k^delta vertices.
 
@@ -455,8 +450,7 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
                           np.arange(1, len(loc.order) + 1), loc, np.zeros(t.n, bool), delta, c_delta),
                       clean=lambda d: clean_tpt(d, t),
                       check=lambda d: check_tpt_decomp(d, t),
-                      apply_rule=lambda d: apply_rule_tpt(d, t, oracle),
-                      validate=validate)
+                      apply_rule=lambda d: apply_rule_tpt(d, t, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +458,9 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _max_bipartite_matching(left: list, neighbors: dict) -> dict:
-    """Augmenting-path matching from `left` items into their candidate sets;
-    returns {left item -> chosen candidate} for the matched ones."""
+def _max_bipartite_matching(left: list, neighbors: list) -> dict:
+    """Augmenting-path matching from `left` indices into their candidate lists;
+    returns {left index -> chosen candidate} for the matched ones."""
     match_right: dict = {}
     match_left: dict = {}
 
@@ -495,20 +489,14 @@ def repack_via_allocation(state: TptKernelState, t: Tournament,
     distinct allocation vertex inside its interval window via an explicit
     maximum bipartite matching (the counting that makes this total is the
     demand's small-total bound)."""
-    d, alloc = state.final, state.allocation
-    legal = d.pool | d.bucketed
-    used: set[int] = set()
+    d = state.final
+    fault = packing_fault(t, packing, d.pool | d.bucketed)
+    if fault:
+        raise InvalidSolution(fault)
     inside: list[tuple[int, int, int]] = []
-    crossing: list[tuple[tuple[int, int, int], tuple[int, int], BucketInterval]] = []
+    crossing: list[tuple[tuple[int, int], BucketInterval]] = []
     for tri in packing:
         tset = set(tri)
-        if not tset <= legal:
-            raise InvalidSolution(f"{tri} leaves pool + bucketed")
-        if not is_triangle(t, tri):
-            raise InvalidSolution(f"{tri} is not a triangle")
-        if tset & used:
-            raise InvalidSolution("packing is not vertex-disjoint")
-        used |= tset
         pool_part = sorted(tset & d.pool)
         if not pool_part:
             inside.append(tuple(sorted(tset)))
@@ -519,29 +507,18 @@ def repack_via_allocation(state: TptKernelState, t: Tournament,
         bu, bv = d.label[[u, v]].tolist()
         if bu == bv:
             raise RepackFailed(f"{tri}: both bucket vertices in bucket {bu}")
-        interval = BucketInterval(min(bu, bv), max(bu, bv))
-        crossing.append((tri, (u, v), interval))
-    allocation_vertices = alloc.vertices()
-    neighbors = {
-        idx: sorted(allocation_vertices.intersection(d.ids[d.span(interval)].tolist()))
-        for idx, (_, _, interval) in enumerate(crossing)
-    }
+        crossing.append(((u, v), BucketInterval(min(bu, bv), max(bu, bv))))
+    allocation_vertices = state.allocation.vertices()
+    neighbors = [sorted(allocation_vertices.intersection(d.ids[d.span(interval)].tolist()))
+                 for _, interval in crossing]
     assignment = _max_bipartite_matching(list(range(len(crossing))), neighbors)
     if len(assignment) != len(crossing):
         raise RepackFailed("allocation cannot saturate the backward arcs")
-    out = list(inside)
-    for idx, (_, (u, v), _) in enumerate(crossing):
-        w = assignment[idx]
-        tri = tuple(sorted((u, v, w)))
-        if not is_triangle(t, tri):
-            raise RepackFailed(f"rerouted triple {tri} is not a triangle")
-        out.append(tri)
-    final_used: set[int] = set()
-    target = allocation_vertices | d.bucketed
-    for tri in out:
-        if set(tri) & final_used or not set(tri) <= target:
-            raise RepackFailed(f"rerouted triple {tri} collides or leaves the target")
-        final_used |= set(tri)
+    out = inside + [tuple(sorted((u, v, assignment[idx])))
+                    for idx, ((u, v), _) in enumerate(crossing)]
+    fault = packing_fault(t, out, allocation_vertices | d.bucketed)
+    if fault:
+        raise RepackFailed(f"rerouted packing: {fault}")
     return out
 
 
@@ -553,9 +530,8 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
     backward bucket arcs, for the cheaper of the two bucket covers (all seeds
     vs everything but the largest bucket); all colors enter as well."""
     d = state.final
-    kept = frozenset(state.matching.vertices()) | d.bucketed | d.colors
     x = set(fvs)
-    if not is_acyclic(t, kept - x):
+    if not is_acyclic(t, state.kept - x):
         raise InvalidSolution("input does not hit every triangle of the kernel")
     x_b = x & d.bucketed
     live = np.array(sorted(d.bucketed - x_b), dtype=np.intp)

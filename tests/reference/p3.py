@@ -3,18 +3,20 @@
 (by the row test, and the per-vertex loop before it) and the decomposition
 built on it, where the kernelizer carries the labels from round to round
 (`rounds.Decomp.advance`), a scan for a vertex's bucket, the dense marks
-of the color edges (`reference.rounds.color_edges`), and the validator that
+of the color edges (`reference.rounds.color_edges`), the validator that
 ran the row test on every bucketed row before `p3.check_p3_decomp` compared
-the blocks with their expected pattern."""
+the blocks with their expected pattern, and the hitting-set lift that listed
+every induced 2-path of the kernel before `p3.lift_hitting_set_p3` asked
+`clique_partition` whether the rest of the kernel has one."""
 from __future__ import annotations
 
 import numpy as np
 
-from rainbowkernel.errors import BrokenInvariant, NotNicePair
-from rainbowkernel.graphs import (UndirectedGraph, clique_partition, group_by, is_induced_p3,
-                                  take_block)
+from rainbowkernel.errors import BrokenInvariant, InvalidSolution, NotNicePair
+from rainbowkernel.graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
+                                  group_by, is_induced_p3, take_block)
 from rainbowkernel.p3 import P3Decomp, P3Localization, p3_rows
-from rainbowkernel.rounds import BLOCK_PAIRS, COLOR, POOL, PackingFound
+from rainbowkernel.rounds import BLOCK_PAIRS, COLOR, POOL, KernelState, PackingFound
 
 
 def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
@@ -193,3 +195,24 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     if size > budget + 1e-9:
         out.append(f"size {size:.3f} exceeds budget {budget:.3f}")
     return out
+
+
+def lift_hitting_set_p3(g: UndirectedGraph, state: KernelState,
+                        hitting: set[int]) -> frozenset[int]:
+    """Turn a hitting set of the kernel into one of g, no larger, testing the
+    input and each minimizing step against the list of the kernel's induced
+    2-paths."""
+    d = state.final
+    kernel_paths = enumerate_induced_p3(g, state.kept)
+    x = set(hitting)
+    if any(not set(tri) & x for tri in kernel_paths):
+        raise InvalidSolution("input does not hit every induced 2-path of the kernel")
+    for v in sorted(x):
+        trial = x - {v}
+        if all(set(tri) & trial for tri in kernel_paths):
+            x = trial
+    hit = np.zeros(len(d.loc.cliques) + 1, dtype=bool)  # detached, -1, reads the last mark
+    hit[d.loc.clique_of[sorted(x & d.pool)]] = True
+    lifted = set(d.colors) | (x & d.bucketed)
+    lifted |= set(d.members[hit[d.label[d.members]]].tolist())
+    return frozenset(lifted)

@@ -22,6 +22,7 @@ from rainbowkernel.report import Decided, KernelOutput
 from rainbowkernel.tournament import (kernelize_tournament, lift_fvs,
                                       repack_via_allocation)
 
+from .reference import p3 as ref_p3
 from .reference.demand import demand_property_violations
 
 EPSILON = 1.0   # P3 problems; 363k vertex bound
@@ -66,8 +67,7 @@ def test_criterion_1_and_3_4_p3_equivalence():
         for k in range(1, 6):
             for problem in ("I2PP", "I2PHS"):
                 truth = exact_answer(InstanceSpec(problem, g, k))
-                out = kernelize_p3(g, k, epsilon=EPSILON, problem=problem,
-                                   validate=True)
+                out = kernelize_p3(g, k, epsilon=EPSILON, problem=problem)
                 if isinstance(out, Decided):
                     if out.answer != truth:
                         failures.append(f"graph {gi} k={k} {problem}: early answer wrong")
@@ -126,8 +126,7 @@ def test_criterion_2_and_3_4_tournament_equivalence():
         for k in range(1, 5):
             for problem in ("TPT", "FVST"):
                 truth = exact_answer(InstanceSpec(problem, t, k))
-                out = kernelize_tournament(t, k, delta=DELTA, problem=problem,
-                                           validate=True)
+                out = kernelize_tournament(t, k, delta=DELTA, problem=problem)
                 if isinstance(out, Decided):
                     if out.answer != truth:
                         failures.append(f"tournament {ti} k={k} {problem}: early answer wrong")
@@ -274,7 +273,7 @@ def _harvest_tournament_states(target: int, rng: random.Random):
         attempt += 1
         t = _random_tournament(rng.randint(5, 15), rng)
         out = kernelize_tournament(t, rng.randint(2, 6), delta=DELTA,
-                                   problem="FVST", validate=False)
+                                   problem="FVST")
         if isinstance(out, KernelOutput):
             states.append((t, out))
     return states
@@ -291,7 +290,7 @@ def _harvest_graph_states(target: int, rng: random.Random):
                  if rng.random() < prob]
         g = UndirectedGraph(n, edges)
         out = kernelize_p3(g, rng.randint(2, 6), epsilon=EPSILON,
-                           problem="I2PHS", validate=False)
+                           problem="I2PHS")
         if isinstance(out, KernelOutput):
             states.append((g, out))
     return states
@@ -363,6 +362,7 @@ def test_criterion_7_safeness_constructions():
     # induced 2-path hitting set lifting: >= 500 triples
     gstates = _harvest_graph_states(110, rng)
     plifts = 0
+    wide = random.Random(77)  # wider random hitting sets, off the criterion's own stream
     for g, out in gstates:
         ids = list(out.kept)
         paths = enumerate_induced_p3(g, ids)
@@ -372,6 +372,11 @@ def test_criterion_7_safeness_constructions():
             base = set(minimum)
             base |= set(rng.sample(ids, min(len(ids), extra)))
             solutions.append(base)
+        for _ in range(3):
+            x = minimum | set(wide.sample(ids, wide.randint(0, len(ids))))
+            if lift_hitting_set_p3(g, out.state, set(x)) != \
+                    ref_p3.lift_hitting_set_p3(g, out.state, set(x)):
+                failures.append("lift_hitting_set_p3 differs from the enumerating lift")
         for x in solutions:
             try:
                 lifted = lift_hitting_set_p3(g, out.state, set(x))
@@ -380,6 +385,8 @@ def test_criterion_7_safeness_constructions():
                 continue
             if len(lifted) > len(x):
                 failures.append("lift_hitting_set_p3 grew the solution")
+            if lifted != ref_p3.lift_hitting_set_p3(g, out.state, set(x)):
+                failures.append("lift_hitting_set_p3 differs from the enumerating lift")
             rest = [v for v in range(g.n) if v not in lifted]
             if enumerate_induced_p3(g, rest):
                 failures.append("lift_hitting_set_p3 output misses a path")
@@ -401,14 +408,14 @@ def test_criterion_8_performance_smoke():
     # literal criterion shape: uniform random n=300, k=20, delta=2
     spec = generate_instance(
         GeneratorConfig(problem="TPT", family="uniform", n=300, k=20), seed=8)
-    out = kernelize_tournament(spec.payload, 20, delta=DELTA, validate=True)
+    out = kernelize_tournament(spec.payload, 20, delta=DELTA)
     if len(out.report.rounds) > 300:
         failures.append("round count exceeds the vertex count")
 
     # a shape that cannot be settled greedily, so the full pipeline runs
     rng = random.Random(88)
     t = _near_transitive(300, 18, rng)
-    out2 = kernelize_tournament(t, 20, delta=DELTA, validate=True)
+    out2 = kernelize_tournament(t, 20, delta=DELTA)
     if not isinstance(out2, KernelOutput):
         failures.append("near-transitive shape unexpectedly settled early")
     else:

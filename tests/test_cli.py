@@ -410,17 +410,25 @@ class TestFlags:
     # each subcommand registers only the flags it reads
     REQUIRED = {"solve": ["--input", "x"], "verify": ["--input", "x"],
                 "gen": ["--problem", "TPT", "--family", "uniform"]}
-    UNREAD = {"solve": ("--epsilon", "--delta", "--seed", "--no-validate"),
-              "verify": ("--epsilon", "--delta", "--seed", "--no-validate"),
-              "gen": ("--epsilon", "--delta", "--oracle-limit", "--no-validate")}
+    UNREAD = {"solve": ("--epsilon", "--delta", "--seed"),
+              "verify": ("--epsilon", "--delta", "--seed"),
+              "gen": ("--epsilon", "--delta", "--oracle-limit")}
 
     def test_unread_flags_are_rejected(self, capsys):
         for command, flags in self.UNREAD.items():
             build_parser().parse_args([command, *self.REQUIRED[command]])
             for flag in flags:
-                value = [] if flag == "--no-validate" else ["1"]
                 with pytest.raises(SystemExit):
-                    build_parser().parse_args([command, *self.REQUIRED[command], flag, *value])
+                    build_parser().parse_args([command, *self.REQUIRED[command], flag, "1"])
+
+    # the per-round validator cannot be switched off
+    @pytest.mark.parametrize("argv", [["kernelize", "--family", "uniform"],
+                                      ["bench", "--problem", "TPT", "--family", "uniform"]])
+    def test_no_validate_is_an_unknown_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-validate"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-validate" in capsys.readouterr().err
 
     # the kernel flags are registered for both families, so the problem decides
     @pytest.mark.parametrize("command", ["kernelize", "bench"])

@@ -11,7 +11,7 @@ from rainbowkernel.graphs import (ColoredMultigraph, Tournament,
                                   colored_edge, dump_colored_multigraph,
                                   enumerate_induced_p3, enumerate_triangles,
                                   is_acyclic, is_triangle,
-                                  make_colored_multigraph,
+                                  make_colored_multigraph, packing_fault,
                                   parse_colored_multigraph, topological_order)
 
 from .reference import p3 as ref_p3
@@ -194,6 +194,33 @@ class TestEnumeration:
         scope = list(range(0, t.n, 2))
         for tri in enumerate_triangles(t, scope):
             assert set(tri) <= set(scope)
+
+
+def _two_obstructions(kind: str):
+    """{0, 1, 2} and {3, 4, 5} as directed triangles of a 7-vertex tournament
+    that is transitive otherwise, or as induced 2-paths of a 7-vertex graph."""
+    if kind == "tournament":
+        m = np.triu(np.ones((7, 7), dtype=bool), 1)
+        m[0, 2], m[2, 0], m[3, 5], m[5, 3] = False, True, False, True
+        return Tournament(m), "is not a triangle"
+    return UndirectedGraph(7, [(0, 1), (1, 2), (3, 4), (4, 5)]), "is not an induced 2-path"
+
+
+@pytest.mark.parametrize("kind", ["tournament", "graph"])
+@pytest.mark.parametrize("packing, scope, fault", [
+    ([(0, 1, 2), (5, 4, 3)], None, None),
+    ([(0, 1, 2), (3, 4, 5)], {0, 1, 2, 3, 4, 5}, None),
+    ([], set(), None),
+    ([(1, 1, 2)], None, "(1, 1, 2) {obstruction}"),
+    ([(0, 1, 3)], None, "(0, 1, 3) {obstruction}"),
+    ([(0, 1, 2), (2, 1, 0)], None, "packing is not vertex-disjoint"),
+    ([(3, 4, 5), (0, 1, 2)], {0, 1, 3, 4, 5}, "(0, 1, 2) leaves the scope"),
+], ids=["valid", "valid-in-scope", "empty", "repeated-vertex", "non-obstruction", "overlap",
+        "outside-scope"])
+def test_packing_fault(kind, packing, scope, fault):
+    payload, obstruction = _two_obstructions(kind)
+    expected = None if fault is None else fault.format(obstruction=obstruction)
+    assert packing_fault(payload, packing, scope) == expected
 
 
 class TestMultigraphDump:

@@ -209,7 +209,7 @@ class TestRule:
         d = make_p3_decomp(loc, frozenset(), frozenset({0, 1, 2}), frozenset(), g, 1.0)
         step = apply_rule_p3(d, g, RainbowOracle())
         assert isinstance(step, RuleStop)
-        assert step.kept == frozenset({0, 1, 2})
+        assert step.state.kept == frozenset({0, 1, 2})
 
     def test_matching_stop_size_identity(self):
         rng = random.Random(3)

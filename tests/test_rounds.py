@@ -10,6 +10,11 @@ from rainbowkernel.rounds import RuleNext, RuleStop, run_rounds
 
 
 @dataclass(frozen=True)
+class FakeState:
+    kept: frozenset[int]
+
+
+@dataclass(frozen=True)
 class FakeDecomp:
     potential: int
     ids = members = color_ids = np.empty(0, dtype=np.intp)  # no pool, bucketed or colors
@@ -18,22 +23,22 @@ class FakeDecomp:
 def countdown(d):
     """Drop the potential by one per round; a matching stops at zero."""
     if d.potential == 0:
-        return RuleStop(frozenset({0, 1}), "final state", {"oracle": {"layer": "greedy"}})
+        return RuleStop(FakeState(frozenset({0, 1})), {"oracle": {"layer": "greedy"}})
     return RuleNext(FakeDecomp(d.potential - 1), "case1", {})
 
 
-def run(apply_rule, *, check=lambda d: [], validate=True, potential=3, bound=10.0):
+def run(apply_rule, *, check=lambda d: [], potential=3, bound=10.0):
     report = KernelReport(problem="TPT", n=5, k=1, params={}, status="kernel",
                           bound=bound)
     return run_rounds(report, localize=lambda threshold: "loc",
                       start=lambda loc: FakeDecomp(potential), clean=lambda d: d, check=check,
-                      apply_rule=apply_rule, validate=validate)
+                      apply_rule=apply_rule)
 
 
 def test_rounds_until_a_stop():
     out = run(countdown)
     assert isinstance(out, KernelOutput)
-    assert out.kept == (0, 1) and out.state == "final state"
+    assert out.kept == (0, 1) and out.state == FakeState(frozenset({0, 1}))
     assert out.report.kept == [0, 1] and out.report.kernel_size == 2
     assert [r.case for r in out.report.rounds] == ["case1"] * 3 + ["matching"]
     assert [r.potential for r in out.report.rounds] == [3, 2, 1, 0]
@@ -45,8 +50,10 @@ def test_validator_problems_raise():
         run(countdown, check=lambda d: ["bucket 1 is empty"])
 
 
-def test_validate_false_skips_the_validator():
-    assert run(countdown, check=lambda d: ["bucket 1 is empty"], validate=False).kept == (0, 1)
+def test_validator_runs_every_round():
+    # round 1 (potential 3) passes; the check fails from round 2 on and must still raise
+    with pytest.raises(AssertionError, match="invariants broken: late fault"):
+        run(countdown, check=lambda d: ["late fault"] if d.potential < 3 else [])
 
 
 def test_potential_must_drop():

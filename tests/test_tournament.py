@@ -188,6 +188,17 @@ class TestAuxGraph:
 
 
 class TestAddOperations:
+    def test_add1_retired_color_with_a_pool_triangle_raises_with_witness(self):
+        # color 6 beats pool vertices 0..2 and loses to 3..5, so 0 -> 3 -> 6 -> 0 survives
+        m = np.triu(np.ones((7, 7), dtype=bool), 1)
+        m[:3, 6], m[6, :3] = False, True
+        t = Tournament(m)
+        loc = TriangleLocalization((), frozenset({6}), tuple(range(6)))
+        d = make_tpt_decomp(loc, range(6), (), {6}, (), (), t, 2.0, local_size_constant(2.0))
+        with pytest.raises(NotNicePair) as err:
+            add1(d, t, frozenset(), frozenset({6}))
+        assert err.value.witness == (6, 0, 3)
+
     def test_noop_add1(self):
         t, d = decomp_with_extras(8, [4])
         nxt = add1(d, t, frozenset(), frozenset())
@@ -305,7 +316,7 @@ class TestRuleCases:
                                   t, d.delta, d.c_delta)
         step = apply_rule_tpt(d_empty, t, RainbowOracle())
         assert isinstance(step, RuleStop)
-        assert step.kept == d_empty.bucketed
+        assert step.state.kept == d_empty.bucketed
 
 
 class TestKernelize:
