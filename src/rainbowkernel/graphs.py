@@ -196,26 +196,29 @@ def enumerate_induced_p3(g: UndirectedGraph, scope: Iterable[int] | None = None)
     return sorted(out)
 
 
+def clique_fit(matrix: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex of the non-empty sorted scope `ids`: its name, the position
+    in `ids` of the least member of its closed neighbourhood, and whether
+    that is its name class: the least and largest name it sees are its own and
+    its closed degree is its class size.  A class that fits is a clique component."""
+    closed = take_block(matrix, ids, ids)
+    np.fill_diagonal(closed, True)
+    name = closed.argmax(axis=1)
+    names = np.broadcast_to(name, closed.shape)
+    low = np.minimum.reduce(names, axis=1, where=closed, initial=ids.size)
+    high = np.maximum.reduce(names, axis=1, where=closed, initial=-1)
+    sizes = np.bincount(name, minlength=ids.size)
+    return name, (low == name) & (high == name) & (np.count_nonzero(closed, axis=1) == sizes[name])
+
+
 def clique_partition(g: UndirectedGraph, scope: Iterable[int]) -> tuple[tuple[int, ...], ...] | None:
     """The cliques of a scope with no induced 2-path, ordered by least member;
-    None when the scope has one.  Such a scope is a disjoint union of
-    cliques, so each vertex is named by the least member of its closed
-    neighbourhood.  The names fit exactly when every edge joins two vertices
-    of one name and each vertex sees its whole name class: one O(n^2) pass
-    over the scope's matrix."""
+    None when the scope has one, i.e. some vertex does not fit (`clique_fit`)."""
     ids = np.array(sorted(set(scope)), dtype=np.intp)
     if not ids.size:
         return ()
-    closed = take_block(g.matrix(), ids, ids)
-    np.fill_diagonal(closed, True)
-    name = closed.argmax(axis=1)
-    # the largest name a vertex sees; an edge across names shows at one end
-    seen = np.maximum.reduce(np.broadcast_to(name, closed.shape), axis=1,
-                             where=closed, initial=-1)
-    sizes = np.bincount(name, minlength=ids.size)
-    if (seen != name).any() or (closed.sum(axis=1) != sizes[name]).any():
-        return None
-    return tuple(group_by(name, ids, tuple).values())
+    name, fits = clique_fit(g.matrix(), ids)
+    return tuple(group_by(name, ids, tuple).values()) if fits.all() else None
 
 
 def group_by(label: np.ndarray, xs, into=frozenset) -> dict:

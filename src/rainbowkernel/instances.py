@@ -20,7 +20,7 @@ PACKING_PROBLEMS = frozenset({"TPT", "I2PP"})
 
 #: largest vertex count a graph header may declare.  A graph is held as an
 #: n x n one-byte matrix (100 MB at this cap); greedy localization reads up
-#: to half its rows at once, the validator and `p3.build_p3_aux` read row
+#: to half its rows at once, the validator and `rounds.Decomp.start` read row
 #: blocks of a few million pairs.  A header is a few bytes, so without the
 #: cap a short file could ask for any amount of memory
 MAX_GRAPH_VERTICES = 10_000
@@ -292,12 +292,7 @@ def _parse_graph_lines(lines: list[str], start: int) -> tuple[UndirectedGraph, i
         raise ParseError(start + 1, f"vertex count {n} exceeds the limit {MAX_GRAPH_VERTICES}")
     if start + 1 + m > len(lines):
         raise ParseError(len(lines) + 1, f"expected {m} edge lines")
-    body = lines[start + 1:start + 1 + m]
-    blob = "\n".join(body + [""])
-    if re.fullmatch(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*", blob):  # as `serialize_graph` writes
-        edges = np.fromstring(blob, dtype=np.int64, sep=" ").reshape(m, 2)
-    else:
-        edges = [_parse_edge(line, start + 2 + i) for i, line in enumerate(body)]
+    edges = [_parse_edge(line, start + 2 + i) for i, line in enumerate(lines[start + 1:start + 1 + m])]
     try:
         g = UndirectedGraph(n, edges)
     except ValueError as exc:
@@ -311,7 +306,33 @@ def _reject_trailing(lines: list[str], pos: int) -> None:
             raise ParseError(i + 1, f"trailing garbage {lines[i]!r}")
 
 
+def _parse_serialized_graph(text: str) -> InstanceSpec | None:
+    """The graph instance in `text`, decoded from bytes, when it is exactly
+    as `serialize_instance` writes it: m lines `u v` of 1-18 digits (the
+    first 2m non-digit bytes alternate space and newline), then whitespace."""
+    data = text.encode("ascii", "replace")  # anything else becomes '?' and fails
+    head = re.match(rb"problem (I2PP|I2PHS) k ([0-9]{1,18})\ngraph ([0-9]{1,18}) ([0-9]{1,18})\n", data)
+    if head is None or int(head[3]) > MAX_GRAPH_VERTICES:
+        return None
+    n, m = int(head[3]), int(head[4])
+    rest = np.frombuffer(data, dtype=np.uint8, offset=head.end())
+    seps = np.flatnonzero((rest < ord("0")) | (rest > ord("9")))[:2 * m]
+    end = head.end() + (int(seps[-1]) + 1 if seps.size else 0)
+    width = np.diff(seps, prepend=-1)  # a token's digits and the separator after them
+    if seps.size != 2 * m or rest[seps].tobytes() != b" \n" * m \
+            or m and not 2 <= width.min() <= width.max() <= 19 or data[end:].strip():
+        return None
+    try:
+        g = UndirectedGraph(n, np.fromstring(data[head.end():end], dtype=np.int64, sep=" ").reshape(m, 2))
+    except ValueError:  # an id out of range or a loop: the line parser names its line
+        return None
+    return InstanceSpec(head[1].decode(), g, int(head[2]))
+
+
 def parse_instance(text: str) -> InstanceSpec:
+    spec = _parse_serialized_graph(text)
+    if spec is not None:
+        return spec
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty input")

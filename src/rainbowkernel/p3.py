@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BrokenInvariant, InvalidSolution, OracleContractViolation, RepackFailed
-from .graphs import UndirectedGraph, clique_partition, group_by, packing_fault, take_block
+from .errors import BrokenInvariant, InvalidSolution, NotNicePair, OracleContractViolation, RepackFailed
+from .graphs import UndirectedGraph, clique_fit, clique_partition, group_by, packing_fault, take_block
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
 from .rounds import (BLOCK_PAIRS, COLOR, POOL, Aux, Decomp, KernelState, PackingFound, PoolRows,
@@ -56,12 +56,15 @@ class P3Localization:
 def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
     """Claim disjoint induced 2-paths scanning triples lexicographically; one
     pass gives a maximal packing.  Stops once `threshold` paths are claimed.
-    `free` marks the unclaimed vertices the scan has not passed."""
+    `free` marks the unclaimed vertices the scan has not passed.  The first
+    pass-over fits the unclaimed vertices to cliques (`clique_fit`): all fit
+    when no path is left; else their clique components, on no path, are passed."""
     if threshold <= 0:
         return PackingFound(())
     m = g.matrix()
     free = np.ones(g.n, dtype=bool)
     packing: list[tuple[int, int, int]] = []
+    name = cliques = None
     for a in range(g.n):
         if not free[a]:
             continue
@@ -73,21 +76,28 @@ def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3L
             free[list(found)] = False
             if len(packing) >= threshold:
                 return PackingFound(tuple(packing))
+        elif found is None and name is None:
+            rest = np.delete(np.arange(g.n), np.array(packing, dtype=np.intp).ravel())
+            name, fits = clique_fit(m, rest)
+            if fits.all():
+                cliques = tuple(group_by(name, rest, tuple).values())
+                break
+            free[rest[np.bincount(name[~fits], minlength=rest.size)[name] == 0]] = False
     core = frozenset(v for tri in packing for v in tri)
-    cliques = clique_partition(g, [v for v in range(g.n) if v not in core])
+    if cliques is None:
+        cliques = clique_partition(g, [v for v in range(g.n) if v not in core])
     if cliques is None:
         raise AssertionError("the remainder has an induced 2-path; the packing was not maximal")
     return P3Localization(tuple(packing), core, cliques)
 
 
-def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, int] | None:
+def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, int] | tuple[()] | None:
     """The lexicographically first free (b, c) on an induced 2-path with a,
-    whose free neighbours are `near`.  Row b marks the free c for which
-    exactly two of ab, ac, bc are edges; the first row with a mark is the
-    least b, so its first mark is c > b.  The first free row is probed
+    whose free neighbours are `near`, else ().  Row b marks the free c for
+    which exactly two of ab, ac, bc are edges; the first row with a mark is
+    the least b, so its first mark is c > b.  The first free row is probed
     alone, the rest read in blocks of 2, 4, ... rows, unless no path through
-    a is left: then `near` is a clique whose members have no other free
-    neighbour, `near` + a is on no path, and `near` is passed over too."""
+    a is left: then `near` is a clique on no path with a, passed over (None)."""
     b = int(free.argmax())
     row = m[b] ^ near if near[b] else m[b] & near  # with ab, ac or bc; else both
     row &= free
@@ -111,6 +121,7 @@ def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, i
             i, c = divmod(int(hits.argmax()), m.shape[1])
             return int(bs[i]), c
         lo, size = lo + size, 2 * size
+    return ()
 
 
 def p3_rows(g: UndirectedGraph, loc: P3Localization, ids: np.ndarray, xs) -> PoolRows:
@@ -231,17 +242,16 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
 def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
     """Demote colors that no longer form an induced 2-path with two pool
     vertices into the buckets; the result is clean and still within budget."""
-    return clean(d, p3_rows(g, d.loc, d.ids, d.color_ids))
+    return clean(d, lambda xs: p3_rows(g, d.loc, d.ids, xs))
 
 
-def build_p3_aux(d: P3Decomp, g: UndirectedGraph) -> Aux:
+def build_p3_aux(d: P3Decomp) -> Aux:
     """Vertex set = pool.  An ordinary edge per induced 2-path {c, v, w}
     with c in colors and v, w in the pool, colored c; a loop per (bucket
     vertex u, clique vertex v) pair, colored u."""
     parts = group_by(d.keys, d.ids, list)
-    return build_aux(read_block(g.matrix(), d.ids, d.keys, d.color_ids), p3_pairs,
-                     [(("bucket", u), parts.get(i, [])) for u, i in
-                      zip(d.members.tolist(), d.label[d.members].tolist()) if i >= 0])
+    return build_aux(d, [(("bucket", u), parts.get(i, [])) for u, i in
+                         zip(d.members.tolist(), d.label[d.members].tolist()) if i >= 0])
 
 
 def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> RuleStop | RuleNext:
@@ -251,7 +261,7 @@ def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> Rul
     colors dominate, demotes the whole clique slices those buckets point at.  Only the retired colors'
     rows are read, against the surviving pool: none may form an induced
     2-path with two of its vertices."""
-    aux = build_p3_aux(d, g)
+    aux = build_p3_aux(d)
     outcome, notes = aux.ask(oracle, d.epsilon, verify_outcome, live_cliques=len(d.live))
     if isinstance(outcome, RainbowMatching):
         return RuleStop(KernelState(d, outcome, aux), notes)
@@ -296,9 +306,10 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
     oracle = RainbowOracle()
     # stages are looked up at call time, so wrapping the module names traces them
     return run_rounds(report, localize=lambda threshold: greedy_localize_p3(g, threshold),
-                      start=lambda loc: P3Decomp(
-                          np.where(loc.clique_of >= 0, POOL, COLOR), np.flatnonzero(loc.clique_of >= 0),
-                          loc.clique_of[loc.clique_of >= 0], loc, epsilon),
+                      start=lambda loc: P3Decomp.start(
+                          g.matrix(), p3_pairs, np.where(loc.clique_of >= 0, POOL, COLOR),
+                          np.flatnonzero(loc.clique_of >= 0), loc.clique_of[loc.clique_of >= 0],
+                          loc, epsilon),
                       clean=lambda d: clean_p3(d, g),
                       check=lambda d: check_p3_decomp(d, g),
                       apply_rule=lambda d: apply_rule_p3(d, g, oracle))
@@ -309,7 +320,7 @@ def kernelize_p3(g: UndirectedGraph, k: int, *, epsilon: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def repack_packing_p3(g: UndirectedGraph, state: KernelState,
+def repack_packing_p3(state: KernelState, g: UndirectedGraph,
                       packing: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Rebuild an equal-size induced-2-path packing inside the kernel.
 
@@ -337,8 +348,8 @@ def repack_packing_p3(g: UndirectedGraph, state: KernelState,
             continue
         # color-free, pool-hitting: exactly one pool vertex, one bucket vertex
         pool_part = sorted(tset & d.pool)
-        if len(pool_part) != 1:
-            raise InvalidSolution(f"{tri} has {len(pool_part)} pool vertices")
+        if len(pool_part) != 1:  # a nice decomposition has no such path
+            raise NotNicePair(tri)
         w = pool_part[0]
         rest = sorted(tset - {w})
         neighbor = next(v for v in rest if g.has_edge(v, w))
@@ -350,7 +361,7 @@ def repack_packing_p3(g: UndirectedGraph, state: KernelState,
     return out
 
 
-def lift_hitting_set_p3(g: UndirectedGraph, state: KernelState,
+def lift_hitting_set_p3(state: KernelState, g: UndirectedGraph,
                         hitting: set[int]) -> frozenset[int]:
     """Turn a hitting set of the kernel into one of g, no larger.
 

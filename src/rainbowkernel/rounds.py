@@ -8,13 +8,13 @@ multigraph (`build_aux`), and either stops on a matching (`RuleStop`) or
 demotes a cover and drops the round potential (`RuleNext`).  The families
 supply the localization, the stages and the bucket names.  A decomposition
 (`Decomp`) is one label per vertex id, POOL, COLOR or the vertex's bucket,
-plus the pool as `ids` in the family's order keyed by `keys`; `advance`
-carries it from round to round through the family's `relabel`.  Every
+plus the pool as `ids` in the family's order keyed by `keys`, plus the
+obstruction edges of its colors, read once (`Decomp.start`); `advance`
+carries it from round to round through the family's `relabel`.  Any other
 question about obstructions with two pool vertices is a read of one row
 block `m[xs, ids]` (`read_block`): each family's row test (`tpt_rows`,
-`p3_rows`) returns a `PoolRows`, which the `clean`, add-1, case 1, the
-validator and the auxiliary multigraph consume.
-"""
+`p3_rows`) returns a `PoolRows`, which `clean`, add-1, case 1 and the
+validator consume."""
 from __future__ import annotations
 
 import dataclasses
@@ -76,6 +76,16 @@ class Decomp:
     label: np.ndarray
     ids: np.ndarray
     keys: np.ndarray
+    edges: np.ndarray  # the colors' obstructions with two pool vertices (`start`)
+
+    @classmethod
+    def start(cls, matrix: np.ndarray, emit: Callable, label, ids, keys, *fields):
+        """A decomposition whose edges are the `color_edges` of its colors'
+        block, as sorted columns (color id, lower pool id, higher pool id)."""
+        rows = read_block(matrix, ids, keys, np.flatnonzero(label == COLOR))
+        r, us, vs = color_edges(rows, emit)
+        edges = np.stack((rows.xs[r], np.minimum(us, vs), np.maximum(us, vs)))
+        return cls(label, ids, keys, edges[:, np.lexsort(edges[::-1])], *fields)
 
     def __post_init__(self):
         # the one law the label array does not hold by itself
@@ -110,14 +120,17 @@ class Decomp:
         and the colors `xs` join the buckets at their `labels`, read by the
         row test against the kept pool; `changes` sets the family's other
         fields.  A pool vertex that leaves becomes the bucket of its own
-        key, and then every bucket label passes through `relabel`."""
+        key, and then every bucket label passes through `relabel`.  An edge
+        stays while its color and ends do: no round adds a color or pool vertex."""
         label = self.label.copy()
         label[self.ids[~keep]] = self.keys[~keep]
         bucketed = label > COLOR
         label[bucketed] = self.relabel(self.keys[keep], label[bucketed])
         label[xs] = labels
+        c, u, v = self.edges
+        stay = (label[c] == COLOR) & (label[u] == POOL) & (label[v] == POOL)
         return dataclasses.replace(self, label=label, ids=self.ids[keep], keys=self.keys[keep],
-                                   **changes)
+                                   edges=self.edges[:, stay], **changes)
 
 
 class PoolRows(NamedTuple):
@@ -153,13 +166,11 @@ def read_block(matrix: np.ndarray, ids: np.ndarray, keys: np.ndarray, xs) -> Poo
     return PoolRows(xs, ids, keys, take_block(matrix, xs, ids))
 
 
-def clean(d, rows: PoolRows):
-    """The decomposition `d` once the colors whose row test in `rows` finds
-    no obstruction with two pool vertices join the buckets at their label."""
-    stale = ~rows.bad
-    if not stale.any():
-        return d
-    return d.advance(np.ones(d.ids.size, dtype=bool), rows.xs[stale], rows.label[stale])
+def clean(d, rows_of: Callable):
+    """The decomposition `d` once the colors with no edge join the buckets at
+    the labels of the family's row test `rows_of(xs)`."""
+    stale = d.color_ids[np.bincount(d.edges[0], minlength=d.label.size)[d.color_ids] == 0]
+    return d.advance(np.ones(d.ids.size, dtype=bool), stale, rows_of(stale).label) if stale.size else d
 
 
 def first_true(rows: np.ndarray) -> np.ndarray:
@@ -228,18 +239,17 @@ def color_edges(rows: PoolRows, emit: Callable) -> list[np.ndarray]:
     return [np.concatenate(part) for part in zip(*parts)]
 
 
-def build_aux(rows: PoolRows, emit: Callable,
-              loops: list[tuple[tuple, list[int] | np.ndarray]]) -> Aux:
-    """The auxiliary multigraph on the pool `rows.ids`: color i is the core
-    vertex rows.xs[i] and carries its `color_edges`, then each (meaning,
+def build_aux(d, loops: list[tuple[tuple, list[int] | np.ndarray]]) -> Aux:
+    """The auxiliary multigraph on the pool `d.ids`: color i is the core
+    vertex d.color_ids[i] and carries its edges, then each (meaning,
     vertices) of `loops` adds a color with a loop on each of its vertices."""
-    colors, us, vs = color_edges(rows, emit)
-    meanings = [("color", x) for x in rows.xs.tolist()] + [m for m, _ in loops]
+    c, us, vs = d.edges
+    meanings = [("color", x) for x in d.color_ids.tolist()] + [m for m, _ in loops]
     looped = np.concatenate([us[:0], *(vertices for _, vertices in loops)])
-    colors = np.concatenate((colors, np.repeat(np.arange(rows.xs.size, len(meanings)),
-                                               [len(vertices) for _, vertices in loops])))
+    colors = np.concatenate((d.color_ids.searchsorted(c), np.repeat(
+        np.arange(d.color_ids.size, len(meanings)), [len(vertices) for _, vertices in loops])))
     try:
-        cm = ColoredMultigraph(rows.ids, np.concatenate((us, looped)),
+        cm = ColoredMultigraph(d.ids, np.concatenate((us, looped)),
                                np.concatenate((vs, looped)), colors, len(meanings))
     except ValueError as exc:  # the caller's decomposition broke, not the input
         raise BrokenInvariant(f"auxiliary multigraph: {exc}") from exc

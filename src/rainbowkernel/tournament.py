@@ -32,7 +32,7 @@ import numpy as np
 
 from .demand import BucketProfile, Demand, compute_demand
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution, NotAcyclic,
-                     OracleContractViolation, PreconditionViolated, RepackFailed)
+                     NotNicePair, OracleContractViolation, PreconditionViolated, RepackFailed)
 from .graphs import Tournament, group_by, is_acyclic, packing_fault, take_block, topological_order
 from .intervals import BucketInterval, block_joins
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
@@ -266,7 +266,7 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
 def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
     """Demote colors that form no triangle with two pool vertices into the
     core side of the buckets; spine, bulk, and the local sizes do not move."""
-    return clean(d, tpt_rows(t, d.loc, d.ids, d.color_ids))
+    return clean(d, lambda xs: tpt_rows(t, d.loc, d.ids, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +274,13 @@ def clean_tpt(d: TptDecomp, t: Tournament) -> TptDecomp:
 # ---------------------------------------------------------------------------
 
 
-def build_tpt_aux(d: TptDecomp, t: Tournament, demand: Demand) -> Aux:
+def build_tpt_aux(d: TptDecomp, demand: Demand) -> Aux:
     """Vertex set = pool.  An ordinary edge per triangle {c, v, w} with c in
     colors and v, w in the pool, colored c; val(I) slot colors per
     positive-demand interval I, each looped onto every vertex of its window,
     a slice of the pool in position order."""
-    return build_aux(read_block(t.matrix, d.ids, d.keys, d.color_ids), triangle_pairs,
-                     [(("slot", iv, j), d.ids[d.span(iv)])
-                      for iv, val in sorted(demand.values.items()) for j in range(val)])
+    return build_aux(d, [(("slot", iv, j), d.ids[d.span(iv)])
+                         for iv, val in sorted(demand.values.items()) for j in range(val)])
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,7 @@ def apply_rule_tpt(d: TptDecomp, t: Tournament, oracle: RainbowOracle) -> RuleSt
     """One round at the fixed oracle slack eps = 1, so covers obey
     |cover| <= 5 |colors|."""
     demand = compute_demand(d.profile)
-    aux = build_tpt_aux(d, t, demand)
+    aux = build_tpt_aux(d, demand)
     outcome, notes = aux.ask(oracle, 1.0, verify_outcome, demand=_demand_summary(d, demand))
     if isinstance(outcome, RainbowMatching):
         allocation = extract_allocation(aux, outcome)
@@ -445,9 +444,10 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
     oracle = RainbowOracle()
     # stages are looked up at call time, so wrapping the module names traces them
     return run_rounds(report, localize=lambda threshold: greedy_localize_triangles(t, threshold),
-                      start=lambda loc: TptDecomp(
-                          np.where(loc.position > 0, POOL, COLOR), np.array(loc.order, np.intp),
-                          np.arange(1, len(loc.order) + 1), loc, np.zeros(t.n, bool), delta, c_delta),
+                      start=lambda loc: TptDecomp.start(
+                          t.matrix, triangle_pairs, np.where(loc.position > 0, POOL, COLOR),
+                          np.array(loc.order, np.intp), np.arange(1, len(loc.order) + 1), loc,
+                          np.zeros(t.n, bool), delta, c_delta),
                       clean=lambda d: clean_tpt(d, t),
                       check=lambda d: check_tpt_decomp(d, t),
                       apply_rule=lambda d: apply_rule_tpt(d, t, oracle))
@@ -501,8 +501,8 @@ def repack_via_allocation(state: TptKernelState, t: Tournament,
         if not pool_part:
             inside.append(tuple(sorted(tset)))
             continue
-        if len(pool_part) != 1:
-            raise InvalidSolution(f"{tri} has two pool vertices; pair is not nice")
+        if len(pool_part) != 1:  # a nice decomposition has no such triangle
+            raise NotNicePair(tri)
         u, v = sorted(tset - set(pool_part))
         bu, bv = d.label[[u, v]].tolist()
         if bu == bv:

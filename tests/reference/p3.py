@@ -15,7 +15,7 @@ import numpy as np
 from rainbowkernel.errors import BrokenInvariant, InvalidSolution, NotNicePair
 from rainbowkernel.graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
                                   group_by, is_induced_p3, take_block)
-from rainbowkernel.p3 import P3Decomp, P3Localization, p3_rows
+from rainbowkernel.p3 import P3Decomp, P3Localization, p3_pairs, p3_rows
 from rainbowkernel.rounds import BLOCK_PAIRS, COLOR, POOL, KernelState, PackingFound
 
 
@@ -113,7 +113,7 @@ def make_p3_decomp(loc: P3Localization, pool, bucketed, colors,
     for i, members in enumerate(buckets):
         label[list(members)] = i
     ids = pool_ids(pool)
-    return P3Decomp(label, ids, loc.clique_of[ids], loc, epsilon)
+    return P3Decomp.start(g.matrix(), p3_pairs, label, ids, loc.clique_of[ids], loc, epsilon)
 
 
 def bucket_decompose_p3_loop(pool: frozenset[int], bucketed: frozenset[int],
@@ -197,7 +197,7 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     return out
 
 
-def lift_hitting_set_p3(g: UndirectedGraph, state: KernelState,
+def lift_hitting_set_p3(state: KernelState, g: UndirectedGraph,
                         hitting: set[int]) -> frozenset[int]:
     """Turn a hitting set of the kernel into one of g, no larger, testing the
     input and each minimizing step against the list of the kernel's induced

@@ -15,7 +15,7 @@ from rainbowkernel.errors import BrokenInvariant, NotNicePair
 from rainbowkernel.graphs import Tournament, group_by, topological_order
 from rainbowkernel.rounds import COLOR, POOL, PackingFound
 from rainbowkernel.tournament import (TptDecomp, TriangleLocalization,
-                                      _first_triangle, tpt_rows)
+                                      _first_triangle, tpt_rows, triangle_pairs)
 
 
 def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
@@ -107,7 +107,8 @@ def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
     in_bulk = np.zeros(t.n, dtype=bool)
     in_bulk[list(bulk)] = True
     ids = pool_ids(loc, pool)
-    d = TptDecomp(label, ids, loc.position[ids], loc, in_bulk, delta, c_delta)
+    d = TptDecomp.start(t.matrix, triangle_pairs, label, ids, loc.position[ids], loc, in_bulk,
+                        delta, c_delta)
     if d.spine != spine:
         raise ValueError("spine must be the bucketed remainder vertices outside the bulk")
     return d

@@ -374,18 +374,18 @@ def test_criterion_7_safeness_constructions():
             solutions.append(base)
         for _ in range(3):
             x = minimum | set(wide.sample(ids, wide.randint(0, len(ids))))
-            if lift_hitting_set_p3(g, out.state, set(x)) != \
-                    ref_p3.lift_hitting_set_p3(g, out.state, set(x)):
+            if lift_hitting_set_p3(out.state, g, set(x)) != \
+                    ref_p3.lift_hitting_set_p3(out.state, g, set(x)):
                 failures.append("lift_hitting_set_p3 differs from the enumerating lift")
         for x in solutions:
             try:
-                lifted = lift_hitting_set_p3(g, out.state, set(x))
+                lifted = lift_hitting_set_p3(out.state, g, set(x))
             except Exception as exc:
                 failures.append(f"lift_hitting_set_p3 raised: {exc}")
                 continue
             if len(lifted) > len(x):
                 failures.append("lift_hitting_set_p3 grew the solution")
-            if lifted != ref_p3.lift_hitting_set_p3(g, out.state, set(x)):
+            if lifted != ref_p3.lift_hitting_set_p3(out.state, g, set(x)):
                 failures.append("lift_hitting_set_p3 differs from the enumerating lift")
             rest = [v for v in range(g.n) if v not in lifted]
             if enumerate_induced_p3(g, rest):

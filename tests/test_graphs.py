@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rainbowkernel.errors import NotAcyclic, ParseError
 from rainbowkernel.graphs import (ColoredMultigraph, Tournament,
-                                  UndirectedGraph, clique_partition,
+                                  UndirectedGraph, clique_fit, clique_partition,
                                   colored_edge, dump_colored_multigraph,
                                   enumerate_induced_p3, enumerate_triangles,
                                   is_acyclic, is_triangle,
@@ -181,6 +181,21 @@ class TestEnumeration:
         assert (cliques is None) == bool(enumerate_induced_p3(g, scope))
         if cliques is not None:
             assert cliques == ref_p3.clique_components(g, scope)
+
+    @given(st.one_of(graphs(), near_cluster_graphs()), st.data())
+    @settings(max_examples=300)
+    def test_clique_fit_matches_brute_force(self, g, data):
+        """Per vertex of a non-empty scope: its name is the position of the
+        least member of its closed neighbourhood in the scope, and it fits
+        exactly when that neighbourhood is its name class."""
+        scope = [v for v in range(g.n) if data.draw(st.booleans())]
+        if not scope:
+            return
+        name, fits = clique_fit(g.matrix(), np.array(scope))
+        closed = [{w for w in scope if w == v or g.has_edge(v, w)} for v in scope]
+        assert name.tolist() == [scope.index(min(c)) for c in closed]
+        classes = [{w for w, nm in zip(scope, name.tolist()) if nm == x} for x in name.tolist()]
+        assert fits.tolist() == [c == cls for c, cls in zip(closed, classes)]
 
     def test_clique_partition_rejects_six_cycle(self):
         # every vertex sees as many vertices as carry its name, yet 0-5-2 is a 2-path

@@ -1,8 +1,8 @@
 """The per-family nice-pair row test (`tpt_rows`, `p3_rows`) and the color
-edges the auxiliary multigraphs read off it (`rounds.color_edges` with the
-sparse `triangle_pairs`, `p3_pairs`), checked against per-triple brute force
-and the dense marks in `tests/reference/`; the bucket decompositions against
-the per-vertex loops there, the buckets and color edges of every
+edges the decompositions carry (`rounds.color_edges` with the sparse
+`triangle_pairs`, `p3_pairs`), checked against per-triple brute force and
+the dense marks in `tests/reference/`; the bucket decompositions against
+the per-vertex loops there, the buckets and carried edges of every
 golden-corpus round against a fresh read and the dense marks, and the
 shared `rounds.Decomp.advance` under random keep masks against a fresh
 decomposition; and the validators on valid decompositions corrupted once,
@@ -132,6 +132,15 @@ def _edge_list(arrays):
     return sorted(map(colored_edge, us, vs, colors))
 
 
+def _dense_edges(d, g):
+    """The edges `d` should carry, read afresh from its colors' block with
+    the dense marks: sorted triples (color id, lower pool id, higher pool id)."""
+    m, emit = (g.matrix, triangle_pairs) if isinstance(g, Tournament) else (g.matrix(), p3_pairs)
+    rows = rounds.read_block(m, d.ids, d.keys, d.color_ids)
+    return sorted((int(rows.xs[e.color]), e.u, e.v)
+                  for e in _edge_list(ref_rounds.color_edges(rows, DENSE[emit])))
+
+
 @pytest.mark.parametrize("family", sorted(ROWS))
 @given(data=st.data())
 @settings(max_examples=200)
@@ -191,15 +200,16 @@ REFERENCE_CHECKS = {"check_p3_decomp": ref_p3.check_p3_decomp,
 
 def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
     """Run `runs` with `fresh(d, g)` asserted on every decomposition the
-    validator `module.name` sees, its messages asserted equal to the
-    reference validator's, and the sparse color edges of every auxiliary
-    multigraph asserted equal to the dense marks' edges, and require that
-    the runs reach case 1, case 2, a matching and a clean that demotes a
-    color."""
+    validator `module.name` sees, its carried edges asserted equal to a
+    fresh dense read, its messages asserted equal to the reference
+    validator's, and the sparse color edges of every start read asserted
+    equal to the dense marks' edges, and require that the runs reach case 1,
+    case 2, a matching and a clean that demotes a color."""
     real, real_edges, steps = getattr(module, name), rounds.color_edges, Counter()
 
     def check(d, g):
         fresh(d, g)
+        assert list(zip(*(e.tolist() for e in d.edges))) == _dense_edges(d, g)
         out = real(d, g)
         assert out == REFERENCE_CHECKS[name](d, g)
         return out
@@ -218,10 +228,10 @@ def _carried_against_fresh(monkeypatch, module, name, fresh, runs):
 
 
 def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
-    """The tournament rounds carry the labels forward (`rounds.Decomp.advance`);
-    every decomposition a golden-corpus run validates holds the buckets (read
-    off its labels) that a fresh read of the tournament gives, and every
-    round's sparse color edges are the dense marks' edges."""
+    """The tournament rounds carry the labels and edges forward
+    (`rounds.Decomp.advance`); every decomposition a golden-corpus run
+    validates holds the buckets (read off its labels) and the edges that a
+    fresh read of the tournament gives."""
     def fresh(d, t):
         assert (d.s_psi, d.buckets) == ref_tournament.bucket_decompose_tpt(
             d.pool, d.bucketed, t, d.loc)
@@ -230,11 +240,11 @@ def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
 
 
 def test_carried_p3_buckets_match_a_fresh_decomposition(monkeypatch):
-    """The 2-path rounds carry the labels forward (`rounds.Decomp.advance`);
-    every decomposition a golden-corpus run validates holds the pool parts,
-    buckets and detached vertices (read off its labels) of the per-vertex
-    read of the graph, and every round's sparse color edges are the dense
-    marks' edges."""
+    """The 2-path rounds carry the labels and edges forward
+    (`rounds.Decomp.advance`); every decomposition a golden-corpus run
+    validates holds the pool parts, buckets and detached vertices (read off
+    its labels) of the per-vertex read of the graph, and the edges of a
+    fresh read."""
     def fresh(d, g):
         assert (d.pool_parts, d.buckets, d.detached) == ref_p3.bucket_decompose_p3_loop(
             d.pool, d.bucketed, g, d.loc)
@@ -253,7 +263,8 @@ ADVANCE = {"p3": (p3, "check_p3_decomp", p3_rows, _fresh_p3,
 def test_advance_matches_a_fresh_decomposition(family):
     """`rounds.Decomp.advance` under random `keep` masks, with a random
     subset of the colors that are fine against the kept pool joining at
-    their row-test labels, holds the labels and pool of a fresh
+    their row-test labels, holds the labels, pool and edges of a fresh
+    decomposition, whose edges come from the reader of the start
     decomposition.  The masks reach states the golden rounds do not, such
     as a bucket's position leaving together with its pool neighbours."""
     module, name, rows_of, fresh, run = ADVANCE[family]
@@ -272,6 +283,8 @@ def test_advance_matches_a_fresh_decomposition(family):
                         d.bucketed | joined | set(d.ids[~keep].tolist()), d.colors - joined)
             assert np.array_equal(carried.label, ref.label)
             assert np.array_equal(carried.ids, ref.ids) and np.array_equal(carried.keys, ref.keys)
+            assert np.array_equal(carried.edges, ref.edges)
+            assert list(zip(*(e.tolist() for e in carried.edges))) == _dense_edges(carried, g)
             gone = np.setdiff1d(d.keys[~keep], d.keys[keep])
             dropped += bool(np.isin(d.label[d.members], gone).any())
             joins += bool(joined)
@@ -410,18 +423,19 @@ def test_validator_matches_reference_on_repeatedly_corrupted_decompositions(fami
     assert getattr(module, name)(d, g) == REFERENCE_CHECKS[name](d, g)
 
 
-def _aux_calls(monkeypatch, module, name, run):
-    """(arguments, result) of every call `run` makes to module.name."""
-    real = getattr(module, name)
-    calls = []
+def _aux_calls(monkeypatch, module, name, runs):
+    """(payload, decomposition, result) of every call to module.name while
+    `runs` kernelizes each payload it yields."""
+    real, calls = getattr(module, name), []
 
-    def spy(*args):
-        out = real(*args)
-        calls.append((args, out))
+    def spy(d, *args):
+        out = real(d, *args)
+        calls.append((payload, d, out))
         return out
 
     monkeypatch.setattr(module, name, spy)
-    run()
+    for payload in runs():  # the run of a payload follows its yield
+        pass
     return calls
 
 
@@ -442,13 +456,15 @@ def _p3_aux_runs():
     cliques_core = load("inputs").cliques_core
     rng = random.Random(7)
     for _ in range(3):
-        kernelize_p3(cliques_core(3, 15, 6, rng), 4)
+        yield (g := cliques_core(3, 15, 6, rng))
+        kernelize_p3(g, 4)
 
 
 def _tournament_aux_runs():
     rng = random.Random(7)
     for _ in range(3):
-        kernelize_tournament(_near_transitive(60, 18, rng), 20)
+        yield (t := _near_transitive(60, 18, rng))
+        kernelize_tournament(t, 20)
 
 
 AUX_BUILDERS = {
@@ -462,7 +478,7 @@ def test_aux_color_edges_match_per_triple_loop(family, monkeypatch):
     module, name, runs, is_obstruction = AUX_BUILDERS[family]
     calls = _aux_calls(monkeypatch, module, name, runs)
     assert calls
-    for (d, g, *_), aux in calls:
+    for g, d, aux in calls:
         color_edges = [e for e in aux.cm.edges if not e.is_loop]
         assert color_edges == _reference_color_edges(d, g, is_obstruction)
-    assert any(not e.is_loop for _, aux in calls for e in aux.cm.edges)
+    assert any(not e.is_loop for _, _, aux in calls for e in aux.cm.edges)

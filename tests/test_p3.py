@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from itertools import combinations
@@ -56,6 +57,25 @@ class TestLocalize:
             return
         rest = [v for v in range(g.n) if v not in out.core]
         assert enumerate_induced_p3(g, rest) == []
+
+    def test_cluster_graph_localizes_in_two_squares(self):
+        """n = 3000 disjoint cliques: the one clique fit at the first
+        pass-over settles the scan, and no more than the fit's two n x n
+        bool blocks (the scope's rows, then its columns) are live at once."""
+        n, rng, edges, lo = 3000, random.Random(3), [], 0
+        while lo < n:
+            size = min(rng.randint(1, 6), n - lo)
+            edges += clique(size, lo)
+            lo += size
+        g = UndirectedGraph(n, edges)
+        tracemalloc.start()
+        try:
+            loc = greedy_localize_p3(g, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loc.core == frozenset() and sum(map(len, loc.cliques)) == n
+        assert peak < 2.05 * n * n
 
 
 class TestBucketDecompose:
@@ -124,7 +144,7 @@ class TestAuxGraph:
         loc = P3Localization(((0, 1, 2),), frozenset({0, 1, 2}), ())
         # the treated core sits detached: no color, no loop
         d = make_p3_decomp(loc, frozenset(), frozenset({0, 1, 2}), frozenset(), g, 1.0)
-        aux = build_p3_aux(d, g)
+        aux = build_p3_aux(d)
         assert aux.cm.p == 0 and aux.cm.edges == ()
 
     def test_single_bucket_single_loop(self):
@@ -132,7 +152,7 @@ class TestAuxGraph:
         g = UndirectedGraph(2, [(0, 1)])
         loc = P3Localization((), frozenset({1}), ((0,),))
         d = make_p3_decomp(loc, frozenset({0}), frozenset({1}), frozenset(), g, 1.0)
-        aux = build_p3_aux(d, g)
+        aux = build_p3_aux(d)
         assert aux.meanings == (("bucket", 1),)
         assert [(e.u, e.v, e.color) for e in aux.cm.edges] == [(0, 0, 0)]
 
@@ -144,7 +164,7 @@ class TestAuxGraph:
         assert not d.colors and len(d.pool) == n
         tracemalloc.start()
         try:
-            aux = build_p3_aux(d, g)
+            aux = build_p3_aux(d)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -170,7 +190,7 @@ class TestAuxGraph:
         g = UndirectedGraph(3, [(2, 0), (2, 1)])
         loc = P3Localization(((0, 2, 1),), frozenset({2}), ((0,), (1,)))
         d = make_p3_decomp(loc, frozenset({0, 1}), frozenset(), frozenset({2}), g, 1.0)
-        aux = build_p3_aux(d, g)
+        aux = build_p3_aux(d)
         assert aux.meanings == (("color", 2),)
         assert [(e.u, e.v) for e in aux.cm.edges] == [(0, 1)]
 
@@ -306,13 +326,13 @@ class TestRestructuring:
                     if not set(tri) & used:
                         packing.append(tri)
                         used |= set(tri)
-                rerouted = repack_packing_p3(g, out.state, packing)
+                rerouted = repack_packing_p3(out.state, g, packing)
                 assert len(rerouted) == len(packing)
 
     def test_optimal_packing_survives(self):
         for g, out in harvest_states("I2PP", 8, seed=33):
             opt = optimum("I2PP", g)
-            rerouted = repack_packing_p3(g, out.state, list(opt.witness))
+            rerouted = repack_packing_p3(out.state, g, list(opt.witness))
             assert len(rerouted) == opt.value
 
 
@@ -320,7 +340,26 @@ class TestRestructuring:
         g, out = harvest_states("I2PP", 1, seed=21)[0]
         u, v = next(iter(g.edges()))
         with pytest.raises(InvalidSolution, match="is not an induced 2-path"):
-            repack_packing_p3(g, out.state, [(u, u, v)])
+            repack_packing_p3(out.state, g, [(u, u, v)])
+
+
+    def test_broken_final_state_is_an_internal_error(self):
+        """A final state whose color c is detached while it still forms an
+        induced 2-path with two pool vertices is not nice: the repack raises
+        NotNicePair (exit 3), not InvalidSolution (exit 2)."""
+        for g, out in harvest_states("I2PP", 12, seed=21):
+            d = out.state.final
+            if not d.edges[0].size:
+                continue
+            c, u, w = (int(e[0]) for e in d.edges)
+            label = d.label.copy()
+            label[c] = -1
+            broken = dataclasses.replace(out.state, final=dataclasses.replace(d, label=label))
+            with pytest.raises(NotNicePair) as err:
+                repack_packing_p3(broken, g, [(u, c, w)])
+            assert err.value.witness == (u, c, w)
+            return
+        pytest.fail("no final state with a color")
 
 
 class TestLifting:
@@ -337,7 +376,7 @@ class TestLifting:
                         break
                 if best is not None:
                     break
-            lifted = lift_hitting_set_p3(g, out.state, best)
+            lifted = lift_hitting_set_p3(out.state, g, best)
             assert len(lifted) <= len(best)
             rest = [v for v in range(g.n) if v not in lifted]
             assert enumerate_induced_p3(g, rest) == []
@@ -349,14 +388,14 @@ class TestLifting:
             if set(out.kept) != set(range(g.n)):
                 continue
             x = set(optimum("I2PHS", g).witness)
-            lifted = lift_hitting_set_p3(g, out.state, x)
+            lifted = lift_hitting_set_p3(out.state, g, x)
             assert len(lifted) <= len(x)
 
     def test_invalid_solution_rejected(self):
         for g, out in harvest_states("I2PHS", 6, seed=13):
             if enumerate_induced_p3(g, out.kept):
                 with pytest.raises(InvalidSolution):
-                    lift_hitting_set_p3(g, out.state, set())
+                    lift_hitting_set_p3(out.state, g, set())
                 return
 
 

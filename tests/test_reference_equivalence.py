@@ -28,10 +28,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rainbowkernel import instances, rainbow
+from rainbowkernel import instances, p3, rainbow
 from rainbowkernel.demand import BucketProfile, compute_demand
 from rainbowkernel.errors import ParseError
-from rainbowkernel.graphs import (ColoredEdge, Tournament, UndirectedGraph, colored_edge,
+from rainbowkernel.graphs import (ColoredEdge, Tournament, UndirectedGraph, clique_fit, colored_edge,
                                   make_colored_multigraph)
 from rainbowkernel.p3 import greedy_localize_p3
 from rainbowkernel.rainbow import (ColorCover, RainbowMatching, RainbowOracle,
@@ -144,6 +144,44 @@ def test_p3_localization_matches_reference(n, p, seed, threshold):
 @settings(max_examples=300)
 def test_p3_localization_matches_reference_small(g, threshold):
     assert greedy_localize_p3(g, threshold) == ref_p3.greedy_localize_p3(g, threshold)
+
+
+@st.composite
+def relabelled_cliques_core(draw):
+    """A cliques+core graph of the benchmark's generator with its ids
+    permuted, so that the scan meets the cliques and the paths in any order
+    and the first pass-over can come before the last claim."""
+    paths, cliques = draw(st.integers(0, 4)), draw(st.integers(2, 8))
+    g = bench_inputs.cliques_core(paths, cliques, draw(st.integers(1, 5)),
+                                  random.Random(draw(st.integers(0, 2**32 - 1))))
+    perm = draw(st.permutations(range(g.n)))
+    return UndirectedGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@given(relabelled_cliques_core(), st.sampled_from([1, 2, 3, math.inf]))
+@settings(max_examples=200)
+def test_p3_localization_matches_reference_on_cliques_core(g, threshold):
+    assert greedy_localize_p3(g, threshold) == ref_p3.greedy_localize_p3(g, threshold)
+
+
+def test_p3_localization_fit_fails_before_the_last_claim():
+    """Clique {0, 1}, then the 2-path 2-3-4, then clique {5, 6}: the first
+    pass-over, at 0, comes before the claim of (2, 3, 4), so the one clique
+    fit fails and passes over the two clique components only."""
+    g = UndirectedGraph(7, [(0, 1), (2, 3), (3, 4), (5, 6)])
+    fits = []
+
+    def spy(m, ids):
+        name, fit = clique_fit(m, ids)
+        fits.append((ids.tolist(), fit.tolist()))
+        return name, fit
+
+    with mock.patch.object(p3, "clique_fit", spy):
+        out = greedy_localize_p3(g, math.inf)
+    # 2 sees exactly its class {2, 3}, but 3 sees 4 as well
+    assert fits == [(list(range(7)), [True, True, True, False, False, True, True])]
+    assert out == ref_p3.greedy_localize_p3(g, math.inf)
+    assert out.packing == ((2, 3, 4),) and out.cliques == ((0, 1), (5, 6))
 
 
 SCALE_GRAPHS = {
@@ -318,6 +356,67 @@ def test_graph_parse_errors_match_reference(g, data):
     lines = ["problem I2PP k 1", f"graph {g.n} {m}"] + rows
     assert _graph_outcome(instances._parse_graph_lines, lines) == \
         _graph_outcome(ref_text._parse_graph_lines, lines)
+
+
+def _instance_outcome(text, line_parser_only=False):
+    """What `parse_instance` makes of `text`: the instance as values, or the
+    ParseError's line and message; optionally with the byte decode off."""
+    decode = (lambda text: None) if line_parser_only else instances._parse_serialized_graph
+    try:
+        with mock.patch.object(instances, "_parse_serialized_graph", decode):
+            spec = instances.parse_instance(text)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    return "ok", spec.problem, spec.k, spec.payload.n, spec.payload.edges()
+
+
+#: edits of a serialized graph instance; each takes its lines, the graph and a draw
+TEXT_MUTATIONS = {
+    "crlf": lambda lines, g, draw: [line + "\r" for line in lines],
+    "spacing": lambda lines, g, draw: _edit(lines, draw, lambda line: line.replace(
+        " ", draw(st.sampled_from(["  ", "\t", " \t"])), 1)),
+    "count": lambda lines, g, draw: lines[:1] + [
+        f"graph {g.n} {max(0, len(lines) - 2 + draw(st.sampled_from([-1, 1])))}"] + lines[2:],
+    "id out of range": lambda lines, g, draw: _edit(lines, draw, lambda line: (
+        f"{draw(st.sampled_from([g.n, 10 ** 17, 10 ** 18]))} {_ends(line)[1]}")),
+    "self-loop": lambda lines, g, draw: _edit(lines, draw, lambda line: " ".join(_ends(line)[:1] * 2)),
+    "vertex cap": lambda lines, g, draw: lines[:1] + [
+        f"graph {instances.MAX_GRAPH_VERTICES + 1} {len(lines) - 2}"] + lines[2:],
+    "leading zeros": lambda lines, g, draw: _edit(lines, draw, lambda line: "0" * draw(
+        st.integers(1, 18)) + line),
+    "header spacing": lambda lines, g, draw: [lines[0].replace(" ", "  ", 1)] + lines[1:],
+    "long k": lambda lines, g, draw: [lines[0].rsplit(" ", 1)[0] + " " + "1" * 19] + lines[1:],
+    "trailing": lambda lines, g, draw: lines + [draw(st.sampled_from(["", "  ", "\t", "\x0c", "x"]))],
+    "non-ascii": lambda lines, g, draw: _edit(lines, draw, lambda line: line + "\u00e9"),
+}
+
+
+def _ends(line):
+    """The first two tokens of `line`, padded with 0s."""
+    return (line.split() + ["0", "0"])[:2]
+
+
+def _edit(lines, draw, change):
+    """`lines` with one edge line (else the graph header) changed."""
+    i = draw(st.integers(min_value=min(2, len(lines) - 1), max_value=len(lines) - 1))
+    return lines[:i] + [change(lines[i])] + lines[i + 1:]
+
+
+@given(graphs(max_n=12), st.sampled_from(["I2PP", "I2PHS"]), st.integers(0, 20), st.data())
+@settings(max_examples=300)
+def test_serialized_graph_decode_matches_line_parser(g, problem, k, data):
+    """A graph instance as `serialize_instance` writes it is decoded from its
+    bytes into the instance the line parser reads; edited, it gives the line
+    parser's instance or ParseError line and message."""
+    text = instances.serialize_instance(instances.InstanceSpec(problem, g, k))
+    spec = instances._parse_serialized_graph(text)
+    assert spec is not None and _instance_outcome(text) == _instance_outcome(text, True)
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        kind = data.draw(st.sampled_from(sorted(TEXT_MUTATIONS)))
+        lines = TEXT_MUTATIONS[kind](lines, g, data.draw)
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]))
+    assert _instance_outcome(text) == _instance_outcome(text, True)
 
 
 # -- oracle layer 1 ------------------------------------------------------------------

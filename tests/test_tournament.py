@@ -30,7 +30,7 @@ from .reference.tournament import (bucket_decompose_tpt,
                                    bucket_membership_problems, bucket_of_scan,
                                    make_tpt_decomp, window)
 from .strategies import tournaments
-from .test_acceptance import _tournament_corpus
+from .test_acceptance import _near_transitive, _tournament_corpus
 
 
 def transitive(n):
@@ -153,7 +153,7 @@ class TestAuxGraph:
     def test_empty_for_no_colors_no_demand(self):
         t, d = decomp_with_extras(6, [3])
         demand = compute_demand(d.profile)
-        aux = build_tpt_aux(d, t, demand)
+        aux = build_tpt_aux(d, demand)
         assert aux.cm.p == 0 and aux.cm.edges == ()
 
     def test_slot_loops_cover_window(self):
@@ -161,7 +161,7 @@ class TestAuxGraph:
         demand = compute_demand(d.profile)
         interval = BucketInterval(3, 6)
         assert demand.values[interval] == 2
-        aux = build_tpt_aux(d, t, demand)
+        aux = build_tpt_aux(d, demand)
         loops = [e for e in aux.cm.edges if e.is_loop]
         vertices = window(d, interval)
         assert len(loops) == 2 * len(vertices)
@@ -181,7 +181,7 @@ class TestAuxGraph:
         cd = local_size_constant(2.0)
         d = make_tpt_decomp(loc, frozenset(range(5)), frozenset(), frozenset({c}),
                             frozenset(), frozenset(), t, 2.0, cd)
-        aux = build_tpt_aux(d, t, compute_demand(d.profile))
+        aux = build_tpt_aux(d, compute_demand(d.profile))
         expect = {(u, w) for u in (0, 1) for w in (2, 3, 4)}
         assert {(e.u, e.v) for e in aux.cm.edges} == expect
         assert all(aux.meanings[e.color] == ("color", c) for e in aux.cm.edges)
@@ -450,6 +450,22 @@ class TestRepack:
                 with pytest.raises(InvalidSolution):
                     repack_via_allocation(out.state, t, [tris[0]])
                 return
+
+
+    def test_broken_final_state_is_an_internal_error(self):
+        """A final state whose color c is moved into a bucket while it still
+        closes a triangle with two pool vertices is not nice: the repack
+        raises NotNicePair (exit 3), not InvalidSolution (exit 2)."""
+        t = _near_transitive(60, 18, random.Random(7))
+        out = kernelize_tournament(t, 20)
+        d = out.state.final
+        c, u, w = (int(e[0]) for e in d.edges)
+        label = d.label.copy()
+        label[c] = d.infinity
+        broken = dataclasses.replace(out.state, final=dataclasses.replace(d, label=label))
+        with pytest.raises(NotNicePair) as err:
+            repack_via_allocation(broken, t, [(c, u, w)])
+        assert err.value.witness == (c, u, w)
 
 
 class TestLiftFvs:
