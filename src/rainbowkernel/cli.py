@@ -1,11 +1,9 @@
-"""Command-line front end: kernelize, solve, verify, gen, bench."""
+"""Command-line front end: kernelize, solve, verify, gen."""
 from __future__ import annotations
 
 import argparse
 import functools
 import sys
-import time
-from collections import Counter
 from pathlib import Path
 
 from . import exact
@@ -15,7 +13,7 @@ from .instances import (GRAPH_PROBLEMS, PACKING_PROBLEMS, PROBLEMS,
                         GeneratorConfig, InstanceSpec, generate_instance,
                         parse_instance, serialize_instance)
 from .p3 import kernelize_p3
-from .report import BENCH_FIELDS, Decided, KernelOutput
+from .report import Decided, KernelOutput
 from .tournament import kernelize_tournament
 
 
@@ -33,20 +31,6 @@ def _kernelize(spec: InstanceSpec, epsilon, delta):
     return kernelize_tournament(spec.payload, spec.k, delta=delta, problem=spec.problem)
 
 
-def _generator_from_args(args, k: int) -> GeneratorConfig:
-    return GeneratorConfig(problem=args.problem, family=args.family, n=args.n,
-                           k=k, planted=args.planted, filler=args.filler,
-                           edge_prob=args.edge_prob)
-
-
-def _load_or_generate(args) -> InstanceSpec:
-    if args.input:
-        return _read_instance(args.input)
-    if not args.family:
-        raise SystemExit("either --input or a generator --family is required")
-    return generate_instance(_generator_from_args(args, args.k), args.seed)
-
-
 def _equivalent(spec: InstanceSpec, kept, limit: int | None) -> bool | None:
     """Whether the kernel on `kept` answers as `spec` does, by the exact
     solvers; None when either instance is past their size limit."""
@@ -59,7 +43,7 @@ def _equivalent(spec: InstanceSpec, kept, limit: int | None) -> bool | None:
 
 
 def cmd_kernelize(args) -> int:
-    spec = _load_or_generate(args)
+    spec = _read_instance(args.input)
     result = _kernelize(spec, args.epsilon, args.delta)
     report = result.report
     if isinstance(result, KernelOutput) and args.verify:
@@ -86,8 +70,8 @@ def cmd_kernelize(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = _read_instance(args.input)
-    answer = exact.exact_answer(spec, args.oracle_limit)
     opt = exact.optimum(spec.problem, spec.payload, args.oracle_limit)
+    answer = opt.value >= spec.k if spec.problem in PACKING_PROBLEMS else opt.value <= spec.k
     print(f"problem: {spec.problem}")
     print(f"optimum: {opt.value}")
     print(f"answer: {'yes' if answer else 'no'}")
@@ -145,7 +129,7 @@ def _check_solution(spec: InstanceSpec, kind: str, items) -> bool:
 
 def cmd_verify(args) -> int:
     spec = _read_instance(args.input)
-    if args.solution:
+    if args.solution is not None:
         kind, items = _parse_solution(Path(args.solution).read_text(), spec.payload.n)
         expected = "packing" if spec.problem in PACKING_PROBLEMS else "hitting"
         if kind != expected:
@@ -154,25 +138,19 @@ def cmd_verify(args) -> int:
         ok = _check_solution(spec, kind, items)
         print(f"valid: {'true' if ok else 'false'}")
         return 0 if ok else 1
-    if args.kernel:
-        other = _read_instance(args.kernel)
-        if other.problem != spec.problem:
-            print("equivalent: false (different problems)")
-            return 1
-        try:
-            a = exact.exact_answer(spec, args.oracle_limit)
-            b = exact.exact_answer(other, args.oracle_limit)
-        except TooLarge as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        ok = a == b
-        print(f"equivalent: {'true' if ok else 'false'}")
-        return 0 if ok else 1
-    raise SystemExit("verify needs --solution or --kernel")
+    other = _read_instance(args.kernel)
+    if other.problem != spec.problem:
+        print("equivalent: false (different problems)")
+        return 1
+    ok = exact.exact_answer(spec, args.oracle_limit) == exact.exact_answer(other, args.oracle_limit)
+    print(f"equivalent: {'true' if ok else 'false'}")
+    return 0 if ok else 1
 
 
 def cmd_gen(args) -> int:
-    spec = generate_instance(_generator_from_args(args, args.k), args.seed)
+    config = GeneratorConfig(problem=args.problem, family=args.family, n=args.n, k=args.k,
+                             planted=args.planted, filler=args.filler, edge_prob=args.edge_prob)
+    spec = generate_instance(config, args.seed)
     text = serialize_instance(spec)
     if args.output:
         Path(args.output).write_text(text)
@@ -181,62 +159,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    failures = 0
-    for k in range(args.k_min, args.k_max + 1):
-        for i in range(args.per_k):
-            seed = args.seed + 1000 * k + i
-            spec = generate_instance(_generator_from_args(args, k), seed)
-            start = time.perf_counter()
-            result = _kernelize(spec, args.epsilon, args.delta)
-            wall = time.perf_counter() - start
-            report = result.report
-            cases = Counter(rec.case for rec in report.rounds)
-            verified = "skipped"
-            if isinstance(result, KernelOutput):
-                if report.kernel_size > report.bound + 1e-9:
-                    failures += 1
-                if args.verify:
-                    same = _equivalent(spec, result.kept, args.oracle_limit)
-                    if same is not None:
-                        verified = "true" if same else "false"
-                        failures += not same
-            rows.append((f"{args.problem}-{args.family}-k{k}-s{seed}", args.problem,
-                         spec.payload.n, k, seed, report.status, report.kernel_size,
-                         report.bound, len(report.rounds), cases["case1"],
-                         cases["case2"], cases["matching"], round(wall, 6), verified))
-    text = "".join(",".join(map(str, row)) + "\n" for row in rows)
-    if not (args.output and Path(args.output).exists()):
-        text = ",".join(BENCH_FIELDS) + "\n" + text
-    if args.output:
-        with Path(args.output).open("a") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 1 if failures else 0
-
-
-def _add_generator_args(sub, require_family: bool):
-    sub.add_argument("--family", choices=("uniform", "gnp", "planted"),
-                     required=require_family)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--planted", type=int, default=None)
-    sub.add_argument("--filler", type=int, default=0)
-    sub.add_argument("--edge-prob", dest="edge_prob", type=float, default=0.5)
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def _add_oracle_limit(sub):
     sub.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=None)
-
-
-def _add_kernel_args(sub):
-    sub.add_argument("--epsilon", type=float, default=None,
-                     help="oracle slack of the 2-path problems; omit for 1")
-    sub.add_argument("--delta", type=float, default=None,
-                     help="exponent in (1,2]; omit for the k-dependent choice")
-    _add_oracle_limit(sub)
 
 
 @functools.cache  # once per process: argparse sizes the terminal on each add_argument
@@ -247,15 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("kernelize", help="shrink an instance to an equivalent kernel")
-    p.add_argument("--input", help="instance file (omit to generate)")
-    p.add_argument("--problem", choices=PROBLEMS, default="TPT")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--input", required=True, help="instance file (write one with gen)")
     p.add_argument("--output", help="kernel instance file")
     p.add_argument("--report", help="report JSON file (default: stdout)")
     p.add_argument("--verify", action="store_true",
                    help="confirm equivalence with the exact solvers")
-    _add_generator_args(p, require_family=False)
-    _add_kernel_args(p)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="oracle slack of the 2-path problems; omit for 1")
+    p.add_argument("--delta", type=float, default=None,
+                   help="exponent in (1,2]; omit for the k-dependent choice")
+    _add_oracle_limit(p)
     p.set_defaults(func=cmd_kernelize)
 
     p = subs.add_parser("solve", help="run the exact solver on an instance")
@@ -266,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="check a solution file or a kernel pair")
     p.add_argument("--input", required=True)
-    p.add_argument("--solution")
-    p.add_argument("--kernel")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--solution")
+    mode.add_argument("--kernel")
     _add_oracle_limit(p)
     p.set_defaults(func=cmd_verify)
 
@@ -275,19 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=PROBLEMS, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--output")
-    _add_generator_args(p, require_family=True)
+    p.add_argument("--family", choices=("uniform", "gnp", "planted"), required=True)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--planted", type=int, default=None)
+    p.add_argument("--filler", type=int, default=0)
+    p.add_argument("--edge-prob", dest="edge_prob", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
-
-    p = subs.add_parser("bench", help="sweep k over a generator family")
-    p.add_argument("--problem", choices=PROBLEMS, required=True)
-    p.add_argument("--k-min", dest="k_min", type=int, default=1)
-    p.add_argument("--k-max", dest="k_max", type=int, default=4)
-    p.add_argument("--per-k", dest="per_k", type=int, default=5)
-    p.add_argument("--output", help="CSV path; appends when the file exists")
-    p.add_argument("--verify", action="store_true")
-    _add_generator_args(p, require_family=True)
-    _add_kernel_args(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -159,7 +159,7 @@ def p3_pairs(rows: PoolRows, r: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, 
 class P3Decomp(Decomp):
     """Partial decomposition for the 2-path problems: the pool as sorted
     ids, keyed by clique, and a bucket named by the clique whose surviving
-    slice (`pool_parts`) its members see exactly; -1 (`detached`) names
+    pool slice its members see exactly; -1 names the detached vertices,
     those with no pool neighbor at all.
     """
 
@@ -176,20 +176,6 @@ class P3Decomp(Decomp):
         between them, so a bucket stays with its clique while the slice keeps
         a vertex, else it is detached (-1 reads the last count, always 0)."""
         return np.where(np.bincount(kept, minlength=len(self.loc.cliques) + 1)[labels] > 0, labels, -1)
-
-    @cached_property
-    def pool_parts(self) -> tuple[frozenset[int], ...]:
-        parts = group_by(self.keys, self.ids)
-        return tuple(parts.get(i, frozenset()) for i in range(len(self.loc.cliques)))
-
-    @cached_property
-    def buckets(self) -> tuple[frozenset[int], ...]:
-        parts = group_by(self.label[self.members], self.members)
-        return tuple(parts.get(i, frozenset()) for i in range(len(self.loc.cliques)))
-
-    @cached_property
-    def detached(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.label == -1).tolist())
 
     @cached_property
     def live(self) -> tuple[int, ...]:
@@ -233,7 +219,7 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
             f"bucket vertex {xs[r]} has the wrong pool neighborhood" for r in rows]
     per_treated = 1.0 + 2.0 * (4.0 + d.epsilon)  # 1 + 2 c1
     budget = per_treated * len(d.loc.core - d.colors)
-    size = len(d.detached) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|
+    size = np.count_nonzero(d.label == -1) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|
     if size > budget + 1e-9:
         out.append(f"size {size:.3f} exceeds budget {budget:.3f}")
     return out

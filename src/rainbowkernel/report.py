@@ -1,4 +1,4 @@
-"""Run reports: per-round traces of a kernelization and the bench CSV columns."""
+"""Run reports: per-round traces of a kernelization and its outcome."""
 from __future__ import annotations
 
 import json
@@ -57,11 +57,4 @@ class KernelOutput:
     kept: tuple[int, ...]
     report: KernelReport
     state: object
-
-
-#: columns of one `bench` CSV row, in order
-BENCH_FIELDS = (
-    "instance_id", "problem", "n", "k", "seed", "status", "kernel_size",
-    "bound", "rounds", "case1", "case2", "matching", "wall_time", "verified",
-)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .demand import BucketProfile, Demand, compute_demand
 from .errors import (BrokenInvariant, Case2SelectionFailed, InvalidSolution, NotAcyclic,
                      NotNicePair, OracleContractViolation, PreconditionViolated, RepackFailed)
-from .graphs import Tournament, group_by, is_acyclic, packing_fault, take_block, topological_order
+from .graphs import Tournament, is_acyclic, packing_fault, take_block, topological_order
 from .intervals import BucketInterval, block_joins
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
@@ -177,18 +177,6 @@ class TptDecomp(Decomp):
     @cached_property
     def s_psi(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.label[self.members].tolist())))
-
-    @cached_property
-    def buckets(self) -> dict[int, frozenset[int]]:
-        return group_by(self.label[self.members], self.members)
-
-    @cached_property
-    def bulk(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.in_bulk).tolist())
-
-    @cached_property
-    def spine(self) -> frozenset[int]:
-        return self.bucketed - self.loc.core - self.bulk
 
     @property
     def infinity(self) -> int:

@@ -1,5 +1,6 @@
 """The per-triple greedy localization, the component search that split the
-2-path-free remainder into cliques, the from-scratch bucket decomposition
+2-path-free remainder into cliques, a decomposition's pool parts, buckets
+and detached vertices read off its arrays, the from-scratch bucket decomposition
 (by the row test, and the per-vertex loop before it) and the decomposition
 built on it, where the kernelizer carries the labels from round to round
 (`rounds.Decomp.advance`), a scan for a vertex's bucket, the dense marks
@@ -98,6 +99,23 @@ def bucket_decompose_p3(pool: frozenset[int], bucketed: frozenset[int],
             tuple(buckets.get(i, frozenset()) for i in slices), buckets.get(-1, frozenset()))
 
 
+def pool_parts_of(d: P3Decomp) -> tuple[frozenset[int], ...]:
+    """The pool vertices of each clique slice of d, by clique."""
+    parts = group_by(d.keys, d.ids)
+    return tuple(parts.get(i, frozenset()) for i in range(len(d.loc.cliques)))
+
+
+def buckets_of(d: P3Decomp) -> tuple[frozenset[int], ...]:
+    """The members of each bucket of d, by clique."""
+    parts = group_by(d.label[d.members], d.members)
+    return tuple(parts.get(i, frozenset()) for i in range(len(d.loc.cliques)))
+
+
+def detached_of(d: P3Decomp) -> frozenset[int]:
+    """The bucketed vertices of d with no pool neighbor, labelled -1."""
+    return frozenset(np.flatnonzero(d.label == -1).tolist())
+
+
 def make_p3_decomp(loc: P3Localization, pool, bucketed, colors,
                    g: UndirectedGraph, epsilon: float) -> P3Decomp:
     """A decomposition of the partition (pool, bucketed, colors) with its
@@ -150,7 +168,7 @@ def bucket_decompose_p3_loop(pool: frozenset[int], bucketed: frozenset[int],
 
 def bucket_of_scan(d: P3Decomp, v: int) -> int:
     """The bucket label of an attached v as a scan over every bucket."""
-    for i, b in enumerate(d.buckets):
+    for i, b in enumerate(buckets_of(d)):
         if v in b:
             return i
     raise KeyError(v)
@@ -191,7 +209,7 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
                    f"bucket vertex {xs[r]} has the wrong pool neighborhood")
     per_treated = 1.0 + 2.0 * (4.0 + d.epsilon)  # 1 + 2 c1
     budget = per_treated * len(d.loc.core - d.colors)
-    size = len(d.detached) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|
+    size = len(detached_of(d)) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|
     if size > budget + 1e-9:
         out.append(f"size {size:.3f} exceeds budget {budget:.3f}")
     return out

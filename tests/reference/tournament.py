@@ -1,5 +1,6 @@
 """Per-(a, b) triangle localization (one numpy call per vertex pair) and the
-localization without its later-beater filter; the from-scratch bucket
+localization without its later-beater filter; a decomposition's buckets,
+bulk and spine read off its arrays; the from-scratch bucket
 decomposition (by the row test, and the per-vertex loop before it) and the
 decomposition built on it, where the kernelizer carries the labels from
 round to round (`rounds.Decomp.advance`), and an interval's window; the
@@ -91,6 +92,21 @@ def bucket_decompose_tpt(pool: frozenset[int], bucketed: frozenset[int],
     return tuple(buckets), buckets
 
 
+def buckets_of(d: TptDecomp) -> dict[int, frozenset[int]]:
+    """The members of each bucket of d, by bucket label."""
+    return group_by(d.label[d.members], d.members)
+
+
+def bulk_of(d: TptDecomp) -> frozenset[int]:
+    """The bulk of d: the vertices its `in_bulk` mask marks."""
+    return frozenset(np.flatnonzero(d.in_bulk).tolist())
+
+
+def spine_of(d: TptDecomp) -> frozenset[int]:
+    """The bucketed remainder vertices outside the bulk."""
+    return d.bucketed - d.loc.core - bulk_of(d)
+
+
 def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
                     bulk, t: Tournament, delta: float, c_delta: float) -> TptDecomp:
     """A decomposition of the partition (pool, bucketed, colors) with its
@@ -109,7 +125,7 @@ def make_tpt_decomp(loc: TriangleLocalization, pool, bucketed, colors, spine,
     ids = pool_ids(loc, pool)
     d = TptDecomp.start(t.matrix, triangle_pairs, label, ids, loc.position[ids], loc, in_bulk,
                         delta, c_delta)
-    if d.spine != spine:
+    if spine_of(d) != spine:
         raise ValueError("spine must be the bucketed remainder vertices outside the bulk")
     return d
 
@@ -160,9 +176,9 @@ def bucket_membership_problems(d: TptDecomp, t: Tournament) -> list[str]:
     pool_sorted = sorted(d.pool, key=lambda v: pos[v])
     positions = [pos[v] for v in pool_sorted]
     m = t.matrix
-    for i in sorted(d.buckets):
-        members = d.buckets[i]
-        for v in members:
+    buckets = buckets_of(d)
+    for i in sorted(buckets):
+        for v in buckets[i]:
             for w, p in zip(pool_sorted, positions):
                 forward = bool(m[v, w])
                 if p < i and forward:
@@ -174,7 +190,7 @@ def bucket_membership_problems(d: TptDecomp, t: Tournament) -> list[str]:
 
 def bucket_of_scan(d: TptDecomp, v: int) -> int:
     """The bucket label of v as a scan over every bucket."""
-    for i, b in d.buckets.items():
+    for i, b in buckets_of(d).items():
         if v in b:
             return i
     raise KeyError(v)

@@ -334,6 +334,17 @@ class TestSolveVerify:
         else:
             assert code == 2 and err.startswith(f"error: {error}") and "valid" not in out
 
+    @pytest.mark.parametrize("modes", [[], ["--solution", "{inst}", "--kernel", "{inst}"]],
+                             ids=["neither", "both"])
+    def test_verify_needs_exactly_one_mode(self, tmp_path, capsys, modes):
+        inst = tmp_path / "inst.txt"
+        inst.write_text(CYCLIC_TPT)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--input", str(inst), *(m.format(inst=inst) for m in modes)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "--solution" in err and "--kernel" in err
+        assert "Traceback" not in err
+
     def test_verify_kernel_pair(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
         main(["gen", "--problem", "FVST", "--family", "uniform", "--n", "12",
@@ -355,9 +366,12 @@ class TestSolveVerify:
     ["verify", "--input", "{inst}", "--solution", "{missing}"],
     ["gen", "--problem", "TPT", "--family", "uniform", "--n", "6", "--k", "1", "--output", "{missing}"],
     ["kernelize", "--input", "{inst}", "--report", "{missing}"],
+    ["verify", "--input", "{inst}", "--kernel", "{inst}", "--oracle-limit", "2"],
+    ["verify", "--input", "{inst}", "--solution", ""],
 ], ids=["kernelize-missing-input", "kernelize-directory-input", "solve-missing-input",
         "verify-missing-solution", "gen-output-in-missing-directory",
-        "kernelize-report-in-missing-directory"])
+        "kernelize-report-in-missing-directory", "verify-kernel-past-the-exact-limit",
+        "verify-empty-solution-path"])
 def test_file_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     inst = tmp_path / "inst.txt"
     inst.write_text(CYCLIC_TPT)
@@ -366,51 +380,28 @@ def test_file_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
-class TestBench:
-    def test_rows_and_bounds(self, tmp_path, capsys):
-        out_csv = tmp_path / "bench.csv"
-        code, _, _ = run(capsys, "bench", "--problem", "FVST", "--family",
-                         "uniform", "--n", "12", "--k-min", "1", "--k-max", "3",
-                         "--per-k", "2", "--seed", "1", "--verify",
-                         "--output", str(out_csv))
-        assert code == 0
-        lines = out_csv.read_text().strip().splitlines()
-        assert lines[0].startswith("instance_id,")
-        assert len(lines) == 1 + 3 * 2
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert float(fields[7]) >= int(fields[6])  # bound >= kernel size
-
-    def test_verified_column(self, capsys, monkeypatch):
-        args = ["bench", "--problem", "FVST", "--family", "uniform", "--n", "12",
-                "--k-min", "3", "--k-max", "3", "--per-k", "2", "--seed", "1", "--verify"]
-        code, out, _ = run(capsys, *args, "--oracle-limit", "8")
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        assert code == 0 and [r[5] for r in rows] == ["kernel", "kernel"]
-        assert [r[13] for r in rows] == ["skipped", "skipped"]
-        answers = iter([True, False, True, True])
-        monkeypatch.setattr(exact, "exact_answer", lambda spec, limit: next(answers))
-        code, out, _ = run(capsys, *args)
-        assert code == 1
-        assert [line.split(",")[13] for line in out.strip().splitlines()[1:]] == ["false", "true"]
-
-    def test_append_mode(self, tmp_path, capsys):
-        out_csv = tmp_path / "bench.csv"
-        args = ["bench", "--problem", "TPT", "--family", "uniform", "--n", "10",
-                "--k-min", "1", "--k-max", "1", "--per-k", "1", "--seed", "2",
-                "--output", str(out_csv)]
-        assert main(args) == 0
-        first = out_csv.read_text().splitlines()
-        assert main(args) == 0
-        second = out_csv.read_text().splitlines()
-        assert len(second) == len(first) + 1  # appended one record, no new header
+# there is no `bench` subcommand, and `kernelize` reads only files, which `gen` writes
+@pytest.mark.parametrize("argv", [
+    ["bench", "--problem", "FVST", "--family", "uniform", "--n", "12"],
+    ["kernelize", "--report", "{report}"],
+    ["kernelize", "--input", "{inst}", "--family", "uniform"],
+], ids=["bench", "kernelize-without-input", "kernelize-with---family"])
+def test_removed_cli_surface_exits_2(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(CYCLIC_TPT)
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(inst=inst, report=tmp_path / "r.json") for arg in argv])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: ") and "Traceback" not in err
 
 
 class TestFlags:
     # each subcommand registers only the flags it reads
-    REQUIRED = {"solve": ["--input", "x"], "verify": ["--input", "x"],
+    REQUIRED = {"kernelize": ["--input", "x"], "solve": ["--input", "x"],
+                "verify": ["--input", "x", "--solution", "y"],
                 "gen": ["--problem", "TPT", "--family", "uniform"]}
-    UNREAD = {"solve": ("--epsilon", "--delta", "--seed"),
+    UNREAD = {"kernelize": ("--problem", "--k", "--family", "--n", "--seed"),
+              "solve": ("--epsilon", "--delta", "--seed"),
               "verify": ("--epsilon", "--delta", "--seed"),
               "gen": ("--epsilon", "--delta", "--oracle-limit")}
 
@@ -422,24 +413,27 @@ class TestFlags:
                     build_parser().parse_args([command, *self.REQUIRED[command], flag, "1"])
 
     # the per-round validator cannot be switched off
-    @pytest.mark.parametrize("argv", [["kernelize", "--family", "uniform"],
-                                      ["bench", "--problem", "TPT", "--family", "uniform"]])
-    def test_no_validate_is_an_unknown_flag(self, capsys, argv):
+    @pytest.mark.parametrize("argv", [["kernelize", "--input", "{inst}"]])
+    def test_no_validate_is_an_unknown_flag(self, tmp_path, capsys, argv):
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", "TPT", "--family", "uniform", "--output", str(inst)])
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--no-validate"])
+            main([*(arg.format(inst=inst) for arg in argv), "--no-validate"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --no-validate" in capsys.readouterr().err
 
     # the kernel flags are registered for both families, so the problem decides
-    @pytest.mark.parametrize("command", ["kernelize", "bench"])
+    @pytest.mark.parametrize("command", ["kernelize"])
     @pytest.mark.parametrize("problem, flag, value", [
         ("TPT", "--epsilon", "nan"), ("FVST", "--epsilon", "1"),
         ("I2PP", "--delta", "2"), ("I2PHS", "--delta", "1.5")])
     def test_flags_the_problem_does_not_read_exit_2(self, tmp_path, capsys, command, problem,
                                                       flag, value):
         family = "gnp" if problem.startswith("I2") else "uniform"
-        args = [command, "--problem", problem, "--family", family, "--n", "10", "--seed", "1"]
-        args += ["--k", "2"] if command == "kernelize" else ["--k-min", "2", "--k-max", "2"]
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", problem, "--family", family, "--n", "10", "--seed", "1",
+              "--k", "2", "--output", str(inst)])
+        args = [command, "--input", str(inst)]
         assert run(capsys, *args)[0] == 0
         code, out, err = run(capsys, *args, flag, value)
         assert (code, out) == (2, "") and err == f"error: {flag} does not apply to {problem}\n"

@@ -183,8 +183,9 @@ def test_bucket_decompose_matches_per_vertex_loop(family, data):
 def _fresh_tpt(d, t, pool, bucketed, colors):
     """The decomposition of (pool, bucketed, colors) with d's bulk, read from
     scratch."""
+    bulk = ref_tournament.bulk_of(d)
     return ref_tournament.make_tpt_decomp(d.loc, pool, bucketed, colors,
-                                          bucketed - d.loc.core - d.bulk, d.bulk, t,
+                                          bucketed - d.loc.core - bulk, bulk, t,
                                           d.delta, d.c_delta)
 
 
@@ -233,7 +234,7 @@ def test_relabelled_buckets_match_a_fresh_decomposition(monkeypatch):
     validates holds the buckets (read off its labels) and the edges that a
     fresh read of the tournament gives."""
     def fresh(d, t):
-        assert (d.s_psi, d.buckets) == ref_tournament.bucket_decompose_tpt(
+        assert (d.s_psi, ref_tournament.buckets_of(d)) == ref_tournament.bucket_decompose_tpt(
             d.pool, d.bucketed, t, d.loc)
 
     _carried_against_fresh(monkeypatch, tournament, "check_tpt_decomp", fresh, tournament_runs)
@@ -246,8 +247,8 @@ def test_carried_p3_buckets_match_a_fresh_decomposition(monkeypatch):
     its labels) of the per-vertex read of the graph, and the edges of a
     fresh read."""
     def fresh(d, g):
-        assert (d.pool_parts, d.buckets, d.detached) == ref_p3.bucket_decompose_p3_loop(
-            d.pool, d.bucketed, g, d.loc)
+        views = ref_p3.pool_parts_of(d), ref_p3.buckets_of(d), ref_p3.detached_of(d)
+        assert views == ref_p3.bucket_decompose_p3_loop(d.pool, d.bucketed, g, d.loc)
 
     _carried_against_fresh(monkeypatch, p3, "check_p3_decomp", fresh, p3_runs)
 

@@ -20,7 +20,7 @@ from rainbowkernel.p3 import (Decided, KernelOutput, P3Localization,
 from rainbowkernel.rainbow import ColorCover, OracleStats, RainbowOracle
 from rainbowkernel.rounds import PackingFound, RuleStop
 
-from .reference.p3 import bucket_decompose_p3, bucket_of_scan, make_p3_decomp
+from .reference.p3 import bucket_decompose_p3, bucket_of_scan, detached_of, make_p3_decomp
 from .strategies import graphs
 from .test_acceptance import _graph_corpus
 
@@ -242,7 +242,7 @@ class TestRule:
             if not isinstance(out, KernelOutput):
                 continue
             d = out.state.final
-            matched, attached = out.state.matching.vertices(), d.bucketed - d.detached
+            matched, attached = out.state.matching.vertices(), d.bucketed - detached_of(d)
             assert len(matched) == 2 * len(d.colors) + len(attached)
             assert len(out.kept) == len(d.bucketed) + 3 * len(d.colors) + len(attached)
             found += 1
@@ -434,12 +434,12 @@ class TestBucketIndex:
                 if not isinstance(out, KernelOutput):
                     continue
                 d = out.state.final
-                attached = d.bucketed - d.detached
+                attached = d.bucketed - detached_of(d)
                 assert {v: d.label[v] for v in attached} == \
                     {v: bucket_of_scan(d, v) for v in attached}
                 checked += len(attached)
                 # detached bucketed vertices sit in no bucket
-                for v in d.detached:
+                for v in detached_of(d):
                     assert d.label[v] == -1
                     with pytest.raises(KeyError):
                         bucket_of_scan(d, v)

@@ -28,7 +28,7 @@ from rainbowkernel.tournament import (TriangleLocalization, add1,
 
 from .reference.tournament import (bucket_decompose_tpt,
                                    bucket_membership_problems, bucket_of_scan,
-                                   make_tpt_decomp, window)
+                                   buckets_of, bulk_of, make_tpt_decomp, window)
 from .strategies import tournaments
 from .test_acceptance import _near_transitive, _tournament_corpus
 
@@ -233,8 +233,8 @@ class TestAddOperations:
         color = sorted(d.colors)[0]
         moved = frozenset({3, 4})  # positions 4 and 5
         nxt = add1(d, t, moved, frozenset({color}))
-        old_parts = set(d.buckets.values()) | {frozenset({v}) for v in moved | {color}}
-        for members in nxt.buckets.values():
+        old_parts = set(buckets_of(d).values()) | {frozenset({v}) for v in moved | {color}}
+        for members in buckets_of(nxt).values():
             rebuilt = set()
             for part in old_parts:
                 if part <= members:
@@ -246,8 +246,9 @@ class TestAddOperations:
         interval = BucketInterval(3, 6)
         nxt = add2(d, compute_demand(d.profile), interval)
         assert nxt.s_psi == (6,)
-        assert nxt.buckets[6] == d.buckets[3] | d.buckets[6] | window(d, interval)
-        assert nxt.bulk == window(d, interval)
+        before = buckets_of(d)
+        assert buckets_of(nxt)[6] == before[3] | before[6] | window(d, interval)
+        assert bulk_of(nxt) == window(d, interval)
         assert check_tpt_decomp(nxt, t) == []
 
     def test_add2_seed_count_accumulates(self):
@@ -312,7 +313,7 @@ class TestRuleCases:
     def test_empty_everything_stops_with_buckets(self):
         t, d = decomp_with_extras(2, [1])
         d_empty = make_tpt_decomp(d.loc, frozenset(), d.bucketed | d.pool,
-                                  frozenset(), frozenset(), d.pool | d.bulk,
+                                  frozenset(), frozenset(), d.pool | bulk_of(d),
                                   t, d.delta, d.c_delta)
         step = apply_rule_tpt(d_empty, t, RainbowOracle())
         assert isinstance(step, RuleStop)
@@ -372,7 +373,7 @@ class TestKernelize:
             total = sum(demand.values.values())
             assert len(vertices) == total + 2 * len(d.colors)
             assert total + 2 * len(d.colors) <= \
-                2 * sum(len(b) for b in d.buckets.values()) + 2 * len(d.colors)
+                2 * sum(len(b) for b in buckets_of(d).values()) + 2 * len(d.colors)
             found += 1
         assert found >= 5
 
