@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import exact
 from .errors import InternalError, InvalidSolution, ParseError, TooLarge
@@ -17,8 +16,14 @@ from .report import Decided, KernelOutput
 from .tournament import kernelize_tournament
 
 
-def _read_instance(path: str) -> InstanceSpec:
-    return parse_instance(Path(path).read_text())
+def _read(path: str) -> str:
+    with open(path) as fh:  # text mode: decoding and newlines as `Path.read_text`
+        return fh.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "wb") as fh:  # bytes: no text layer, line ends as given
+        fh.write(text.encode())
 
 
 def _kernelize(spec: InstanceSpec, epsilon, delta):
@@ -31,29 +36,27 @@ def _kernelize(spec: InstanceSpec, epsilon, delta):
     return kernelize_tournament(spec.payload, spec.k, delta=delta, problem=spec.problem)
 
 
-def _equivalent(spec: InstanceSpec, kept, limit: int | None) -> bool | None:
-    """Whether the kernel on `kept` answers as `spec` does, by the exact
-    solvers; None when either instance is past their size limit."""
+def _equivalent(spec: InstanceSpec, kernel: InstanceSpec, limit: int | None) -> bool | None:
+    """Whether `kernel` answers as `spec` does, by the exact solvers; None
+    when either instance is past their size limit."""
     try:
-        before = exact.exact_answer(spec, limit)
-        kernel = InstanceSpec(spec.problem, spec.payload.induced(kept), spec.k)
-        return before == exact.exact_answer(kernel, limit)
+        return exact.exact_answer(spec, limit) == exact.exact_answer(kernel, limit)
     except TooLarge:
         return None
 
 
 def cmd_kernelize(args) -> int:
-    spec = _read_instance(args.input)
+    spec = parse_instance(_read(args.input))
     result = _kernelize(spec, args.epsilon, args.delta)
     report = result.report
-    if isinstance(result, KernelOutput) and args.verify:
-        report.equivalent = _equivalent(spec, result.kept, args.oracle_limit)
-    if args.output and isinstance(result, KernelOutput):
-        kernel_payload = spec.payload.induced(result.kept)
-        Path(args.output).write_text(
-            serialize_instance(InstanceSpec(spec.problem, kernel_payload, spec.k)))
+    if isinstance(result, KernelOutput) and (args.verify or args.output):
+        kernel = InstanceSpec(spec.problem, spec.payload.induced(result.kept), spec.k)
+        if args.verify:
+            report.equivalent = _equivalent(spec, kernel, args.oracle_limit)
+        if args.output:
+            _write(args.output, serialize_instance(kernel))
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n")
+        _write(args.report, report.to_json() + "\n")
     else:
         print(report.to_json())
     if isinstance(result, Decided):
@@ -69,7 +72,7 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = _read_instance(args.input)
+    spec = parse_instance(_read(args.input))
     opt = exact.optimum(spec.problem, spec.payload, args.oracle_limit)
     answer = opt.value >= spec.k if spec.problem in PACKING_PROBLEMS else opt.value <= spec.k
     print(f"problem: {spec.problem}")
@@ -128,9 +131,9 @@ def _check_solution(spec: InstanceSpec, kind: str, items) -> bool:
 
 
 def cmd_verify(args) -> int:
-    spec = _read_instance(args.input)
+    spec = parse_instance(_read(args.input))
     if args.solution is not None:
-        kind, items = _parse_solution(Path(args.solution).read_text(), spec.payload.n)
+        kind, items = _parse_solution(_read(args.solution), spec.payload.n)
         expected = "packing" if spec.problem in PACKING_PROBLEMS else "hitting"
         if kind != expected:
             print(f"valid: false (need a {expected} for {spec.problem})")
@@ -138,7 +141,7 @@ def cmd_verify(args) -> int:
         ok = _check_solution(spec, kind, items)
         print(f"valid: {'true' if ok else 'false'}")
         return 0 if ok else 1
-    other = _read_instance(args.kernel)
+    other = parse_instance(_read(args.kernel))
     if other.problem != spec.problem:
         print("equivalent: false (different problems)")
         return 1
@@ -153,7 +156,7 @@ def cmd_gen(args) -> int:
     spec = generate_instance(config, args.seed)
     text = serialize_instance(spec)
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

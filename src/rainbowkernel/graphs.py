@@ -42,6 +42,17 @@ class UndirectedGraph:
         m.setflags(write=False)
         self.n, self._matrix = n, m
 
+    @classmethod
+    def from_matrix(cls, matrix) -> "UndirectedGraph":
+        """The graph with the adjacency `matrix`: square, symmetric, no loops."""
+        m = np.array(matrix, dtype=bool)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.diagonal().any() or (m != m.T).any():
+            raise ValueError("an adjacency matrix is square and symmetric with a False diagonal")
+        m.setflags(write=False)
+        g = cls.__new__(cls)
+        g.n, g._matrix = m.shape[0], m
+        return g
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._matrix[u, v])
 
@@ -59,7 +70,7 @@ class UndirectedGraph:
     def induced(self, keep: Iterable[int]) -> "UndirectedGraph":
         """Induced subgraph on `keep`, relabeled to 0..|keep|-1 in sorted id order."""
         ids = sorted(set(keep))
-        return UndirectedGraph(len(ids), np.argwhere(take_block(self._matrix, ids, ids)))
+        return UndirectedGraph.from_matrix(take_block(self._matrix, ids, ids))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UndirectedGraph) and np.array_equal(self._matrix, other._matrix)
@@ -296,7 +307,7 @@ class ColoredMultigraph:
         ids = np.sort(np.asarray(vertices, dtype=np.intp))
         if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate vertices")
-        us, vs, color = (np.asarray(x, dtype=np.intp) for x in (us, vs, colors))
+        us, vs, color = (np.array(x, dtype=np.intp) for x in (us, vs, colors))
         lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         u, v, ext = np.searchsorted(ids, lo), np.searchsorted(ids, hi), np.append(ids, 0)
         outside = (ext[u] != lo) | (ext[v] != hi) | (v == ids.size)
@@ -306,14 +317,16 @@ class ColoredMultigraph:
                              "endpoint outside the vertex set")
         if ((color < 0) | (color >= p)).any():
             raise ValueError(f"color {color[(color < 0) | (color >= p)][0]} out of range [0, {p})")
-        # one key per edge orders by (color, u, v) and shows parallel edges side by side
+        # one key per edge orders by (color, u, v); strictly increasing keys need no sort
         n = max(ids.size, 1)
-        key = np.sort((color * n + u) * n + v, kind="stable")
-        color, u, v = key // (n * n), key // n % n, key % n
-        twin = np.flatnonzero(key[1:] == key[:-1])
-        if twin.size:
-            i = twin[0]
-            raise ValueError(f"parallel edges on {{{ids[u[i]]}, {ids[v[i]]}}} share color {color[i]}")
+        key = (color * n + u) * n + v
+        if not (key[1:] > key[:-1]).all():
+            key.sort(kind="stable")
+            color, u, v = key // (n * n), key // n % n, key % n
+            twin = np.flatnonzero(key[1:] == key[:-1])
+            if twin.size:
+                i = twin[0]
+                raise ValueError(f"parallel edges on {{{ids[u[i]]}, {ids[v[i]]}}} share color {color[i]}")
         offsets = np.searchsorted(color, np.arange(p + 1))
         if (np.diff(offsets) == 0).any():
             raise ValueError("color map not surjective; unused colors "

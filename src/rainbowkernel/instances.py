@@ -85,22 +85,22 @@ def _validate_config(cfg: GeneratorConfig) -> None:
     if cfg.filler < 0 or (cfg.planted is not None and cfg.planted < 0):
         raise InvalidConfig("sizes must be non-negative")
     is_tournament = cfg.problem in TOURNAMENT_PROBLEMS
-    if cfg.family == "uniform":
-        if not is_tournament:
-            raise InvalidConfig("family 'uniform' generates tournaments")
-        if cfg.n is None or cfg.n < 0:
-            raise InvalidConfig("family 'uniform' needs a vertex count")
-    elif cfg.family == "gnp":
-        if is_tournament:
-            raise InvalidConfig("family 'gnp' generates graphs")
-        if cfg.n is None or cfg.n < 0:
-            raise InvalidConfig("family 'gnp' needs a vertex count")
-    elif cfg.family == "planted":
-        if cfg.n is not None and cfg.n != _planted_size(cfg):
-            raise InvalidConfig(
-                f"planted family has n = 3*planted + filler = {_planted_size(cfg)}, got {cfg.n}")
-    else:
+    if cfg.family == "uniform" and not is_tournament:
+        raise InvalidConfig("family 'uniform' generates tournaments")
+    if cfg.family == "gnp" and is_tournament:
+        raise InvalidConfig("family 'gnp' generates graphs")
+    if cfg.family == "planted" and cfg.n is not None and cfg.n != _planted_size(cfg):
+        raise InvalidConfig(
+            f"planted family has n = 3*planted + filler = {_planted_size(cfg)}, got {cfg.n}")
+    if cfg.family not in ("uniform", "gnp", "planted"):
         raise InvalidConfig(f"unknown family {cfg.family!r}")
+    n = _planted_size(cfg) if cfg.family == "planted" else cfg.n
+    if n is None:
+        raise InvalidConfig(f"family {cfg.family!r} needs a vertex count")
+    if n < 0:
+        raise InvalidConfig("vertex count must be non-negative")
+    if not is_tournament and n > MAX_GRAPH_VERTICES:  # the parser would reject the file
+        raise InvalidConfig(f"vertex count {n} exceeds the limit {MAX_GRAPH_VERTICES}")
 
 
 def generate_instance(cfg: GeneratorConfig, seed: int) -> InstanceSpec:

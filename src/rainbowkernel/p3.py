@@ -234,10 +234,11 @@ def clean_p3(d: P3Decomp, g: UndirectedGraph) -> P3Decomp:
 def build_p3_aux(d: P3Decomp) -> Aux:
     """Vertex set = pool.  An ordinary edge per induced 2-path {c, v, w}
     with c in colors and v, w in the pool, colored c; a loop per (bucket
-    vertex u, clique vertex v) pair, colored u."""
-    parts = group_by(d.keys, d.ids, list)
-    return build_aux(d, [(("bucket", u), parts.get(i, [])) for u, i in
-                         zip(d.members.tolist(), d.label[d.members].tolist()) if i >= 0])
+    vertex u, clique vertex v) pair, colored u; the pool is grouped by clique
+    only when some bucket vertex needs its loops."""
+    looped = [(u, i) for u, i in zip(d.members.tolist(), d.label[d.members].tolist()) if i >= 0]
+    parts = group_by(d.keys, d.ids, list) if looped else {}
+    return build_aux(d, [(("bucket", u), parts.get(i, [])) for u, i in looped])
 
 
 def apply_rule_p3(d: P3Decomp, g: UndirectedGraph, oracle: RainbowOracle) -> RuleStop | RuleNext:

@@ -84,8 +84,9 @@ class Decomp:
         block, as sorted columns (color id, lower pool id, higher pool id)."""
         rows = read_block(matrix, ids, keys, np.flatnonzero(label == COLOR))
         r, us, vs = color_edges(rows, emit)
-        edges = np.stack((rows.xs[r], np.minimum(us, vs), np.maximum(us, vs)))
-        return cls(label, ids, keys, edges[:, np.lexsort(edges[::-1])], *fields)
+        c, lo, hi = edges = np.stack((rows.xs[r], np.minimum(us, vs), np.maximum(us, vs)))
+        n = matrix.shape[0]  # one key per edge, c n^2 + lo n + hi: inside int64 for n < 2*10^6
+        return cls(label, ids, keys, edges[:, np.argsort((c * n + lo) * n + hi)], *fields)
 
     def __post_init__(self):
         # the one law the label array does not hold by itself

@@ -1,14 +1,16 @@
 """Per-character tournament text format (an arc list while parsing, one
-numpy scalar lookup per character while serializing), and the per-line graph
-parser with the graph it built: one frozenset of neighbours per vertex."""
+numpy scalar lookup per character while serializing), the per-line graph
+parser with the graph it built: one frozenset of neighbours per vertex, and
+the induced sub-instance built from its edge list."""
 from __future__ import annotations
 
 from typing import Iterable
 
 import numpy as np
 
+from rainbowkernel import graphs
 from rainbowkernel.errors import ParseError
-from rainbowkernel.graphs import Tournament
+from rainbowkernel.graphs import Tournament, take_block
 from rainbowkernel.instances import MAX_GRAPH_VERTICES, _reject_trailing
 
 
@@ -157,3 +159,13 @@ def _parse_graph_lines(lines: list[str], start: int) -> tuple[UndirectedGraph, i
     except ValueError as exc:
         raise ParseError(start + 1, str(exc)) from exc
     return g, start + 1 + m
+
+
+def induced_by_edge_list(payload, keep):
+    """`payload.induced(keep)` by way of an edge list, as graphs were built
+    before `UndirectedGraph.from_matrix`: the kept block's True cells as
+    pairs, then a new object from the pairs."""
+    ids = sorted(set(keep))
+    if isinstance(payload, Tournament):
+        return Tournament.from_arcs(len(ids), np.argwhere(take_block(payload.matrix, ids, ids)))
+    return graphs.UndirectedGraph(len(ids), np.argwhere(take_block(payload.matrix(), ids, ids)))

@@ -6,15 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rainbowkernel import exact, p3, rainbow, tournament
+from rainbowkernel import cli, exact, instances, p3, rainbow, tournament
 from rainbowkernel.cli import build_parser, main
 from rainbowkernel.demand import BucketProfile
 from rainbowkernel.errors import NotNicePair, ParseError
 from rainbowkernel.intervals import BucketInterval
-from rainbowkernel.graphs import Tournament
+from rainbowkernel.graphs import Tournament, UndirectedGraph
 from rainbowkernel.rounds import COLOR, POOL
 from rainbowkernel.instances import (MAX_GRAPH_VERTICES, InstanceSpec,
                                      parse_instance, serialize_instance)
+
+from .reference.text import induced_by_edge_list
 
 
 CYCLIC_TPT = serialize_instance(InstanceSpec("TPT", Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), 1))
@@ -48,6 +50,50 @@ class TestGen:
         assert code == 0
         spec = parse_instance(out)
         assert spec.problem == "I2PP" and spec.payload.n == 6
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--problem", "I2PP", "--family", "gnp", "--n", "10001"],
+     "vertex count 10001 exceeds the limit 10000"),
+    (["--problem", "I2PHS", "--family", "planted", "--k", "1", "--planted", "3334"],
+     "vertex count 10002 exceeds the limit 10000"),
+    (["--problem", "TPT", "--family", "uniform", "--n", "-1"],
+     "vertex count must be non-negative"),
+], ids=["gnp-10001", "planted-10002", "uniform-negative"])
+def test_gen_rejects_sizes_the_parser_rejects(capsys, monkeypatch, argv, error):
+    def reached(*args):
+        raise AssertionError("the generator ran")
+    for name in ("_uniform_tournament", "_gnp_graph", "_planted_tournament", "_planted_graph"):
+        monkeypatch.setattr(instances, name, reached)
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("gen", [
+    ["--problem", "TPT", "--family", "planted", "--k", "8", "--planted", "1", "--filler", "30"],
+    ["--problem", "I2PHS", "--family", "gnp", "--n", "40", "--k", "10", "--edge-prob", "0.05",
+     "--seed", "2"],
+], ids=["TPT", "I2PHS"])
+def test_output_bytes_are_pinned(tmp_path, capsys, gen):
+    """`gen`, kernel and report files are the serialized text as bytes with
+    `\\n` line ends; the kernel is what the edge-list path builds, and a
+    CRLF copy of the input gives the same files."""
+    inst, crlf = tmp_path / "inst.txt", tmp_path / "crlf.txt"
+    assert main(["gen", *gen, "--output", str(inst)]) == 0
+    text = inst.read_bytes()
+    spec = parse_instance(text.decode())
+    assert text == serialize_instance(spec).encode() and b"\r" not in text
+    crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+    result = cli._kernelize(spec, None, None)
+    assert result.report.status == "kernel" and len(result.kept) < spec.payload.n
+    kernel = InstanceSpec(spec.problem, induced_by_edge_list(spec.payload, result.kept), spec.k)
+    for source in (inst, crlf):
+        kern, rep = tmp_path / f"{source.stem}.kernel", tmp_path / f"{source.stem}.json"
+        code, _, _ = run(capsys, "kernelize", "--input", str(source), "--output", str(kern),
+                         "--report", str(rep))
+        assert code == 0
+        assert kern.read_bytes() == serialize_instance(kernel).encode()
+        assert rep.read_bytes() == (result.report.to_json() + "\n").encode()
 
 
 class TestKernelize:
@@ -90,6 +136,18 @@ class TestKernelize:
         report = json.loads(rep.read_text())
         assert code == 0 and report["status"] == "kernel"
         assert report["equivalent"] is None and "equivalent" not in out
+
+    def test_verify_and_output_build_the_kernel_once(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "inst.txt"
+        main(["gen", "--problem", "I2PHS", "--family", "gnp", "--n", "40", "--k", "10",
+              "--edge-prob", "0.05", "--seed", "2", "--output", str(inst)])
+        calls = []
+        induced = UndirectedGraph.induced
+        monkeypatch.setattr(UndirectedGraph, "induced",
+                            lambda g, keep: calls.append(keep) or induced(g, keep))
+        code, out, _ = run(capsys, "kernelize", "--input", str(inst), "--verify",
+                           "--oracle-limit", "40", "--output", str(tmp_path / "k.txt"))
+        assert code == 0 and "equivalent: true" in out and len(calls) == 1
 
     def test_failed_verification_exits_1(self, tmp_path, capsys, monkeypatch):
         inst = tmp_path / "inst.txt"

@@ -15,6 +15,7 @@ from rainbowkernel.graphs import (ColoredMultigraph, Tournament,
                                   parse_colored_multigraph, topological_order)
 
 from .reference import p3 as ref_p3
+from .reference.text import induced_by_edge_list
 from .strategies import colored_multigraphs, graphs, tournaments
 
 
@@ -67,6 +68,91 @@ class TestTypes:
     def test_multigraph_rejects_parallel_same_color(self):
         with pytest.raises(ValueError, match="parallel"):
             ColoredMultigraph((0, 1), [0, 1], [1, 0], [0, 0], 1)
+
+
+class TestShortcuts:
+    """`UndirectedGraph.from_matrix` and a multigraph built from edges
+    already in order skip work; they must build what the long way builds
+    and reject what it rejects, with the same messages."""
+
+    @given(graphs(), st.lists(st.integers(min_value=0, max_value=11), max_size=16))
+    def test_induced_equals_the_edge_list_path(self, g, keep):
+        keep = [v for v in keep if v < g.n]
+        h = g.induced(keep)
+        assert h == induced_by_edge_list(g, keep) and h.n == len(set(keep))
+        assert not h.matrix().flags.writeable
+
+    @given(st.integers(min_value=0, max_value=5), st.data())
+    def test_from_matrix_accepts_exactly_adjacency_matrices(self, n, data):
+        cells = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        m = np.array(cells, dtype=bool).reshape(n, n)
+        if data.draw(st.booleans()):  # mostly valid: the upper triangle mirrored
+            m = np.triu(m, 1) | np.triu(m, 1).T
+        if (m == m.T).all() and not m.diagonal().any():
+            g = UndirectedGraph.from_matrix(m)
+            assert g == UndirectedGraph(n, np.argwhere(m)) and not g.matrix().flags.writeable
+        else:
+            with pytest.raises(ValueError):
+                UndirectedGraph.from_matrix(m)
+
+    @pytest.mark.parametrize("m", [np.zeros(3, dtype=bool), np.zeros((2, 3), dtype=bool),
+                                   np.zeros((2, 2, 2), dtype=bool), [[False, True], [False, False]],
+                                   [[True, False], [False, False]]],
+                             ids=["vector", "non-square", "cube", "asymmetric", "loop"])
+    def test_from_matrix_rejects(self, m):
+        with pytest.raises(ValueError):
+            UndirectedGraph.from_matrix(m)
+
+    @staticmethod
+    def _shuffled(us, vs, cs, data):
+        """The edge columns in a drawn order, some with their ends swapped."""
+        perm = np.array(data.draw(st.permutations(range(cs.size))), dtype=np.intp)
+        swap = np.array(data.draw(st.lists(st.booleans(), min_size=cs.size, max_size=cs.size)),
+                        dtype=bool)
+        return np.where(swap, vs, us)[perm], np.where(swap, us, vs)[perm], cs[perm]
+
+    @given(colored_multigraphs(), st.data())
+    def test_in_order_input_builds_what_shuffled_input_builds(self, cm, data):
+        us, vs, cs = cm.vertices[cm.u], cm.vertices[cm.v], cm.color
+        n = cm.vertices.size
+        assert (np.diff((cs * n + cm.u) * n + cm.v) > 0).all()  # strictly in order
+        a = ColoredMultigraph(cm.vertices[::-1], us, vs, cs, cm.p)
+        b = ColoredMultigraph(cm.vertices, *self._shuffled(us, vs, cs, data), cm.p)
+        for name in ("vertices", "u", "v", "color", "offsets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert not getattr(a, name).flags.writeable
+
+    @given(colored_multigraphs(), st.sampled_from(["duplicate vertex", "endpoint outside",
+                                                   "color out of range", "parallel same color",
+                                                   "unused color"]), st.data())
+    def test_errors_do_not_depend_on_the_input_order(self, cm, fault, data):
+        vertices, p = cm.vertices.tolist(), cm.p
+        us, vs, cs = cm.vertices[cm.u], cm.vertices[cm.v], cm.color.copy()
+        i = data.draw(st.integers(min_value=0, max_value=cs.size - 1))
+        if fault == "duplicate vertex":
+            vertices.append(vertices[i % len(vertices)])
+        elif fault == "endpoint outside":
+            vs[i] = max(vertices) + 1
+        elif fault == "color out of range":
+            cs[-1] = p
+        elif fault == "parallel same color":
+            us, vs, cs = (np.insert(x, i, x[i]) for x in (us, vs, cs))
+        else:
+            gone = cs != cs[i]
+            if not gone.any():  # the only color: leave it, one past it goes unused
+                gone, p = ~gone, p + 1
+            us, vs, cs = us[gone], vs[gone], cs[gone]
+        in_order = _constructor_error(vertices, us, vs, cs, p)
+        shuffled = _constructor_error(vertices[::-1], *self._shuffled(us, vs, cs, data), p)
+        assert in_order is not None and in_order == shuffled
+
+
+def _constructor_error(*args) -> str | None:
+    try:
+        ColoredMultigraph(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestTopologicalOrder:
