@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import NotAcyclic, ParseError
+from .errors import NotAcyclic
 
 
 def take_block(matrix: np.ndarray, rows, cols) -> np.ndarray:
@@ -359,43 +359,3 @@ class ColoredMultigraph:
 def make_colored_multigraph(vertices: Iterable[int], edges: Iterable[ColoredEdge], p: int) -> ColoredMultigraph:
     uvc = np.array(list(edges), dtype=np.intp).reshape(-1, 3)
     return ColoredMultigraph(sorted(set(vertices)), uvc[:, 0], uvc[:, 1], uvc[:, 2], p)
-
-
-def dump_colored_multigraph(cm: ColoredMultigraph) -> str:
-    """Debug dump: one line per edge, `loop v c` or `edge u v c`."""
-    return "".join(f"loop {e.u} {e.color}\n" if e.is_loop else f"edge {e.u} {e.v} {e.color}\n"
-                   for e in cm.edges)
-
-
-def parse_colored_multigraph(text: str) -> ColoredMultigraph:
-    """Parse the debug dump format.  Vertices and the color count are inferred
-    from the edges; colors must form a contiguous range starting at 0."""
-    edges = []
-    vertices: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "loop" and len(parts) == 3:
-                v, c = int(parts[1]), int(parts[2])
-                edges.append(colored_edge(v, v, c))
-                vertices.add(v)
-            elif parts[0] == "edge" and len(parts) == 4:
-                u, v, c = int(parts[1]), int(parts[2]), int(parts[3])
-                if u == v:
-                    raise ParseError(lineno, "ordinary edge with equal endpoints")
-                edges.append(colored_edge(u, v, c))
-                vertices.update((u, v))
-            else:
-                raise ParseError(lineno, f"unrecognized edge line {line!r}")
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(lineno, f"bad integer in {line!r}") from exc
-    p = 1 + max((e.color for e in edges), default=-1)
-    try:
-        return make_colored_multigraph(vertices, edges, p)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(len(text.splitlines()), str(exc)) from exc

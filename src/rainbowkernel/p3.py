@@ -28,12 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BrokenInvariant, InvalidSolution, NotNicePair, OracleContractViolation, RepackFailed
-from .graphs import UndirectedGraph, clique_fit, clique_partition, group_by, packing_fault, take_block
+from .graphs import UndirectedGraph, clique_fit, clique_partition, group_by, packing_fault
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
-from .rounds import (BLOCK_PAIRS, COLOR, POOL, Aux, Decomp, KernelState, PackingFound, PoolRows,
-                     RuleNext, RuleStop, build_aux, clean, demote, finite, first_true,
-                     read_block, run_rounds)
+from .rounds import (COLOR, POOL, Aux, Decomp, KernelState, PackingFound, PoolRows, RuleNext,
+                     RuleStop, build_aux, check_nice_pair, clean, demote, finite, row_test,
+                     run_rounds)
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,10 @@ def _first_p3(m: np.ndarray, near: np.ndarray, free: np.ndarray) -> tuple[int, i
 
 
 def p3_rows(g: UndirectedGraph, loc: P3Localization, ids: np.ndarray, xs) -> PoolRows:
-    """The nice-pair row test against the pool `ids`, sorted, keyed by clique.
-    The pool is a union of clique slices with no edge between them, so x
-    forms an induced 2-path with two pool vertices exactly when its pool
-    neighbourhood is neither empty nor one whole slice.  Row x is labelled
-    with the clique of its least pool neighbour u (-1 when it has none); its
-    witness is u - x - w for the least neighbour w outside that clique, else
-    x - u - w for the least w of the slice that x misses."""
-    xs, ids, keys, rows, *_ = block = read_block(g.matrix(), ids, loc.clique_of[ids], xs)
-    first = first_true(rows)
-    label = np.append(keys, -1)[first]
-    same = keys == label[:, None]
-    extra, lack = first_true(rows & ~same), first_true(~rows & same)
-    crosses, misses = extra < ids.size, lack < ids.size
-    ext = np.append(ids, -1)
-    witnesses = np.where(crosses[:, None], np.column_stack((ext[first], xs, ext[extra])),
-                         np.column_stack((xs, ext[first], ext[lack])))[crosses | misses].tolist()
-    return block._replace(label=label, bad=crosses | misses, witnesses=list(map(tuple, witnesses)))
+    """The nice-pair row test against the pool `ids`, sorted, keyed by clique:
+    a member of bucket i sees exactly the pool slice of clique i, -1 when it
+    sees no pool vertex, so a bad row sees two slices or misses part of one."""
+    return row_test(g.matrix(), ids, loc.clique_of[ids], xs, np.equal, -1)
 
 
 def p3_pairs(rows: PoolRows, r: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,35 +175,11 @@ class P3Decomp(Decomp):
 
 def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     """Full validator, and the one fresh read of the graph in a round:
-    colors, pool shape, nice pair, bucket membership and the size budget
+    colors, the nice-pair law (`rounds.check_nice_pair`) and the size budget
     (empty list = all hold).  The labels partition the vertices; the
-    constructors hold the pool ids to the POOL labels and in the remainder.
-    A member of bucket i must see exactly slice i (a detached one nothing),
-    a pool vertex its slice but itself; only the rows that do not are read
-    for witnesses and messages."""
-    out: list[str] = []
-    if (d.loc.clique_of[d.color_ids] >= 0).any():
-        out.append("colors must come from the localization core")
-    xs, ids, keys, m = d.members, d.ids, d.keys, g.matrix()
-    cuts = d.label[xs]
-    both, cut = np.concatenate((xs, ids)), np.concatenate((cuts, keys))
-    step = max(1, BLOCK_PAIRS // max(1, ids.size))
-    # per row in row blocks, its cells off the pattern; a pool row's own cell always is
-    wrong = np.concatenate([xs[:0]] + [np.count_nonzero(
-        take_block(m, both[lo:lo + step], ids) != (keys == cut[lo:lo + step, None]), axis=1)
-        for lo in range(0, both.size, step)])
-    wrong[xs.size:] -= 1
-    flagged = np.flatnonzero(wrong)
-    rows = flagged[flagged < xs.size]
-    if rows.size < flagged.size:
-        out.append("pool edges disagree with the clique slices")
-    witnesses = p3_rows(g, d.loc, ids, xs[rows]).witnesses if rows.size else []
-    if witnesses:
-        out.append(f"induced 2-path {witnesses[0]} has two pool vertices")
-    out += [f"bucket {i} non-empty although its clique slice is empty"
-            for i in sorted(set(cuts.tolist()) - set(d.live) - {-1})]
-    out += [f"detached vertex {xs[r]} has pool neighbors" if cuts[r] < 0 else
-            f"bucket vertex {xs[r]} has the wrong pool neighborhood" for r in rows]
+    constructors hold the pool ids to the POOL labels and in the remainder."""
+    out = ["colors must come from the localization core"] if (d.loc.clique_of[d.color_ids] >= 0).any() else []
+    out += check_nice_pair(d, g.matrix(), np.equal, -1)
     per_treated = 1.0 + 2.0 * (4.0 + d.epsilon)  # 1 + 2 c1
     budget = per_treated * len(d.loc.core - d.colors)
     size = np.count_nonzero(d.label == -1) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|

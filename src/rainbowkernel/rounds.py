@@ -11,10 +11,10 @@ supply the localization, the stages and the bucket names.  A decomposition
 plus the pool as `ids` in the family's order keyed by `keys`, plus the
 obstruction edges of its colors, read once (`Decomp.start`); `advance`
 carries it from round to round through the family's `relabel`.  Any other
-question about obstructions with two pool vertices is a read of one row
-block `m[xs, ids]` (`read_block`): each family's row test (`tpt_rows`,
-`p3_rows`) returns a `PoolRows`, which `clean`, add-1, case 1 and the
-validator consume."""
+question about obstructions with two pool vertices is a read of row blocks
+`m[xs, ids]` under the one nice-pair law, `row_test` for `clean`, add-1 and
+case 1, `check_nice_pair` for the validators: a bucketed vertex sees the
+pool in the pattern `relation(keys, label)` that its bucket label names."""
 from __future__ import annotations
 
 import dataclasses
@@ -135,7 +135,7 @@ class Decomp:
 
 
 class PoolRows(NamedTuple):
-    """A family's row test of the vertices `xs` against a pool `ids` whose
+    """The row test (`row_test`) of the vertices `xs` against a pool `ids` whose
     columns carry `keys`, read off `rows = m[xs, ids]`: per row its bucket
     `label` and whether it is `bad`, i.e. forms an obstruction with two pool
     vertices; `witnesses` holds the first one of each bad row, in row order.
@@ -177,6 +177,63 @@ def clean(d, rows_of: Callable):
 def first_true(rows: np.ndarray) -> np.ndarray:
     """Per row, the column of its first True; the column count when none."""
     return rows.shape[1] - np.logical_or.accumulate(rows, axis=1).sum(axis=1)
+
+
+def row_test(matrix: np.ndarray, ids: np.ndarray, keys: np.ndarray, xs, relation: Callable,
+             none: int) -> PoolRows:
+    """The nice-pair row test of the vertices `xs` against the pool `ids`
+    keyed by `keys`.  Row x is labelled with the key of the first pool vertex
+    u it sees (`none` when it sees none) and is bad exactly when it differs
+    from `relation(keys, label)`: then it forms an obstruction with two pool
+    vertices, u - x - w for the first w it sees outside its pattern, else
+    x - u - w for the first w of its pattern it misses."""
+    xs, ids, keys, rows, *_ = block = read_block(matrix, ids, keys, xs)
+    first = first_true(rows)
+    label = np.append(keys, none)[first]
+    off = rows != relation(keys, label[:, None])
+    bad = off.any(axis=1)
+    witnesses = []
+    if bad.any():
+        r = np.flatnonzero(bad)
+        extra = first_true(off[r] & rows[r])
+        crosses = extra < ids.size
+        u, x, w = ids[first[r]], xs[r], ids[np.where(crosses, extra, first_true(off[r]))]
+        witnesses = [(u, x, w) if cross else (x, u, w) for u, x, w, cross in
+                     zip(u.tolist(), x.tolist(), w.tolist(), crosses.tolist())]
+    return block._replace(label=label, bad=bad, witnesses=witnesses)
+
+
+def check_nice_pair(d, matrix: np.ndarray, relation: Callable, none: int) -> list[str]:
+    """The nice-pair law over `d`, read afresh from `matrix` in row blocks of
+    at most BLOCK_PAIRS cells (empty list = it holds): every bucket label is
+    a pool key or `none`, every bucketed row is `relation(keys, label)`, and
+    every pool row is `relation(keys, own key)` but at its own cell, which
+    the 0 diagonal leaves off.  Only rows that break it are row-tested."""
+    xs, ids, keys = d.members, d.ids, d.keys
+    both, cuts = np.concatenate((xs, ids)), np.concatenate((d.label[xs], keys))
+    step = max(1, BLOCK_PAIRS // max(1, ids.size))
+    flagged = []
+    for lo in range(0, both.size, step):
+        off = take_block(matrix, both[lo:lo + step], ids)
+        off ^= relation(keys, cuts[lo:lo + step, None])
+        # each pool row is off at its own cell, so a sound block costs one count
+        head = min(max(xs.size - lo, 0), len(off))
+        if np.count_nonzero(off) > len(off) - head:
+            count = np.count_nonzero(off, axis=1)
+            count[head:] -= 1
+            flagged.append(lo + np.flatnonzero(count))
+    labels = [f"bucket {i} is not a pool key"
+              for i in sorted(set(cuts[:xs.size].tolist()) - set(keys.tolist()) - {none})]
+    if not flagged:
+        return labels
+    flagged = np.concatenate(flagged)
+    rows = flagged[flagged < xs.size]
+    block = row_test(matrix, ids, keys, xs[rows], relation, none)
+    wrong = block.rows != relation(keys, cuts[rows, None])
+    return ["pool rows disagree with their keys"] * (rows.size < flagged.size) + \
+        [f"obstruction {w} has two pool vertices" for w in block.witnesses[:1]] + labels + \
+        [f"bucket {i} vertex {v} sees the wrong pool vertices {ids[cells].tolist()}"
+         for i, v, cells in zip(cuts[rows].tolist(), block.xs.tolist(), wrong)]
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .intervals import BucketInterval, block_joins
 from .rainbow import ColorCover, RainbowMatching, RainbowOracle, verify_outcome
 from .report import Decided, KernelOutput, KernelReport
 from .rounds import (COLOR, POOL, Aux, Decomp, KernelState, PackingFound, PoolRows, RuleNext,
-                     RuleStop, build_aux, clean, demote, finite, first_true, read_block,
+                     RuleStop, build_aux, check_nice_pair, clean, demote, finite, row_test,
                      run_rounds)
 
 
@@ -116,19 +116,10 @@ def _first_triangle(m: np.ndarray, a: int, free: np.ndarray) -> tuple[int, int] 
 
 
 def tpt_rows(t: Tournament, loc: TriangleLocalization, ids: np.ndarray, xs) -> PoolRows:
-    """The nice-pair row test against the pool `ids` in position order,
-    keyed by position.  The pool is transitive in that order, so a triangle
-    {x, u, w} with u, w in the pool is u -> w -> x -> u: x's row has a 1 and
-    then a 0.  Row x is labelled with the position of its first 1 (t0 + 1
-    when it has none); its witness is x, the pool vertex of that 1 and the
-    first 0 after it."""
-    xs, ids, keys, rows, *_ = block = read_block(t.matrix, ids, loc.position[ids], xs)
-    seen = np.logical_or.accumulate(rows, axis=1)
-    first, drop = ids.size - seen.sum(axis=1), first_true(~rows & seen)
-    bad = drop < ids.size
-    witnesses = list(zip(xs[bad].tolist(), ids[first[bad]].tolist(), ids[drop[bad]].tolist()))
-    return block._replace(label=np.append(keys, len(loc.order) + 1)[first], bad=bad,
-                          witnesses=witnesses)
+    """The nice-pair row test against the pool `ids` in position order, keyed
+    by position: a member of bucket i beats exactly the pool positions >= i,
+    t0 + 1 when it beats none, so a bad row has a 1 and then a 0."""
+    return row_test(t.matrix, ids, loc.position[ids], xs, np.greater_equal, len(loc.order) + 1)
 
 
 def triangle_pairs(rows: PoolRows, r: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,40 +199,16 @@ class TptDecomp(Decomp):
 
 def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     """Full validator, and the one fresh read of the tournament in a round:
-    colors, nice pair, bucket membership, seeds, the spine budget and the
-    local-size law.  Empty list = everything holds.  The labels partition
+    colors, the nice-pair law (`check_nice_pair`), seeds, the spine budget and
+    the local-size law.  Empty list = everything holds.  The labels partition
     the vertices; the constructors hold the pool ids to the POOL labels and
-    inside the remainder, and the bulk inside the bucketed remainder.
-    A member of bucket i must beat exactly the pool positions >= i, a pool
-    vertex the later ones; a row that does has no 1 before a 0, so only the
-    rows that do not are read for witnesses and messages."""
-    out: list[str] = []
-    if d.loc.position[d.color_ids].any():
-        out.append("colors must come from the localization core")
-    xs, ids, keys = d.members, d.ids, d.keys
-    cuts = d.label[xs]
-    wrong = take_block(t.matrix, np.concatenate((xs, ids)), ids) != \
-        (keys >= np.concatenate((cuts, keys + 1))[:, None])
-    # a sound decomposition flags no row: then one reduction is all the reading
-    flagged = np.flatnonzero(wrong.any(axis=1)) if wrong.any() else xs[:0]
-    rows = flagged[flagged < xs.size].tolist()
-    if len(rows) < flagged.size:
-        out.append("pool arcs disagree with the localization order")
-    witnesses = tpt_rows(t, d.loc, ids, xs[rows]).witnesses if rows else []
-    if witnesses:
-        out.append(f"triangle {witnesses[0]} has two pool vertices")
-    positions = set(keys.tolist())
-    positions.add(d.infinity)
-    out += [f"bucket index {i} is not a pool position" for i in d.s_psi if i not in positions]
-    for r in rows:
-        i, v = cuts[r], xs[r]
-        out += [f"bucket {i} vertex {v} dominates earlier pool vertex {ids[j]}" if keys[j] < i
-                else f"bucket {i} vertex {v} dominated by later pool vertex {ids[j]}"
-                for j in np.flatnonzero(wrong[r])]
+    inside the remainder, and the bulk inside the bucketed remainder."""
+    out = ["colors must come from the localization core"] if d.loc.position[d.color_ids].any() else []
+    out += check_nice_pair(d, t.matrix, np.greater_equal, d.infinity)
     seeds, bulk = d.sizes
     out += [f"bucket {i} has no seed vertex" for i in d.s_psi if not seeds[i]]
-    remainder = d.loc.position[xs] > 0
-    spine, core_side = np.count_nonzero(remainder & ~d.in_bulk[xs]), np.count_nonzero(~remainder)
+    remainder = d.loc.position[d.members] > 0
+    spine, core_side = np.count_nonzero(remainder & ~d.in_bulk[d.members]), np.count_nonzero(~remainder)
     if spine > 10 * core_side:
         out.append(f"spine size {spine} exceeds 10*|core side| = {10 * core_side}")
     for i in d.s_psi:
@@ -446,37 +413,17 @@ def kernelize_tournament(t: Tournament, k: int, *, delta: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _max_bipartite_matching(left: list, neighbors: list) -> dict:
-    """Augmenting-path matching from `left` indices into their candidate lists;
-    returns {left index -> chosen candidate} for the matched ones."""
-    match_right: dict = {}
-    match_left: dict = {}
-
-    def augment(item, seen: set) -> bool:
-        for cand in sorted(neighbors[item]):
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if cand not in match_right or augment(match_right[cand], seen):
-                match_right[cand] = item
-                match_left[item] = cand
-                return True
-        return False
-
-    for item in left:
-        augment(item, set())
-    return match_left
-
-
 def repack_via_allocation(state: TptKernelState, t: Tournament,
                           packing: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Reroute a triangle packing of T[pool + bucketed] into the allocation.
 
     Triangles inside the buckets survive.  Each remaining triangle owns a
     backward bucket arc; those arcs form a matching, and each is assigned a
-    distinct allocation vertex inside its interval window via an explicit
-    maximum bipartite matching (the counting that makes this total is the
-    demand's small-total bound)."""
+    distinct allocation vertex inside its interval window [l, r) of
+    positions.  Taking the arcs by right end r and giving each the first free
+    allocation vertex at a position >= l saturates them whenever any
+    assignment does (the counting that makes this total is the demand's
+    small-total bound)."""
     d = state.final
     fault = packing_fault(t, packing, d.pool | d.bucketed)
     if fault:
@@ -497,11 +444,15 @@ def repack_via_allocation(state: TptKernelState, t: Tournament,
             raise RepackFailed(f"{tri}: both bucket vertices in bucket {bu}")
         crossing.append(((u, v), BucketInterval(min(bu, bv), max(bu, bv))))
     allocation_vertices = state.allocation.vertices()
-    neighbors = [sorted(allocation_vertices.intersection(d.ids[d.span(interval)].tolist()))
-                 for _, interval in crossing]
-    assignment = _max_bipartite_matching(list(range(len(crossing))), neighbors)
-    if len(assignment) != len(crossing):
-        raise RepackFailed("allocation cannot saturate the backward arcs")
+    free = sorted(allocation_vertices, key=d.loc.position.__getitem__)
+    positions = d.loc.position[free].tolist()
+    assignment = {}
+    for idx, (_, interval) in sorted(enumerate(crossing), key=lambda item: item[1][1].r):
+        j = bisect_left(positions, interval.l)
+        if j == len(free) or positions[j] >= interval.r:
+            raise RepackFailed("allocation cannot saturate the backward arcs")
+        assignment[idx] = free.pop(j)
+        del positions[j]
     out = inside + [tuple(sorted((u, v, assignment[idx])))
                     for idx, ((u, v), _) in enumerate(crossing)]
     fault = packing_fault(t, out, allocation_vertices | d.bucketed)

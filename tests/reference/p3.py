@@ -1,5 +1,6 @@
 """The per-triple greedy localization, the component search that split the
-2-path-free remainder into cliques, a decomposition's pool parts, buckets
+2-path-free remainder into cliques, the row test before `rounds.row_test`
+served both families, a decomposition's pool parts, buckets
 and detached vertices read off its arrays, the from-scratch bucket decomposition
 (by the row test, and the per-vertex loop before it) and the decomposition
 built on it, where the kernelizer carries the labels from round to round
@@ -16,8 +17,9 @@ import numpy as np
 from rainbowkernel.errors import BrokenInvariant, InvalidSolution, NotNicePair
 from rainbowkernel.graphs import (UndirectedGraph, clique_partition, enumerate_induced_p3,
                                   group_by, is_induced_p3, take_block)
-from rainbowkernel.p3 import P3Decomp, P3Localization, p3_pairs, p3_rows
-from rainbowkernel.rounds import BLOCK_PAIRS, COLOR, POOL, KernelState, PackingFound
+from rainbowkernel.p3 import P3Decomp, P3Localization, p3_pairs
+from rainbowkernel.rounds import (BLOCK_PAIRS, COLOR, POOL, KernelState, PackingFound, PoolRows,
+                                  first_true, read_block)
 
 
 def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3Localization:
@@ -76,6 +78,26 @@ def clique_components(g: UndirectedGraph, rest: list[int]) -> tuple[tuple[int, .
                                          "the packing was not maximal")
         comps.append(members)
     return tuple(sorted(comps))
+
+
+def p3_rows(g: UndirectedGraph, loc: P3Localization, ids: np.ndarray, xs) -> PoolRows:
+    """The nice-pair row test against the pool `ids`, sorted, keyed by clique.
+    The pool is a union of clique slices with no edge between them, so x
+    forms an induced 2-path with two pool vertices exactly when its pool
+    neighbourhood is neither empty nor one whole slice.  Row x is labelled
+    with the clique of its least pool neighbour u (-1 when it has none); its
+    witness is u - x - w for the least neighbour w outside that clique, else
+    x - u - w for the least w of the slice that x misses."""
+    xs, ids, keys, rows, *_ = block = read_block(g.matrix(), ids, loc.clique_of[ids], xs)
+    first = first_true(rows)
+    label = np.append(keys, -1)[first]
+    same = keys == label[:, None]
+    extra, lack = first_true(rows & ~same), first_true(~rows & same)
+    crosses, misses = extra < ids.size, lack < ids.size
+    ext = np.append(ids, -1)
+    witnesses = np.where(crosses[:, None], np.column_stack((ext[first], xs, ext[extra])),
+                         np.column_stack((xs, ext[first], ext[lack])))[crosses | misses].tolist()
+    return block._replace(label=label, bad=crosses | misses, witnesses=list(map(tuple, witnesses)))
 
 
 def pool_ids(pool) -> np.ndarray:
@@ -197,16 +219,17 @@ def check_p3_decomp(d: P3Decomp, g: UndirectedGraph) -> list[str]:
     for lo in range(0, rows.ids.size, step):
         same = rows.keys[lo:lo + step, None] == rows.keys
         if np.count_nonzero(take_block(g.matrix(), rows.ids[lo:lo + step], rows.ids) != same) != len(same):
-            out.append("pool edges disagree with the clique slices")
+            out.append("pool rows disagree with their keys")
             break
     if rows.witnesses:
-        out.append(f"induced 2-path {rows.witnesses[0]} has two pool vertices")
-    out += [f"bucket {i} non-empty although its clique slice is empty"
+        out.append(f"obstruction {rows.witnesses[0]} has two pool vertices")
+    out += [f"bucket {i} is not a pool key"
             for i in sorted(set(cuts.tolist()) - set(d.live) - {-1})]
     # a member of bucket i sees exactly slice i; a detached vertex sees nothing
-    for r in np.flatnonzero((rows.rows != (rows.keys == cuts[:, None])).any(axis=1)):
-        out.append(f"detached vertex {xs[r]} has pool neighbors" if cuts[r] < 0 else
-                   f"bucket vertex {xs[r]} has the wrong pool neighborhood")
+    wrong = rows.rows != (rows.keys == cuts[:, None])
+    for r in np.flatnonzero(wrong.any(axis=1)):
+        out.append(f"bucket {cuts[r]} vertex {xs[r]} sees the wrong pool vertices "
+                   f"{rows.ids[wrong[r]].tolist()}")
     per_treated = 1.0 + 2.0 * (4.0 + d.epsilon)  # 1 + 2 c1
     budget = per_treated * len(d.loc.core - d.colors)
     size = len(detached_of(d)) / per_treated + np.count_nonzero(d.label >= 0)  # + |attached|

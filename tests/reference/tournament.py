@@ -1,5 +1,6 @@
 """Per-(a, b) triangle localization (one numpy call per vertex pair) and the
-localization without its later-beater filter; a decomposition's buckets,
+localization without its later-beater filter; the row test before
+`rounds.row_test` served both families; a decomposition's buckets,
 bulk and spine read off its arrays; the from-scratch bucket
 decomposition (by the row test, and the per-vertex loop before it) and the
 decomposition built on it, where the kernelizer carries the labels from
@@ -14,9 +15,9 @@ import numpy as np
 
 from rainbowkernel.errors import BrokenInvariant, NotNicePair
 from rainbowkernel.graphs import Tournament, group_by, topological_order
-from rainbowkernel.rounds import COLOR, POOL, PackingFound
+from rainbowkernel.rounds import COLOR, POOL, PackingFound, PoolRows, first_true, read_block
 from rainbowkernel.tournament import (TptDecomp, TriangleLocalization,
-                                      _first_triangle, tpt_rows, triangle_pairs)
+                                      _first_triangle, triangle_pairs)
 
 
 def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | TriangleLocalization:
@@ -70,6 +71,22 @@ def greedy_localize_triangles_unfiltered(t: Tournament, threshold: int
     core = frozenset(v for tri in packing for v in tri)
     order = topological_order(t, [v for v in range(t.n) if free[v]])
     return TriangleLocalization(tuple(packing), core, order)
+
+
+def tpt_rows(t: Tournament, loc: TriangleLocalization, ids: np.ndarray, xs) -> PoolRows:
+    """The nice-pair row test against the pool `ids` in position order,
+    keyed by position.  The pool is transitive in that order, so a triangle
+    {x, u, w} with u, w in the pool is u -> w -> x -> u: x's row has a 1 and
+    then a 0.  Row x is labelled with the position of its first 1 (t0 + 1
+    when it has none); its witness is x, the pool vertex of that 1 and the
+    first 0 after it."""
+    xs, ids, keys, rows, *_ = block = read_block(t.matrix, ids, loc.position[ids], xs)
+    seen = np.logical_or.accumulate(rows, axis=1)
+    first, drop = ids.size - seen.sum(axis=1), first_true(~rows & seen)
+    bad = drop < ids.size
+    witnesses = list(zip(xs[bad].tolist(), ids[first[bad]].tolist(), ids[drop[bad]].tolist()))
+    return block._replace(label=np.append(keys, len(loc.order) + 1)[first], bad=bad,
+                          witnesses=witnesses)
 
 
 def pool_ids(loc: TriangleLocalization, pool) -> np.ndarray:
@@ -179,12 +196,15 @@ def bucket_membership_problems(d: TptDecomp, t: Tournament) -> list[str]:
     buckets = buckets_of(d)
     for i in sorted(buckets):
         for v in buckets[i]:
+            wrong = []
             for w, p in zip(pool_sorted, positions):
                 forward = bool(m[v, w])
                 if p < i and forward:
-                    out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}")
+                    wrong.append(w)
                 if p >= i and not forward:
-                    out.append(f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+                    wrong.append(w)
+            if wrong:
+                out.append(f"bucket {i} vertex {v} sees the wrong pool vertices {wrong}")
     return out
 
 
@@ -217,18 +237,18 @@ def check_tpt_decomp(d: TptDecomp, t: Tournament) -> list[str]:
     cells, keys = rows.rows[:xs.size], rows.keys
     # the pool is transitive in position order: each vertex beats the later ones
     if not np.array_equal(rows.rows[xs.size:], keys > keys[:, None]):
-        out.append("pool arcs disagree with the localization order")
+        out.append("pool rows disagree with their keys")
     if rows.bad[:xs.size].any():
-        out.append(f"triangle {rows.witnesses[0]} has two pool vertices")
+        out.append(f"obstruction {rows.witnesses[0]} has two pool vertices")
     positions = set(keys.tolist())
-    out += [f"bucket index {i} is not a pool position" for i in d.s_psi
+    out += [f"bucket {i} is not a pool key" for i in d.s_psi
             if i != d.infinity and i not in positions]
     # a member of bucket i beats exactly the pool vertices at positions >= i
     cuts = d.label[xs]
-    for r, j in zip(*np.nonzero(cells != (keys >= cuts[:, None]))):
-        i, v, w = cuts[r], xs[r], rows.ids[j]
-        out.append(f"bucket {i} vertex {v} dominates earlier pool vertex {w}" if keys[j] < i
-                   else f"bucket {i} vertex {v} dominated by later pool vertex {w}")
+    wrong = cells != (keys >= cuts[:, None])
+    for r in np.flatnonzero(wrong.any(axis=1)):
+        i, v = cuts[r], xs[r]
+        out.append(f"bucket {i} vertex {v} sees the wrong pool vertices {rows.ids[wrong[r]].tolist()}")
     seeds, bulk = d.sizes
     out += [f"bucket {i} has no seed vertex" for i in d.s_psi if not seeds[i]]
     remainder = d.loc.position[xs] > 0

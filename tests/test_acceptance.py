@@ -193,9 +193,13 @@ def _brute_achievable_cover(cm, epsilon) -> bool:
     return False
 
 
-def test_criterion_5_oracle_dichotomy():
-    from rainbowkernel.graphs import dump_colored_multigraph
+def dump_colored_multigraph(cm) -> str:
+    """A failure message's dump of `cm`: one line per edge, `loop v c` or `edge u v c`."""
+    return "".join(f"loop {e.u} {e.color}\n" if e.is_loop else f"edge {e.u} {e.v} {e.color}\n"
+                   for e in cm.edges)
 
+
+def test_criterion_5_oracle_dichotomy():
     failures = []
     rng = random.Random(5)
     oracle = RainbowOracle()

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowkernel.errors import NotAcyclic, ParseError
+from rainbowkernel.errors import NotAcyclic
 from rainbowkernel.graphs import (ColoredMultigraph, Tournament,
                                   UndirectedGraph, clique_fit, clique_partition,
-                                  colored_edge, dump_colored_multigraph,
-                                  enumerate_induced_p3, enumerate_triangles,
-                                  is_acyclic, is_triangle,
-                                  make_colored_multigraph, packing_fault,
-                                  parse_colored_multigraph, topological_order)
+                                  colored_edge, enumerate_induced_p3, enumerate_triangles,
+                                  is_acyclic, is_triangle, make_colored_multigraph,
+                                  packing_fault, topological_order)
 
 from .reference import p3 as ref_p3
 from .reference.text import induced_by_edge_list
@@ -323,19 +321,3 @@ def test_packing_fault(kind, packing, scope, fault):
     expected = None if fault is None else fault.format(obstruction=obstruction)
     assert packing_fault(payload, packing, scope) == expected
 
-
-class TestMultigraphDump:
-    @given(colored_multigraphs())
-    def test_round_trip(self, cm):
-        again = parse_colored_multigraph(dump_colored_multigraph(cm))
-        assert again.edges == cm.edges
-        assert again.p == cm.p
-
-    def test_rejects_bad_line(self):
-        with pytest.raises(ParseError) as err:
-            parse_colored_multigraph("loop 0 0\nwhat 1 2\n")
-        assert err.value.line == 2
-
-    def test_rejects_ids_past_the_machine_integers(self):
-        with pytest.raises(ParseError):
-            parse_colored_multigraph(f"loop {10**20} 0\n")

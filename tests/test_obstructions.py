@@ -1,4 +1,5 @@
-"""The per-family nice-pair row test (`tpt_rows`, `p3_rows`) and the color
+"""The nice-pair row test (`rounds.row_test`, bound by `tpt_rows` and
+`p3_rows`) against brute force and each family's earlier row test, the color
 edges the decompositions carry (`rounds.color_edges` with the sparse
 `triangle_pairs`, `p3_pairs`), checked against per-triple brute force and
 the dense marks in `tests/reference/`; the bucket decompositions against
@@ -118,6 +119,44 @@ def test_row_test_matches_brute_force(family, data):
             assert x in witness and len(set(witness) & pool) == 2
             assert is_obstruction(g, witness)
     assert next(witnesses, None) is None
+
+
+def _random_pool(family, n, rng):
+    """A random tournament or graph, a localization of a random remainder
+    (its order, or its split into three cliques) and a pool drawn from it,
+    in position order or as sorted ids: no row follows any pattern."""
+    upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+    rest = rng.permutation(n)[:rng.integers(0, n + 1)]
+    core = frozenset(range(n)) - set(rest.tolist())
+    pool = frozenset(rest[rng.random(rest.size) < 0.7].tolist())
+    if family == "tournament":
+        loc = TriangleLocalization((), core, tuple(rest.tolist()))
+        return Tournament(upper | np.triu(~upper, 1).T), loc, ref_tournament.pool_ids(loc, pool)
+    name = rng.integers(0, 3, rest.size)
+    cliques = tuple(tuple(sorted(rest[name == c].tolist())) for c in range(3) if (name == c).any())
+    return UndirectedGraph.from_matrix(upper | upper.T), P3Localization((), core, cliques), \
+        ref_p3.pool_ids(pool)
+
+
+#: each family's binding of the one row test and the row test it replaced
+FAMILY_ROWS = {"p3": (p3_rows, ref_p3.p3_rows), "tournament": (tpt_rows, ref_tournament.tpt_rows)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_ROWS))
+@given(n=st.integers(min_value=0, max_value=12), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300)
+def test_shared_row_test_matches_each_family_row_test(family, n, seed):
+    """`rounds.row_test`, as each family binds it, gives the labels, bad
+    flags and witnesses of that family's own earlier row test on random
+    blocks."""
+    rng = np.random.default_rng(seed)
+    g, loc, ids = _random_pool(family, n, rng)
+    xs = rng.permutation(sorted(set(range(n)) - set(ids.tolist())))
+    shared, own = (rows_of(g, loc, ids, xs) for rows_of in FAMILY_ROWS[family])
+    assert shared.label.dtype == own.label.dtype and np.array_equal(shared.label, own.label)
+    assert np.array_equal(shared.bad, own.bad)
+    assert shared.witnesses == own.witnesses
+    assert all(type(v) is int for witness in shared.witnesses for v in witness)
 
 
 #: each family's sparse emitter and the dense marks it replaced

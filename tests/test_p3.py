@@ -411,7 +411,7 @@ class TestValidator:
         g = UndirectedGraph(4, [(0, 2), (1, 3)])
         loc = P3Localization((), frozenset(), ((0, 1), (2, 3)))
         d = make_p3_decomp(loc, frozenset(range(4)), frozenset(), frozenset(), g, 1.0)
-        assert check_p3_decomp(d, g) == ["pool edges disagree with the clique slices"]
+        assert check_p3_decomp(d, g) == ["pool rows disagree with their keys"]
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -530,6 +531,22 @@ class TestValidator:
         d = clean_tpt(d, t)
         assert check_tpt_decomp(d, t) == []
 
+    def test_validator_builds_no_pool_square(self):
+        # the nice-pair law reads the bucketed and pool rows in row blocks
+        n = 4000
+        t = Tournament(np.triu(np.ones((n, n), dtype=bool), 1))
+        loc = TriangleLocalization((), frozenset(), tuple(range(n)))
+        d = make_tpt_decomp(loc, frozenset(range(n)), frozenset(), frozenset(), frozenset(),
+                            frozenset(), t, 2.0, local_size_constant(2.0))
+        tracemalloc.start()
+        try:
+            problems = check_tpt_decomp(d, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert problems == [] and len(d.pool) == n
+        assert peak < n * n  # one n x n bool matrix
+
     def test_membership_lines_match_pair_loop(self):
         t, d = decomp_with_extras(10, [4, 4, 7, 2])
         assert check_tpt_decomp(d, t) == []
@@ -538,7 +555,7 @@ class TestValidator:
         for i, j in zip(d.s_psi, d.s_psi[::-1]):
             label[d.label == j] = i
         bad = dataclasses.replace(d, label=label)
-        lines = [x for x in check_tpt_decomp(bad, t) if "pool vertex" in x]
+        lines = [x for x in check_tpt_decomp(bad, t) if "wrong pool vertices" in x]
         assert lines and lines == bucket_membership_problems(bad, t)
 
     @staticmethod
@@ -552,8 +569,8 @@ class TestValidator:
         t, d = decomp_with_extras(10, [4, 4, 7])
         # vertex 3 leaves its position 4 for bucket 5, but bucket 4 stays
         bad = self._leaves_alone(d, 3, 5)
-        assert "bucket index 4 is not a pool position" in check_tpt_decomp(bad, t)
-        assert "bucket index 7 is not a pool position" not in check_tpt_decomp(bad, t)
+        assert "bucket 4 is not a pool key" in check_tpt_decomp(bad, t)
+        assert "bucket 7 is not a pool key" not in check_tpt_decomp(bad, t)
 
     @staticmethod
     def _flipped(t, arcs):
@@ -569,17 +586,17 @@ class TestValidator:
         to bucket 5 without bucket 4."""
         t, d = decomp_with_extras(10, [4, 4, 7])
         assert check_tpt_decomp(d, self._flipped(t, [(2, 6)])) == [
-            "pool arcs disagree with the localization order"]
+            "pool rows disagree with their keys"]
         both = self._flipped(t, [(2, 6), (10, 8)])
         assert check_tpt_decomp(d, both) == [
-            "pool arcs disagree with the localization order",
-            "triangle (10, 3, 8) has two pool vertices",
-            "bucket 4 vertex 10 dominated by later pool vertex 8"]
+            "pool rows disagree with their keys",
+            "obstruction (10, 3, 8) has two pool vertices",
+            "bucket 4 vertex 10 sees the wrong pool vertices [8]"]
         assert check_tpt_decomp(self._leaves_alone(d, 3, 5), both) == [
-            "pool arcs disagree with the localization order",
-            "triangle (10, 4, 8) has two pool vertices",
-            "bucket index 4 is not a pool position",
-            "bucket 4 vertex 10 dominated by later pool vertex 8"]
+            "pool rows disagree with their keys",
+            "obstruction (10, 4, 8) has two pool vertices",
+            "bucket 4 is not a pool key",
+            "bucket 4 vertex 10 sees the wrong pool vertices [8]"]
 
 
 class TestBucketIndex:
