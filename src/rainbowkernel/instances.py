@@ -213,8 +213,11 @@ def serialize_tournament(t: Tournament) -> str:
 
 
 def serialize_graph(g: UndirectedGraph) -> str:
-    edges = g.edges()
-    return f"graph {g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    us, vs = np.nonzero(g.matrix())
+    upper = us < vs
+    m = int(upper.sum())
+    flat = np.column_stack((us[upper], vs[upper])).ravel().tolist()
+    return f"graph {g.n} {m}\n" + ("%d %d\n" * m) % tuple(flat)
 
 
 def serialize_instance(spec: InstanceSpec) -> str:

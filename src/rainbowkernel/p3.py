@@ -87,7 +87,7 @@ def greedy_localize_p3(g: UndirectedGraph, threshold: int) -> PackingFound | P3L
     if cliques is None:
         cliques = clique_partition(g, [v for v in range(g.n) if v not in core])
     if cliques is None:
-        raise AssertionError("the remainder has an induced 2-path; the packing was not maximal")
+        raise BrokenInvariant("the remainder has an induced 2-path; the packing was not maximal")
     return P3Localization(tuple(packing), core, cliques)
 
 
@@ -331,7 +331,7 @@ def lift_hitting_set_p3(state: KernelState, g: UndirectedGraph,
     lifted = set(d.colors) | (x & d.bucketed)
     lifted |= set(d.members[hit[d.label[d.members]]].tolist())
     if len(lifted) > len(hitting):
-        raise AssertionError("lifted hitting set grew; exchange argument violated")
+        raise BrokenInvariant("lifted hitting set grew; exchange argument violated")
     if clique_partition(g, [v for v in range(g.n) if v not in lifted]) is None:
-        raise AssertionError("lifted set misses a path; exchange argument violated")
+        raise BrokenInvariant("lifted set misses a path; exchange argument violated")
     return frozenset(lifted)

@@ -259,12 +259,15 @@ class Aux:
 
     def ask(self, oracle, epsilon: float, verify: Callable, **notes) -> tuple[object, dict]:
         """The oracle's outcome on `cm`, re-checked by `verify`, and the
-        round record's notes: the answering layer plus `notes`."""
+        round record's notes: the answering layer, the multigraph's size and
+        layer 1's missed colors and budget visits, plus `notes`."""
         outcome, stats = oracle.solve(self.cm, epsilon)
         ok, problems = verify(self.cm, outcome)
         if not ok:
             raise OracleContractViolation("; ".join(problems))
-        return outcome, {"oracle": {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges},
+        return outcome, {"oracle": {"layer": stats.layer, "p": stats.p, "edges": stats.n_edges,
+                                    "layer1_missing": stats.layer1_missing,
+                                    "layer1_visits": stats.layer1_visits},
                          **notes}
 
 
@@ -349,9 +352,9 @@ def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean:
     while True:
         problems = check(d)
         if problems:
-            raise AssertionError("invariants broken: " + "; ".join(problems))
+            raise BrokenInvariant("invariants broken: " + "; ".join(problems))
         if prev_potential is not None and d.potential >= prev_potential:
-            raise AssertionError("round potential did not decrease")
+            raise BrokenInvariant("round potential did not decrease")
         prev_potential = d.potential
         step = apply_rule(d)
         stop = isinstance(step, RuleStop)
@@ -364,8 +367,8 @@ def run_rounds(report: KernelReport, localize: Callable, start: Callable, clean:
             report.kept = list(kept)
             report.kernel_size = len(kept)
             if len(kept) > report.bound + 1e-9:
-                raise AssertionError(f"kernel size {len(kept)} exceeds bound {report.bound}")
+                raise BrokenInvariant(f"kernel size {len(kept)} exceeds bound {report.bound}")
             return KernelOutput(kept, report, step.state)
         if len(report.rounds) > max_rounds:
-            raise AssertionError("round count exceeded the initial potential")
+            raise BrokenInvariant("round count exceeded the initial potential")
         d = clean(step.decomp)

@@ -79,7 +79,7 @@ def greedy_localize_triangles(t: Tournament, threshold: int) -> PackingFound | T
     try:
         order = topological_order(t, [v for v in range(t.n) if free[v]])
     except NotAcyclic as exc:
-        raise AssertionError(f"remainder triangle {exc.witness}; the packing was not maximal") from exc
+        raise BrokenInvariant(f"remainder triangle {exc.witness}; the packing was not maximal") from exc
     return TriangleLocalization(tuple(packing), core, order)
 
 
@@ -488,7 +488,7 @@ def lift_fvs(state: TptKernelState, t: Tournament, fvs: set[int]) -> frozenset[i
         chosen |= set(np.flatnonzero(cover).tolist())
     lifted = set(d.colors) | x_b | chosen
     if len(lifted) > len(fvs):
-        raise AssertionError("lifted feedback vertex set grew; exchange argument violated")
+        raise BrokenInvariant("lifted feedback vertex set grew; exchange argument violated")
     if not is_acyclic(t, set(range(t.n)) - lifted):
-        raise AssertionError("lifted set misses a triangle; exchange argument violated")
+        raise BrokenInvariant("lifted set misses a triangle; exchange argument violated")
     return frozenset(lifted)

@@ -1,7 +1,7 @@
 """Per-character tournament text format (an arc list while parsing, one
-numpy scalar lookup per character while serializing), the per-line graph
-parser with the graph it built: one frozenset of neighbours per vertex, and
-the induced sub-instance built from its edge list."""
+numpy scalar lookup per character while serializing), the per-edge graph
+writer, the per-line graph parser with the graph it built: one frozenset of
+neighbours per vertex, and the induced sub-instance built from its edge list."""
 from __future__ import annotations
 
 from typing import Iterable
@@ -20,6 +20,11 @@ def serialize_tournament(t: Tournament) -> str:
     for u in range(t.n):
         rows.append("".join("-" if u == v else ("1" if m[u, v] else "0") for v in range(t.n)))
     return f"tournament {t.n}\n" + "".join(r + "\n" for r in rows)
+
+
+def serialize_graph(g) -> str:
+    edges = g.edges()
+    return f"graph {g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
 def _parse_tournament_lines(lines: list[str], start: int) -> tuple[Tournament, int]:

@@ -268,6 +268,14 @@ def test_serialization_matches_reference(t):
         _outcome(ref_text._parse_tournament_lines, lines)
 
 
+@given(st.one_of(graphs(max_n=12), st.builds(_gnp, st.integers(0, 120), st.floats(0, 1),
+                                              st.integers(0, 2**16))))
+@example(UndirectedGraph(0))
+@example(UndirectedGraph(9))
+def test_graph_serialization_matches_reference(g):
+    assert instances.serialize_graph(g).encode() == ref_text.serialize_graph(g).encode()
+
+
 MUTATIONS = ("short row", "long row", "diagonal", "stray ascii", "non-ascii",
              "both arcs", "neither arc")
 

@@ -4,6 +4,7 @@ import json
 import random
 
 from rainbowkernel.p3 import kernelize_p3
+from rainbowkernel.rainbow import LAYER1_BUDGET, RainbowOracle
 from rainbowkernel.tournament import kernelize_tournament
 
 from .test_acceptance import _near_transitive
@@ -32,3 +33,20 @@ def test_to_json_matches_the_deep_copy_form():
         assert json.loads(text) == dataclasses.asdict(report)
         assert text == json.dumps(dataclasses.asdict(report), sort_keys=True)
 
+
+def test_oracle_record_shows_layer1_budget_use(monkeypatch):
+    seen = []
+    solve = RainbowOracle.solve
+
+    def recording(self, cm, epsilon):
+        outcome, stats = solve(self, cm, epsilon)
+        seen.append(stats)
+        return outcome, stats
+
+    monkeypatch.setattr(RainbowOracle, "solve", recording)
+    records = [r.oracle for report in _reports() for r in report.rounds]
+    assert records == [{"layer": s.layer, "p": s.p, "edges": s.n_edges,
+                        "layer1_missing": s.layer1_missing, "layer1_visits": s.layer1_visits}
+                       for s in seen]
+    assert all(0 <= s.layer1_visits <= LAYER1_BUDGET for s in seen)
+    assert any(s.layer1_missing for s in seen) and any(s.layer1_visits for s in seen)

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from rainbowkernel.errors import BrokenInvariant
 from rainbowkernel.report import KernelOutput, KernelReport
 from rainbowkernel.rounds import RuleNext, RuleStop, run_rounds
 
@@ -46,26 +47,26 @@ def test_rounds_until_a_stop():
 
 
 def test_validator_problems_raise():
-    with pytest.raises(AssertionError, match="invariants broken: bucket 1 is empty"):
+    with pytest.raises(BrokenInvariant, match="invariants broken: bucket 1 is empty"):
         run(countdown, check=lambda d: ["bucket 1 is empty"])
 
 
 def test_validator_runs_every_round():
     # round 1 (potential 3) passes; the check fails from round 2 on and must still raise
-    with pytest.raises(AssertionError, match="invariants broken: late fault"):
+    with pytest.raises(BrokenInvariant, match="invariants broken: late fault"):
         run(countdown, check=lambda d: ["late fault"] if d.potential < 3 else [])
 
 
 def test_potential_must_drop():
-    with pytest.raises(AssertionError, match="potential did not decrease"):
+    with pytest.raises(BrokenInvariant, match="potential did not decrease"):
         run(lambda d: RuleNext(FakeDecomp(d.potential), "case2", {}))
 
 
 def test_rounds_capped_by_initial_potential():
-    with pytest.raises(AssertionError, match="round count exceeded"):
+    with pytest.raises(BrokenInvariant, match="round count exceeded"):
         run(lambda d: RuleNext(FakeDecomp(d.potential - 1), "case1", {}), potential=1)
 
 
 def test_kept_set_within_bound():
-    with pytest.raises(AssertionError, match="kernel size 2 exceeds bound 1.5"):
+    with pytest.raises(BrokenInvariant, match="kernel size 2 exceeds bound 1.5"):
         run(countdown, bound=1.5)
